@@ -20,8 +20,6 @@ from .optics import (
     GridSpec,
     SetupParams,
     field_map,
-    lens_matrix,
-    propagation_phase,
     telescope_matrix,
     telescope_matrix_sp,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "GridSpec",
     "SetupParams",
     "field_map",
-    "lens_matrix",
-    "propagation_phase",
     "telescope_matrix",
     "telescope_matrix_sp",
     "GRAM_LABELS",

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 configuration/usage error, 2 numerical
 convergence failure.  ``--config paper_defaults`` uses the built-in
-defaults for the chosen subcommand.  ``PBS_THREADS`` caps worker threads
-and ``PBS_BACKEND`` selects the quadrature backend (numba/numpy).
+defaults for the chosen subcommand.
 """
 
 from __future__ import annotations

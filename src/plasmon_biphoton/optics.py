@@ -16,7 +16,11 @@ with a = (n - 1) Delta / (2 n k) and angular magnification
 mag = n f / ((n - 1) Delta).  The integral is evaluated by a midpoint rule on
 a square grid masked to the aperture disc; the grid is symmetric under the
 square-lattice point group so that the symmetry properties of the film carry
-over to T exactly up to floating point.  A stationary-phase shortcut replaces
+over to T exactly up to floating point.  On that tensor grid the phase
+factor separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2),
+so T on a tensor grid of q3 is two matrix products per Jones component (the
+matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)),
+and the film is sampled once per grid.  A stationary-phase shortcut replaces
 the integral by the analytic Gaussian prefactor times F_lab at the stationary
 point q2* = mag q3 when that point lies safely inside the aperture.
 
@@ -33,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .film import FilmModel, default_film, film_matrix, film_matrix_grid
-from .jones import ellipse_arrays, rotation
-from .kernels import accumulate_transfer
+from .jones import ellipse_arrays
 
 __all__ = [
     "SetupParams",
@@ -42,10 +45,10 @@ __all__ = [
     "FieldMap",
     "QuadratureConvergenceError",
     "StationaryPointError",
-    "lens_matrix",
-    "propagation_phase",
+    "TransferMap",
     "telescope_matrix",
     "telescope_matrix_sp",
+    "transfer_map",
     "field_map",
     "write_field_map_csv",
     "write_field_map_pgm",
@@ -162,35 +165,20 @@ class FieldMap:
     theta3_max_deg: float
 
 
-def _azimuth(q) -> float:
-    """Azimuth of a transverse wavevector; 0 for the zero vector by convention."""
-    if q[0] == 0.0 and q[1] == 0.0:
-        return 0.0
-    return float(np.arctan2(q[1], q[0]))
+def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
+    """T(q3) on the tensor grid q3x x q3y; returns shape (Mx, My, 2, 2).
 
+    The film is sampled once on the midpoint points of an n_grid x n_grid
+    square masked to the aperture disc.  That point set is symmetric under
+    the square-lattice point group for any n_grid, which makes T(0, 0)
+    proportional to the identity up to floating point rather than up to
+    quadrature error.  The phase factor separates by axis,
 
-def lens_matrix(q_out, q_in, setup: SetupParams) -> np.ndarray:
-    """Paraxial thin-lens transfer matrix between plane-wave modes.
+        exp(i a |q2 - mag q3|^2) = kx[i, u] ky[j, v],
 
-    (f / (2 pi k i)) exp(i (f / 2k) |q_out - q_in|^2) R(phi_out) R(-phi_in).
-    """
-    k = setup.k
-    dq2 = (q_out[0] - q_in[0]) ** 2 + (q_out[1] - q_in[1]) ** 2
-    scalar = setup.f / (2.0 * np.pi * k * 1j) * np.exp(1j * setup.f / (2.0 * k) * dq2)
-    return scalar * (rotation(_azimuth(q_out)) @ rotation(-_azimuth(q_in)))
-
-
-def propagation_phase(q, z: float, setup: SetupParams) -> complex:
-    """Paraxial free-propagation phase exp(-i z |q|^2 / 2k) over distance z."""
-    return complex(np.exp(-1j * z * (q[0] ** 2 + q[1] ** 2) / (2.0 * setup.k)))
-
-
-def _quadrature_grid(setup: SetupParams, n_grid: int):
-    """Midpoint-rule points covering the aperture disc, masked and flattened.
-
-    The point set is symmetric under the square-lattice point group for any
-    n_grid, which makes T(0, 0) proportional to the identity up to floating
-    point rather than up to quadrature error.
+    so each Jones component, scattered onto the square with zeros outside
+    the disc, becomes kx @ G @ ky.T.  Components are transformed one at a
+    time, so memory stays O(n_grid^2).
     """
     r = setup.q2_max
     if r <= 0.0:
@@ -199,31 +187,19 @@ def _quadrature_grid(setup: SetupParams, n_grid: int):
     axis = -r + (np.arange(n_grid) + 0.5) * h
     qx, qy = np.meshgrid(axis, axis, indexing="ij")
     mask = qx ** 2 + qy ** 2 <= r * r
-    return qx[mask], qy[mask], h * h
+    components = film_matrix_grid(setup.film, qx[mask], qy[mask], setup.lam)
 
+    def kernel(q3_axis):
+        centers = setup.magnification * np.asarray(q3_axis, dtype=float)
+        return np.exp(1j * setup.alpha * (axis[None, :] - centers[:, None]) ** 2)
 
-class TelescopeSolver:
-    """Precomputed quadrature grid and film samples for one setup.
-
-    Evaluating many q3 points amortizes the film-model evaluation over the
-    aperture; the per-point phase sums run in the compiled kernel.
-    """
-
-    def __init__(self, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS):
-        self.setup = setup
-        self.n_grid = n_grid
-        self.q2x, self.q2y, self.cell_area = _quadrature_grid(setup, n_grid)
-        self.fxx, self.fxy, self.fyx, self.fyy = film_matrix_grid(
-            setup.film, self.q2x, self.q2y, setup.lam)
-
-    def evaluate(self, q3_points: np.ndarray) -> np.ndarray:
-        """T(q3) for each row of ``q3_points``; returns shape (P, 2, 2)."""
-        q3_points = np.atleast_2d(np.asarray(q3_points, dtype=float))
-        centers = self.setup.magnification * q3_points
-        sums = accumulate_transfer(
-            self.q2x, self.q2y, self.fxx, self.fxy, self.fyx, self.fyy,
-            centers, self.setup.alpha)
-        return sums.reshape(q3_points.shape[0], 2, 2) * self.cell_area
+    kx, ky = kernel(q3x), kernel(q3y)
+    out = np.empty((kx.shape[0], ky.shape[0], 4), dtype=complex)
+    g = np.zeros((n_grid, n_grid), dtype=complex)
+    for c, values in enumerate(components):
+        g[mask] = values
+        out[..., c] = kx @ g @ ky.T
+    return out.reshape(kx.shape[0], ky.shape[0], 2, 2) * (h * h)
 
 
 def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS,
@@ -236,12 +212,12 @@ def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS,
     relative to the matrix scale; if the budget runs out unconverged, a
     QuadratureConvergenceError carrying the last two results is raised.
     """
-    current = TelescopeSolver(setup, n_grid).evaluate([q3])[0]
+    current = _transfer_grid(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
     if not check_convergence:
         return current
     for level in range(1, max_refinements + 1):
         previous = current
-        current = TelescopeSolver(setup, 2 ** level * n_grid).evaluate([q3])[0]
+        current = _transfer_grid(setup, [q3[0]], [q3[1]], 2 ** level * n_grid)[0, 0]
         scale = np.max(np.abs(current))
         rel = np.max(np.abs(current - previous)) / scale if scale > 0 else 0.0
         if rel <= tol:
@@ -267,14 +243,38 @@ def telescope_matrix_sp(q3, setup: SetupParams, margin: float = 0.05) -> np.ndar
     return prefactor * film_matrix(setup.film, q2_star, setup.lam)
 
 
-def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
-              n_grid: int = DEFAULT_QUAD_POINTS) -> FieldMap:
-    """Output field T(q3) input_pol over a symmetric square q3 grid."""
-    input_pol = np.asarray(input_pol, dtype=complex)
-    norm = np.sqrt(np.real(np.vdot(input_pol, input_pol)))
-    if not np.isclose(norm, 1.0, atol=1e-9):
-        raise ValueError("input polarization must be normalized")
+@dataclass(frozen=True)
+class TransferMap:
+    """Telescope matrices on a symmetric square q3 grid, for any input.
 
+    matrices[i, j] is T at (q3_axis[i], q3_axis[j]).  Building it is the
+    expensive step of a field map; ``apply`` contracts it with one input
+    polarization, so a map can be reused for several inputs.
+    """
+
+    q3_axis: np.ndarray
+    matrices: np.ndarray
+    lam: float
+    theta3_max_deg: float
+
+    def apply(self, input_pol: np.ndarray) -> FieldMap:
+        """Output field T(q3) input_pol and its polarization ellipses."""
+        input_pol = np.asarray(input_pol, dtype=complex)
+        norm = np.sqrt(np.real(np.vdot(input_pol, input_pol)))
+        if not np.isclose(norm, 1.0, atol=1e-9):
+            raise ValueError("input polarization must be normalized")
+        fields = self.matrices @ input_pol
+        intensity, psi, ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
+        return FieldMap(
+            q3x_axis=self.q3_axis, q3y_axis=self.q3_axis.copy(), fields=fields,
+            intensity=intensity, psi=psi, axis_ratio=ratio,
+            input_pol=input_pol, lam=self.lam, theta3_max_deg=self.theta3_max_deg,
+        )
+
+
+def transfer_map(grid_spec: GridSpec, setup: SetupParams,
+                 n_grid: int = DEFAULT_QUAD_POINTS) -> TransferMap:
+    """T(q3) over the symmetric square q3 grid of ``grid_spec``."""
     if grid_spec.theta3_max_deg is None:
         theta3_max = setup.theta_ap / setup.magnification
     else:
@@ -282,19 +282,14 @@ def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
     q3_max = setup.k * np.sin(theta3_max)
     axis = np.linspace(-q3_max, q3_max, grid_spec.n) if grid_spec.n > 1 \
         else np.zeros(1)
+    return TransferMap(q3_axis=axis, matrices=_transfer_grid(setup, axis, axis, n_grid),
+                       lam=setup.lam, theta3_max_deg=float(np.rad2deg(theta3_max)))
 
-    qx, qy = np.meshgrid(axis, axis, indexing="ij")
-    points = np.column_stack([qx.ravel(), qy.ravel()])
-    mats = TelescopeSolver(setup, n_grid).evaluate(points)
-    fields = np.einsum("pij,j->pi", mats, input_pol).reshape(grid_spec.n, grid_spec.n, 2)
 
-    intensity, psi, ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
-    return FieldMap(
-        q3x_axis=axis, q3y_axis=axis.copy(), fields=fields,
-        intensity=intensity, psi=psi, axis_ratio=ratio,
-        input_pol=input_pol, lam=setup.lam,
-        theta3_max_deg=float(np.rad2deg(theta3_max)),
-    )
+def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
+              n_grid: int = DEFAULT_QUAD_POINTS) -> FieldMap:
+    """Output field T(q3) input_pol over a symmetric square q3 grid."""
+    return transfer_map(grid_spec, setup, n_grid).apply(input_pol)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "concurrence",
     "coincidence_rate",
     "visibility",
-    "visibility_brute",
 ]
 
 # solid-state labels (ab) = (output pol, input pol) of photon 1, in the order
@@ -212,38 +211,3 @@ def visibility(beta2: float, source,
                             beta1_max=beta1_max, beta1_min=beta1_min,
                             c_max=c_max, c_min=c_min)
 
-
-def visibility_brute(beta2: float, source, step_deg: float = 1.0,
-                     iris_radius_frac: float | None = None) -> VisibilityResult:
-    """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.
-
-    Independent cross-check of the eigenvalue route; used by the validation
-    suite, not by the scenario pipelines.
-    """
-    a = _coincidence_form(source, beta2, iris_radius_frac)
-
-    def rate(b1):
-        e1 = np.array([np.cos(b1), np.sin(b1)])
-        return float(e1 @ a @ e1)
-
-    angles = np.deg2rad(np.arange(0.0, 180.0, step_deg))
-    rates = np.array([rate(b) for b in angles])
-
-    def refine(idx):
-        h = np.deg2rad(step_deg)
-        b0 = angles[idx]
-        y0, y1, y2 = rate(b0 - h), rates[idx], rate(b0 + h)
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.0 if denom == 0.0 else 0.5 * h * (y0 - y2) / denom
-        b = b0 + np.clip(shift, -h, h)
-        return b, rate(b)
-
-    beta1_max, c_max = refine(int(np.argmax(rates)))
-    beta1_min, c_min = refine(int(np.argmin(rates)))
-    c_min = max(c_min, 0.0)
-    if c_max + c_min <= 0.0 or c_max == 0.0:
-        raise ValueError("coincidence rate vanishes identically: visibility undefined")
-    v = (c_max - c_min) / (c_max + c_min)
-    return VisibilityResult(beta2=beta2, visibility=v,
-                            beta1_max=float(beta1_max), beta1_min=float(beta1_min),
-                            c_max=c_max, c_min=c_min)

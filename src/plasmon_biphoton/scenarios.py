@@ -24,9 +24,11 @@ import numpy as np
 from .film import FilmModel, default_film, film_matrix, load_tabulated, transmittance
 from .jones import linear_pol
 from .optics import (
+    PARAXIAL_LIMIT_RAD,
     GridSpec,
     SetupParams,
     field_map,
+    transfer_map,
     write_field_map_csv,
     write_field_map_pgm,
 )
@@ -122,6 +124,14 @@ class ScenarioConfig:
             raise ConfigError(f"unknown gram spec {self.gram!r}")
         if not 0.0 <= self.gram_coherence <= 1.0:
             raise ConfigError("gram_coherence must lie in [0, 1]")
+        for name in ("quad_points", "map_points", "polmap_points"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
+            if not 0.0 <= np.deg2rad(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:
+                raise ConfigError(
+                    f"{name} must lie in the paraxial range "
+                    f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
 
     # -- derived builders ---------------------------------------------------
 
@@ -298,19 +308,17 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
     for ap in apertures:
         row = [ap]
         for lam in cfg.lambdas_nm:
+            if ap == 0.0:
+                state = postselect_channel(film_matrix(film, (0.0, 0.0), lam),
+                                           gram_allones())
+            else:
+                tmap = transfer_map(GridSpec(n=cfg.map_points),
+                                    cfg.setup(lam, semiaperture_deg=ap),
+                                    n_grid=cfg.quad_points)
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                if ap == 0.0:
-                    state = postselect_channel(film_matrix(film, (0.0, 0.0), lam),
-                                               gram_allones())
-                    v = visibility(b2, state).visibility
-                else:
-                    setup = cfg.setup(lam, semiaperture_deg=ap)
-                    fmap = field_map(linear_pol(b2 + np.pi / 2.0),
-                                     GridSpec(n=cfg.map_points), setup,
-                                     n_grid=cfg.quad_points)
-                    v = visibility(b2, fmap).visibility
-                row.append(v)
+                source = state if ap == 0.0 else tmap.apply(linear_pol(b2 + np.pi / 2.0))
+                row.append(visibility(b2, source).visibility)
         rows.append(row)
 
     path = out_dir / "visibility.csv"

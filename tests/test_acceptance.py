@@ -24,9 +24,10 @@ from plasmon_biphoton.quantum import (
     gram_identity,
     postselect_channel,
     visibility,
-    visibility_brute,
 )
 from plasmon_biphoton.scenarios import ScenarioConfig, run_spectrum, run_visibility_sweep
+
+from oracles import visibility_brute
 
 
 def _vis(lam, beta2_deg, n=41, n_grid=201, theta_ap_deg=8.0):

@@ -71,6 +71,19 @@ def test_bad_config_value_is_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("line", ["quad_points = 0", "polmap_points = 0",
+                                  "semiaperture_deg = 20.0"],
+                         ids=["quad_points", "polmap_points", "semiaperture_deg"])
+def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"kind = polmap\n{line}\n")
+    code = main(["polmap", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_film_passes(capsys):
     code = main(["validate-film"])
     out = capsys.readouterr().out

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from plasmon_biphoton import kernels
-from plasmon_biphoton.film import FilmModel, ResonanceFamily, default_film, film_matrix
+from plasmon_biphoton.film import (
+    FilmModel,
+    ResonanceFamily,
+    TabulatedGrid,
+    default_film,
+    film_matrix,
+)
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.optics import (
     FieldMap,
@@ -10,14 +15,15 @@ from plasmon_biphoton.optics import (
     QuadratureConvergenceError,
     SetupParams,
     StationaryPointError,
+    _transfer_grid,
     field_map,
-    lens_matrix,
-    propagation_phase,
     telescope_matrix,
     telescope_matrix_sp,
     write_field_map_csv,
     write_field_map_pgm,
 )
+
+from oracles import transfer_direct
 
 
 @pytest.fixture(scope="module")
@@ -64,27 +70,6 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         SetupParams(lam=-1.0, f=15e6, n=1.52, delta=0.5e6,
                     theta_ap=0.1, film=default_film())
-
-
-# --- lens / propagation building blocks -------------------------------------
-
-def test_lens_matrix_on_axis(setup):
-    m = lens_matrix((0.0, 0.0), (0.0, 0.0), setup)
-    scalar = setup.f / (2.0 * np.pi * setup.k * 1j)
-    assert np.allclose(m, scalar * np.eye(2), atol=1e-15)
-
-
-def test_lens_matrix_phase_modulus(setup):
-    m = lens_matrix((1e-4, 2e-4), (3e-4, -1e-4), setup)
-    expected_mod = setup.f / (2.0 * np.pi * setup.k)
-    assert np.linalg.svd(m, compute_uv=False)[0] == pytest.approx(expected_mod, rel=1e-12)
-
-
-def test_propagation_phase_additive(setup):
-    q = (2e-4, -3e-4)
-    p = propagation_phase(q, 1e5, setup) * propagation_phase(q, 2.5e5, setup)
-    assert p == pytest.approx(propagation_phase(q, 3.5e5, setup), abs=1e-12)
-    assert abs(p) == pytest.approx(1.0, rel=1e-12)
 
 
 # --- on-axis symmetry -------------------------------------------------------
@@ -220,25 +205,33 @@ def test_convergence_error_carries_results():
     assert err.value.rel_change > 1e-12
 
 
-# --- kernels backend --------------------------------------------------------
+# --- separable transform against the direct-sum oracle ----------------------
 
-def test_backends_agree():
-    rng = np.random.default_rng(11)
-    m = 400
-    q2x = rng.uniform(-1e-3, 1e-3, m)
-    q2y = rng.uniform(-1e-3, 1e-3, m)
-    comps = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
-    centers = rng.uniform(-2e-4, 2e-4, (7, 2))
-    active = kernels.accumulate_transfer(q2x, q2y, *comps, centers, 1.085e7)
-    out = np.empty((7, 4), dtype=complex)
-    reference = kernels._numpy_accumulate(
-        q2x, q2y, *(c.astype(complex) for c in comps),
-        centers[:, 0].copy(), centers[:, 1].copy(), 1.085e7, out)
-    assert np.allclose(active, reference, rtol=1e-12, atol=1e-12)
+def random_table_film(lam, rng):
+    """A seeded random film table over the 8 deg aperture, with no point-group symmetry."""
+    q = np.linspace(-1.2e-3, 1.2e-3, 9)
+    shape = (2, 9, 9, 2, 2)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return FilmModel(period=700.0, direct_amplitude=0j, families=(),
+                     tabulated=TabulatedGrid(q, q, np.array([lam - 5.0, lam + 5.0]), mats))
 
 
-def test_backend_reports_name():
-    assert kernels.BACKEND in ("numpy", "numba")
+@pytest.mark.parametrize("n_grid", [50, 51])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_separable_transform_matches_direct_sum(n_grid, tabulated):
+    rng = np.random.default_rng(n_grid)
+    film = random_table_film(797.0, rng) if tabulated else default_film()
+    s = SetupParams.paper_defaults(film=film)
+    q3_limit = 1.5 * s.q2_max / s.magnification
+    xs = rng.uniform(-q3_limit, q3_limit, 3)
+    ys = rng.uniform(-q3_limit, q3_limit, 2)
+    qx, qy = np.meshgrid(xs, ys, indexing="ij")
+    ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
+    ref = ref.reshape(3, 2, 2, 2)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
+    single = telescope_matrix((xs[2], ys[1]), s, n_grid=n_grid)
+    assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
 
 
 # --- field maps and export --------------------------------------------------

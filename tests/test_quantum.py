@@ -12,8 +12,9 @@ from plasmon_biphoton.quantum import (
     postselect_channel,
     singlet,
     visibility,
-    visibility_brute,
 )
+
+from oracles import visibility_brute
 
 
 def make_field_map(fields, input_pol, lam=797.0):

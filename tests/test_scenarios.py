@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from plasmon_biphoton import optics
 from plasmon_biphoton.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -130,6 +131,23 @@ def test_visibility_sweep_deterministic(tmp_path):
     run_visibility_sweep(cfg, tmp_path / "b")
     assert (tmp_path / "a" / "visibility.csv").read_bytes() == \
         (tmp_path / "b" / "visibility.csv").read_bytes()
+
+
+def test_visibility_sweep_samples_film_once_per_cell(tmp_path, monkeypatch):
+    # apertures 0, 4 and 8 deg: T is built for each (lambda, nonzero
+    # aperture) and shared by both beta2 values
+    sampled = []
+    original = optics.film_matrix_grid
+
+    def counting(model, qx, qy, lam):
+        sampled.append(lam)
+        return original(model, qx, qy, lam)
+
+    monkeypatch.setattr(optics, "film_matrix_grid", counting)
+    cfg = small_cfg(kind="visibility_sweep", lambdas_nm=(797.0, 728.0),
+                    beta2_deg=(0.0, 45.0))
+    run_visibility_sweep(cfg, tmp_path)
+    assert sorted(sampled) == [728.0, 728.0, 797.0, 797.0]
 
 
 # --- polmap -----------------------------------------------------------------
