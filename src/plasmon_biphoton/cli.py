@@ -12,7 +12,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .film import film_matrix
+from .film import TableRangeError, film_matrix
 from .optics import QuadratureConvergenceError, telescope_matrix
 from .scenarios import (
     ConfigError,
@@ -78,7 +78,7 @@ def _validate_film(args) -> int:
         ok = ok and passed
         print(f"F(0, {lam:g} nm) proportional to identity: "
               f"{'PASS' if passed else 'FAIL'} (residual {off / scale:.3e})")
-    setup = cfg.setup(cfg.lambda_diagonal_nm)
+    setup = cfg.setup(film, cfg.lambda_diagonal_nm)
     t0 = telescope_matrix((0.0, 0.0), setup, n_grid=101)
     scale = 0.5 * (abs(t0[0, 0]) + abs(t0[1, 1]))
     off = max(abs(t0[0, 1]), abs(t0[1, 0]), abs(t0[0, 0] - t0[1, 1]))
@@ -104,10 +104,7 @@ def main(argv=None) -> int:
             if args.verbose:
                 print(f"wrote {path}")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, TableRangeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except QuadratureConvergenceError as exc:

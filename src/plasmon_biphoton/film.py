@@ -13,6 +13,13 @@ formulation.  Alternatively a tabulated grid of matrices (from an external
 rigorous solver) can be loaded; it is interpolated bilinearly and never
 extrapolated.
 
+``film_matrix_grid`` is the one evaluator for both kinds of film: qx, qy and
+lambda may be scalars or arrays of any shapes that broadcast together, and
+each of the four returned component arrays has the broadcast shape.  An
+aperture sample is a flat q array at one wavelength; a spectrum is q and
+lambda arrays along the wavelength axis.  ``film_matrix`` is its one-point
+case.
+
 Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 """
 
@@ -26,6 +33,7 @@ import numpy as np
 __all__ = [
     "ResonanceFamily",
     "FilmModel",
+    "TableRangeError",
     "TabulatedGrid",
     "default_film",
     "resonance_wavelength",
@@ -46,6 +54,10 @@ _POINT_GROUP = [
 ]
 
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
+
+
+class TableRangeError(ValueError):
+    """A requested (q, lambda) lies outside the range of a tabulated film."""
 
 
 def _point_group_closure(orders):
@@ -166,12 +178,14 @@ def resonance_wavelength(family: ResonanceFamily, order, q, period: float) -> fl
     return 2.0 * np.pi * family.n_eff / norm
 
 
-def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray, lam: float):
-    """Vectorized analytic F_lab over arrays of q points (shared shape)."""
-    fxx = np.full(qx.shape, model.direct_amplitude, dtype=complex)
+def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
+                          lam: np.ndarray):
+    """Vectorized analytic F_lab over broadcast arrays of (q, lambda)."""
+    shape = np.broadcast_shapes(qx.shape, qy.shape, lam.shape)
+    fxx = np.full(shape, model.direct_amplitude, dtype=complex)
     fyy = fxx.copy()
-    fxy = np.zeros(qx.shape, dtype=complex)
-    fyx = np.zeros(qx.shape, dtype=complex)
+    fxy = np.zeros(shape, dtype=complex)
+    fyx = np.zeros(shape, dtype=complex)
     for fam in model.families:
         for (m1, m2) in sorted(fam.orders):
             gx = 2.0 * np.pi * m1 / model.period
@@ -192,30 +206,30 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray, lam:
     return fxx, fxy, fyx, fyy
 
 
-def film_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray, lam: float):
-    """F_lab component arrays (fxx, fxy, fyx, fyy) over a grid of q points."""
+def film_matrix_grid(model: FilmModel, qx, qy, lam):
+    """F_lab component arrays (fxx, fxy, fyx, fyy) over broadcast (q, lambda).
+
+    qx, qy (nm^-1) and lam (nm) are scalars or arrays whose shapes broadcast
+    together; every returned component is a complex array of the broadcast
+    shape, so one call covers a flat aperture sample at one wavelength, a
+    spectrum along its wavelength axis, or a single point (0-d arrays).
+    Raises ValueError if any wavelength is not positive, and TableRangeError
+    if a tabulated film does not cover a requested point.
+    """
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
+        raise ValueError("wavelength must be positive")
     if model.tabulated is not None:
-        out = np.empty(qx.shape + (2, 2), dtype=complex)
-        it = np.nditer(qx, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            out[idx] = _interpolate_tabulated(model.tabulated, (qx[idx], qy[idx]), lam)
-        return out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1]
+        return _interpolate_tabulated(model.tabulated, qx, qy, lam)
     return _analytic_matrix_grid(model, qx, qy, lam)
 
 
 def film_matrix(model: FilmModel, q, lam: float) -> np.ndarray:
     """Lab-frame film transfer matrix F_lab(q, lambda) as a 2x2 complex array."""
-    if lam <= 0:
-        raise ValueError("wavelength must be positive")
-    if model.tabulated is not None:
-        return _interpolate_tabulated(model.tabulated, q, lam)
-    qx = np.asarray(float(q[0]))
-    qy = np.asarray(float(q[1]))
-    fxx, fxy, fyx, fyy = _analytic_matrix_grid(model, qx, qy, lam)
-    return np.array([[complex(fxx), complex(fxy)], [complex(fyx), complex(fyy)]])
+    fxx, fxy, fyx, fyy = film_matrix_grid(model, q[0], q[1], lam)
+    return np.array([[fxx, fxy], [fyx, fyy]], dtype=complex)
 
 
 def transmittance(model: FilmModel, q, lam: float, pol: np.ndarray) -> float:
@@ -228,31 +242,46 @@ def transmittance(model: FilmModel, q, lam: float, pol: np.ndarray) -> float:
 # tabulated grids
 # ---------------------------------------------------------------------------
 
-def _interpolate_tabulated(grid: TabulatedGrid, q, lam: float) -> np.ndarray:
-    """Bilinear in (qx, qy), linear in lambda; refuses to extrapolate."""
-    coords = []
-    for axis, value, name in ((grid.qx, q[0], "qx"), (grid.qy, q[1], "qy"),
-                              (grid.lam, lam, "lambda")):
-        if value < axis[0] or value > axis[-1]:
-            raise ValueError(
-                f"{name} = {value:g} outside tabulated range [{axis[0]:g}, {axis[-1]:g}]")
+def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
+                          lam: np.ndarray):
+    """Bilinear in (qx, qy), linear in lambda over broadcast arrays.
+
+    Returns the four component arrays (fxx, fxy, fyx, fyy); refuses to
+    extrapolate, naming the first value outside the table.
+    """
+    # (lambda, qx, qy) flattened: one base index per point, a fixed offset
+    # per axis to the upper neighbour (0 on a size-1 axis)
+    base, frac, step = 0, [], []
+    for axis, value, name, stride in (
+            (grid.qx, qx, "qx", grid.qy.size), (grid.qy, qy, "qy", 1),
+            (grid.lam, lam, "lambda", grid.qx.size * grid.qy.size)):
+        bad = ~((value >= axis[0]) & (value <= axis[-1]))
+        if np.any(bad):
+            raise TableRangeError(
+                f"{name} = {value[bad].flat[0]:g} outside tabulated range "
+                f"[{axis[0]:g}, {axis[-1]:g}]")
         if axis.size == 1:
-            coords.append((0, 0, 0.0))
+            frac.append(np.zeros(value.shape))
+            step.append(0)
             continue
-        i = int(np.searchsorted(axis, value, side="right") - 1)
-        i = min(i, axis.size - 2)
-        t = (value - axis[i]) / (axis[i + 1] - axis[i])
-        coords.append((i, i + 1, t))
-    (ix0, ix1, tx), (iy0, iy1, ty), (il0, il1, tl) = coords
+        i = np.minimum(np.searchsorted(axis, value, side="right") - 1, axis.size - 2)
+        frac.append((value - axis[i]) / (axis[i + 1] - axis[i]))
+        base = base + i * stride
+        step.append(stride)
+    (tx, ty, tl), (dx, dy, dl) = frac, step
+
+    def component(m):
+        c = m.reshape(-1)
+
+        def plane(b):
+            return ((1 - tx) * (1 - ty) * c[b] + tx * (1 - ty) * c[b + dx]
+                    + (1 - tx) * ty * c[b + dy] + tx * ty * c[b + dx + dy])
+
+        return (1 - tl) * plane(base) + tl * plane(base + dl)
+
     m = grid.matrices
-
-    def plane(il):
-        return ((1 - tx) * (1 - ty) * m[il, ix0, iy0]
-                + tx * (1 - ty) * m[il, ix1, iy0]
-                + (1 - tx) * ty * m[il, ix0, iy1]
-                + tx * ty * m[il, ix1, iy1])
-
-    return (1 - tl) * plane(il0) + tl * plane(il1)
+    return (component(m[..., 0, 0]), component(m[..., 0, 1]),
+            component(m[..., 1, 0]), component(m[..., 1, 1]))
 
 
 def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0) -> FilmModel:

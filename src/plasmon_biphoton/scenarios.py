@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .film import FilmModel, default_film, film_matrix, load_tabulated, transmittance
+from .film import FilmModel, default_film, film_matrix, film_matrix_grid, load_tabulated
 from .jones import linear_pol
 from .optics import (
     PARAXIAL_LIMIT_RAD,
@@ -114,6 +114,13 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
+        for f in dataclasses.fields(self):
+            if f.type in ("float", "complex", "tuple") and \
+                    not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
+        for name in ("lambda_min_nm", "lambdas_nm", "lambda_diagonal_nm", "lambda_axis_nm"):
+            if not np.all(np.asarray(getattr(self, name)) > 0):
+                raise ConfigError(f"{name} must be positive")
         if self.lambda_min_nm >= self.lambda_max_nm or self.lambda_step_nm <= 0:
             raise ConfigError("spectrum wavelength range must be nonempty and increasing")
         if self.semiaperture_step_deg <= 0 or self.semiaperture_min_deg > self.semiaperture_max_deg:
@@ -150,12 +157,14 @@ class ScenarioConfig:
             lambda_axis=self.lambda_axis_nm,
         )
 
-    def setup(self, lam_nm: float, semiaperture_deg: float | None = None) -> SetupParams:
+    def setup(self, film: FilmModel, lam_nm: float,
+              semiaperture_deg: float | None = None) -> SetupParams:
+        """Telescope geometry around ``film``, which a run builds once with ``film()``."""
         theta = self.semiaperture_deg if semiaperture_deg is None else semiaperture_deg
         return SetupParams(
             lam=lam_nm, f=self.f_mm * 1e6, n=self.n_substrate,
             delta=self.delta_mm * 1e6, theta_ap=np.deg2rad(theta),
-            film=self.film(),
+            film=film,
         )
 
     def gram_matrix(self) -> np.ndarray:
@@ -265,24 +274,22 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
     pol_perp = linear_pol(np.deg2rad(-45.0))
 
     header = ["lambda_nm"]
+    columns = [lams]
+    k = 2.0 * np.pi / lams
     for tilt in cfg.tilts_deg:
         header.append(f"T_perp_tilt{tilt:g}")
         header.append(f"T_par_tilt{tilt:g}")
-
-    rows = []
-    for lam in lams:
-        k = 2.0 * np.pi / lam
-        row = [lam]
-        for tilt in cfg.tilts_deg:
-            q = k * np.sin(np.deg2rad(tilt)) * diag
-            row.append(transmittance(film, q, lam, pol_perp))
-            row.append(transmittance(film, q, lam, pol_par))
-        rows.append(row)
+        kt = k * np.sin(np.deg2rad(tilt))
+        fxx, fxy, fyx, fyy = film_matrix_grid(film, kt * diag[0], kt * diag[1], lams)
+        for pol in (pol_perp, pol_par):
+            ex = fxx * pol[0] + fxy * pol[1]
+            ey = fyx * pol[0] + fyy * pol[1]
+            columns.append(ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2)
+    table = np.column_stack(columns)
 
     path = out_dir / "spectrum.csv"
-    _write_csv(path, header, rows)
-    return {"paths": [path], "lambda_nm": lams, "header": header,
-            "table": np.array(rows)}
+    _write_csv(path, header, table)
+    return {"paths": [path], "lambda_nm": lams, "header": header, "table": table}
 
 
 def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
@@ -313,7 +320,7 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
                                            gram_allones())
             else:
                 tmap = transfer_map(GridSpec(n=cfg.map_points),
-                                    cfg.setup(lam, semiaperture_deg=ap),
+                                    cfg.setup(film, lam, semiaperture_deg=ap),
                                     n_grid=cfg.quad_points)
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
@@ -332,7 +339,7 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lam = cfg.lambdas_nm[0]
-    setup = cfg.setup(lam)
+    setup = cfg.setup(cfg.film(), lam)
     theta3 = cfg.theta3_max_deg if cfg.theta3_max_deg > 0 else None
     fmap = field_map(linear_pol(np.deg2rad(cfg.input_pol_deg)),
                      GridSpec(n=cfg.polmap_points, theta3_max_deg=theta3),

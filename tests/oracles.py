@@ -27,6 +27,37 @@ def transfer_direct(setup, q3_points, n_grid):
     return np.array(out).reshape(-1, 2, 2) * (h * h)
 
 
+def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
+    """One 2x2 matrix from a tabulated grid, one point at a time.
+
+    Bilinear in (qx, qy), linear in lambda; the per-point reference for the
+    array interpolation in ``film.film_matrix_grid``.
+    """
+    coords = []
+    for axis, value, name in ((grid.qx, q[0], "qx"), (grid.qy, q[1], "qy"),
+                              (grid.lam, lam, "lambda")):
+        if value < axis[0] or value > axis[-1]:
+            raise ValueError(
+                f"{name} = {value:g} outside tabulated range [{axis[0]:g}, {axis[-1]:g}]")
+        if axis.size == 1:
+            coords.append((0, 0, 0.0))
+            continue
+        i = int(np.searchsorted(axis, value, side="right") - 1)
+        i = min(i, axis.size - 2)
+        t = (value - axis[i]) / (axis[i + 1] - axis[i])
+        coords.append((i, i + 1, t))
+    (ix0, ix1, tx), (iy0, iy1, ty), (il0, il1, tl) = coords
+    m = grid.matrices
+
+    def plane(il):
+        return ((1 - tx) * (1 - ty) * m[il, ix0, iy0]
+                + tx * (1 - ty) * m[il, ix1, iy0]
+                + (1 - tx) * ty * m[il, ix0, iy1]
+                + tx * ty * m[il, ix1, iy1])
+
+    return (1 - tl) * plane(il0) + tl * plane(il1)
+
+
 def visibility_brute(beta2: float, source, step_deg: float = 1.0,
                      iris_radius_frac: float | None = None) -> VisibilityResult:
     """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.

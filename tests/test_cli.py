@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plasmon_biphoton.cli import main
+from plasmon_biphoton.film import FilmModel, TabulatedGrid, save_tabulated
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
 
 
@@ -82,6 +83,38 @@ def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
     assert code == 1
     assert err.startswith("config error") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["lambda_min_nm = -5", "lambda_min_nm = nan",
+                                  "tilts_deg = 0, nan", "lambdas_nm = 797, -728",
+                                  "direct_amplitude = nan"],
+                         ids=["negative_lambda_min", "nan_lambda_min", "nan_tilt",
+                              "negative_lambdas", "nan_direct_amplitude"])
+def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"kind = spectrum\n{line}\n")
+    code = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
+    # the table covers |q| <= 1e-4 nm^-1; the 4 deg aperture reaches about 5e-4
+    qs = np.array([-1e-4, 1e-4])
+    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array([790.0, 800.0]),
+                         matrices=np.broadcast_to(0.1 * np.eye(2), (2, 2, 2, 2, 2)))
+    table = tmp_path / "film.csv"
+    save_tabulated(FilmModel(period=700.0, direct_amplitude=0.0, families=(),
+                             tabulated=grid), table)
+    cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
+    code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: qx = ") and err.count("\n") == 1
+    assert "outside tabulated range" in err
+    assert not (tmp_path / "out" / "polmap.csv").exists()
 
 
 def test_validate_film_passes(capsys):

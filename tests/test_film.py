@@ -1,11 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
+from oracles import interpolate_tabulated_point
 from plasmon_biphoton.film import (
     FilmModel,
     ResonanceFamily,
+    TableRangeError,
+    TabulatedGrid,
     default_film,
     film_matrix,
+    film_matrix_grid,
     load_tabulated,
     resonance_wavelength,
     save_tabulated,
@@ -192,6 +198,68 @@ def test_tabulated_refuses_extrapolation(tmp_path):
         film_matrix(model, (0.0, 0.0), 700.0)
     with pytest.raises(ValueError):
         film_matrix(model, (1.0, 0.0), 797.0)
+
+
+def random_table(rng, n_lam):
+    """Film table on random non-uniform axes with random complex matrices."""
+    def axis(start, n, scale):
+        return start + np.cumsum(rng.uniform(0.2, 1.0, n)) * scale
+
+    shape = (n_lam, 6, 5, 2, 2)
+    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid = TabulatedGrid(qx=axis(-6e-4, 6, 2e-4), qy=axis(-5e-4, 5, 2e-4),
+                         lam=axis(790.0, n_lam, 3.0), matrices=mats)
+    return FilmModel(period=700.0, direct_amplitude=0.0, families=(), tabulated=grid)
+
+
+@pytest.mark.parametrize("n_lam", [3, 1], ids=["three_lambdas", "one_lambda"])
+def test_array_interpolation_matches_per_point_oracle(n_lam):
+    rng = np.random.default_rng(11)
+    model = random_table(rng, n_lam)
+    g = model.tabulated
+    # random in-range points, then every grid node, then the upper edge of
+    # each axis with the other two coordinates random
+    n = 200
+    pts = [np.column_stack([rng.uniform(a[0], a[-1], n) for a in (g.qx, g.qy, g.lam)])]
+    pts.append(np.stack(np.meshgrid(g.qx, g.qy, g.lam, indexing="ij"), axis=-1).reshape(-1, 3))
+    for k, a in enumerate((g.qx, g.qy, g.lam)):
+        edge = pts[0][:20].copy()
+        edge[:, k] = a[-1]
+        pts.append(edge)
+    pts = np.concatenate(pts)
+    expected = np.array([interpolate_tabulated_point(g, p[:2], p[2]) for p in pts])
+    got = np.stack(film_matrix_grid(model, pts[:, 0], pts[:, 1], pts[:, 2]),
+                   axis=-1).reshape(-1, 2, 2)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+    # one wavelength broadcast against a flat q sample (the aperture case)
+    lam = pts[0, 2]
+    expected = np.array([interpolate_tabulated_point(g, p[:2], lam) for p in pts[:n]])
+    got = np.stack(film_matrix_grid(model, pts[:n, 0], pts[:n, 1], lam),
+                   axis=-1).reshape(-1, 2, 2)
+    assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
+
+def test_out_of_range_array_names_first_bad_value():
+    model = random_table(np.random.default_rng(5), 3)
+    g = model.tabulated
+    qx_inside = np.array([g.qx[1], g.qx[2], g.qx[3]])
+    qx = np.array([g.qx[2], g.qx[-1] + 1e-4, g.qx[0] - 3e-4])
+    with pytest.raises(TableRangeError, match=re.escape(f"qx = {qx[1]:g} outside")):
+        film_matrix_grid(model, qx, np.full(3, g.qy[1]), g.lam[1])
+    lam = np.array([g.lam[0], g.lam[-1], g.lam[-1] + 2.0, g.lam[0] - 5.0])
+    with pytest.raises(TableRangeError, match=re.escape(f"lambda = {lam[2]:g} outside")):
+        film_matrix_grid(model, g.qx[1], g.qy[1], lam)
+    with pytest.raises(TableRangeError, match="qy = nan outside"):
+        film_matrix_grid(model, qx_inside, np.array([g.qy[1], np.nan, g.qy[2]]), g.lam[1])
+
+
+@pytest.mark.parametrize("kind", ["analytic", "tabulated"])
+def test_non_positive_wavelength_is_refused(kind):
+    model = default_film() if kind == "analytic" else random_table(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match="wavelength must be positive"):
+        film_matrix_grid(model, np.zeros(3), np.zeros(3), np.array([797.0, 0.0, 797.0]))
+    with pytest.raises(ValueError, match="wavelength must be positive"):
+        film_matrix(model, (0.0, 0.0), -5.0)
 
 
 def test_tabulated_rejects_non_rectangular(tmp_path):

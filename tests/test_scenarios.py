@@ -3,7 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from plasmon_biphoton import optics
+from plasmon_biphoton import optics, scenarios
+from plasmon_biphoton.film import (
+    TabulatedGrid,
+    default_film,
+    film_matrix_grid,
+    save_tabulated,
+    transmittance,
+)
+from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -26,6 +34,17 @@ def small_cfg(**overrides):
                 semiaperture_step_deg=4.0)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def write_film_table(path, q_max, lams, n_q=9):
+    """Save the default film sampled on an n_q x n_q grid over |qx|, |qy| <= q_max."""
+    film = default_film()
+    qs = np.linspace(-q_max, q_max, n_q)
+    lam, qx, qy = np.meshgrid(lams, qs, qs, indexing="ij")
+    mats = np.stack(film_matrix_grid(film, qx, qy, lam), axis=-1).reshape(qx.shape + (2, 2))
+    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float), matrices=mats)
+    save_tabulated(film.with_tabulated(grid), path)
+    return str(path)
 
 
 # --- config round trip ------------------------------------------------------
@@ -105,6 +124,29 @@ def test_spectrum_tilt_splits_parallel_peak(tmp_path):
     assert par6[red].max() > 2.0 * par0[red].max()
 
 
+@pytest.mark.parametrize("kind", ["analytic", "tabulated"])
+def test_spectrum_matches_per_point_transmittance(tmp_path, kind):
+    # one film_matrix_grid call per tilt over the wavelength axis against the
+    # per-point transmittance of each (lambda, tilt, polarization)
+    lams = (780.0, 790.0, 800.0, 810.0)
+    table = write_film_table(tmp_path / "film.csv", 8e-4, lams) if kind == "tabulated" else ""
+    cfg = small_cfg(kind="spectrum", film_table=table, tilts_deg=(0.0, 1.5, 4.0),
+                    lambda_min_nm=781.0, lambda_max_nm=809.0, lambda_step_nm=0.7)
+    result = run_spectrum(cfg, tmp_path / "out")
+    film = cfg.film()
+    diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    expected = []
+    for lam in result["lambda_nm"]:
+        row = [lam]
+        for tilt in cfg.tilts_deg:
+            q = 2.0 * np.pi / lam * np.sin(np.deg2rad(tilt)) * diag
+            row += [transmittance(film, q, lam, linear_pol(np.deg2rad(a))) for a in (-45.0, 45.0)]
+        expected.append(row)
+    expected = np.array(expected)
+    assert result["table"].shape == expected.shape
+    assert np.all(np.abs(result["table"] - expected) <= 1e-14 * np.abs(expected))
+
+
 # --- visibility sweep -------------------------------------------------------
 
 def test_visibility_sweep_monomode_row_is_unity(tmp_path):
@@ -148,6 +190,28 @@ def test_visibility_sweep_samples_film_once_per_cell(tmp_path, monkeypatch):
                     beta2_deg=(0.0, 45.0))
     run_visibility_sweep(cfg, tmp_path)
     assert sorted(sampled) == [728.0, 728.0, 797.0, 797.0]
+
+
+def test_tabulated_visibility_sweep_loads_table_once(tmp_path, monkeypatch):
+    # apertures 0-8 deg in 2 deg steps: four transforms and the monomode
+    # row all share the film built at the start of the run
+    loads = []
+    original = scenarios.load_tabulated
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "load_tabulated", counting)
+    probe = small_cfg().setup(default_film(), 797.0, semiaperture_deg=8.0)
+    table = write_film_table(tmp_path / "film.csv", 1.01 * probe.q2_max, (790.0, 797.0, 804.0))
+    cfg = small_cfg(kind="visibility_sweep", film_table=table, quad_points=21,
+                    map_points=3, lambdas_nm=(797.0,), beta2_deg=(45.0,),
+                    semiaperture_min_deg=0.0, semiaperture_max_deg=8.0,
+                    semiaperture_step_deg=2.0)
+    result = run_visibility_sweep(cfg, tmp_path / "out")
+    assert len(loads) == 1
+    assert np.all(np.isfinite(result["table"]))
 
 
 # --- polmap -----------------------------------------------------------------
