@@ -25,7 +25,7 @@ Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,11 +87,11 @@ class ResonanceFamily:
     @staticmethod
     def make(seed_order, lambda0, width, amplitude, period):
         """Build a family from one seed order, closing it under the point group."""
+        if lambda0 <= 0 or width <= 0 or period <= 0:
+            raise ValueError("lambda0, width and period must be positive")
         orders = _point_group_closure([seed_order])
         m1, m2 = seed_order
         n_eff = lambda0 * np.hypot(m1, m2) / period
-        if lambda0 <= 0 or width <= 0:
-            raise ValueError("lambda0 and width must be positive")
         if n_eff <= 1.0:
             raise ValueError(f"effective index {n_eff:.4f} must exceed 1")
         return ResonanceFamily(orders, float(lambda0), float(width), complex(amplitude), n_eff)
@@ -153,9 +153,9 @@ def default_film(
     the axis resonance, and the clean off-diagonal polarization maps all
     hold at the default 8 degree semiaperture.
     """
-    amp = 0.5 * (np.sqrt(peak_transmittance) - abs(direct_amplitude))
-    if amp <= 0:
+    if not peak_transmittance > abs(direct_amplitude) ** 2:
         raise ValueError("peak transmittance must exceed the direct intensity")
+    amp = 0.5 * (np.sqrt(peak_transmittance) - abs(direct_amplitude))
     fam_diag = ResonanceFamily.make((1, 1), lambda_diagonal, gamma_diagonal_nm,
                                     amp, period)
     fam_axis = ResonanceFamily.make((1, 0), lambda_axis, gamma_axis_nm,
@@ -287,38 +287,36 @@ def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
 def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0) -> FilmModel:
     """Load a tabulated film-matrix grid from CSV (see TABULATED_HEADER).
 
-    The rows must form a rectangular (qx, qy, lambda) grid sorted
-    lexicographically by (lambda, qx, qy).
+    The rows must form a nonempty rectangular (qx, qy, lambda) grid of
+    finite entries sorted lexicographically by (lambda, qx, qy).  Every
+    malformed table raises ValueError with a one-line message.
     """
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    if raw.ndim == 0:
-        raw = raw.reshape(1)
     expected = TABULATED_HEADER.split(",")
-    if list(raw.dtype.names) != expected:
-        raise ValueError(f"tabulated film header must be exactly '{TABULATED_HEADER}'")
-    cols = {name: np.atleast_1d(raw[name]) for name in expected}
-    for name, col in cols.items():
-        if not np.all(np.isfinite(col)):
-            raise ValueError(f"non-finite entries in column {name}")
+    with open(path) as fh:
+        if fh.readline().strip() != TABULATED_HEADER:
+            raise ValueError(f"tabulated film header must be exactly '{TABULATED_HEADER}'")
+        # loadtxt streams the file; it would only warn on an empty body
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError("tabulated film has no rows")
+        data = np.loadtxt(itertools.chain([first], fh), delimiter=",", ndmin=2)
+    if data.shape[1] != len(expected):
+        raise ValueError(f"tabulated film rows must have {len(expected)} entries")
+    finite = np.isfinite(data).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite entries in column {expected[np.argmin(finite)]}")
 
-    qx_ax = np.unique(cols["qx"])
-    qy_ax = np.unique(cols["qy"])
-    lam_ax = np.unique(cols["lambda_nm"])
+    qx, qy, lam = data[:, 0], data[:, 1], data[:, 2]
+    qx_ax, qy_ax, lam_ax = np.unique(qx), np.unique(qy), np.unique(lam)
     n = lam_ax.size * qx_ax.size * qy_ax.size
-    if cols["qx"].size != n:
+    if data.shape[0] != n:
         raise ValueError("tabulated grid is not rectangular in (qx, qy, lambda)")
-
-    order = np.lexsort((cols["qy"], cols["qx"], cols["lambda_nm"]))
-    if not np.array_equal(order, np.arange(n)):
+    if not np.array_equal(np.lexsort((qy, qx, lam)), np.arange(n)):
         raise ValueError("rows must be sorted lexicographically by (lambda, qx, qy)")
 
-    mats = np.empty((lam_ax.size, qx_ax.size, qy_ax.size, 2, 2), dtype=complex)
-    for (i, j), (re, im) in {
-        (0, 0): ("re_xx", "im_xx"), (0, 1): ("re_xy", "im_xy"),
-        (1, 0): ("re_yx", "im_yx"), (1, 1): ("re_yy", "im_yy"),
-    }.items():
-        mats[..., i, j] = (cols[re] + 1j * cols[im]).reshape(lam_ax.size, qx_ax.size, qy_ax.size)
-
+    # columns re_xx, im_xx, re_xy, ... : xx, xy, yx, yy in row-major 2x2 order
+    mats = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(
+        lam_ax.size, qx_ax.size, qy_ax.size, 2, 2)
     grid = TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats)
     return FilmModel(period=period, direct_amplitude=complex(direct_amplitude),
                      families=(), tabulated=grid)
@@ -329,15 +327,9 @@ def save_tabulated(model: FilmModel, path) -> None:
     if model.tabulated is None:
         raise ValueError("film model has no tabulated grid to save")
     g = model.tabulated
-    buf = io.StringIO()
-    buf.write(TABULATED_HEADER + "\n")
-    for il, lam in enumerate(g.lam):
-        for ix, qx in enumerate(g.qx):
-            for iy, qy in enumerate(g.qy):
-                m = g.matrices[il, ix, iy]
-                vals = [qx, qy, lam,
-                        m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-                        m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag]
-                buf.write(",".join(f"{v:.8e}" for v in vals) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    lam, qx, qy = np.meshgrid(g.lam, g.qx, g.qy, indexing="ij")
+    m = g.matrices.reshape(-1, 4)
+    table = np.column_stack([qx.ravel(), qy.ravel(), lam.ravel(),
+                             np.stack([m.real, m.imag], axis=-1).reshape(-1, 8)])
+    np.savetxt(path, table, fmt="%.8e", delimiter=",", header=TABULATED_HEADER,
+               comments="")

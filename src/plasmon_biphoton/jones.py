@@ -72,34 +72,21 @@ def jones_intensity(v: np.ndarray) -> float:
 
 
 def ellipse_of(v: np.ndarray) -> PolarizationEllipse:
-    """Polarization ellipse of a Jones vector.
+    """Polarization ellipse of a Jones vector: the one-point ``ellipse_arrays``.
 
     Raises
     ------
     ValueError
-        If the input has zero intensity (the ellipse is undefined).
+        If the input has zero or non-finite intensity (the ellipse is undefined).
     """
     v = np.asarray(v, dtype=complex)
-    ex, ey = v[0], v[1]
-    s0 = abs(ex) ** 2 + abs(ey) ** 2
-    if s0 == 0.0 or not np.isfinite(s0):
+    if not np.all(np.isfinite(v)):  # inf * 0 in the Stokes products would warn first
+        raise ValueError("polarization ellipse undefined for non-finite field")
+    intensity, psi, ratio = ellipse_arrays(v[0], v[1])
+    if not 0.0 < intensity < np.inf:
         raise ValueError("polarization ellipse undefined for zero-intensity field")
-    s1 = abs(ex) ** 2 - abs(ey) ** 2
-    cross = ex * np.conj(ey)
-    s2 = 2.0 * np.real(cross)
-    s3 = 2.0 * np.imag(cross)
-
-    chi = 0.5 * np.arcsin(np.clip(s3 / s0, -1.0, 1.0))
-    axis_ratio = float(np.tan(chi))
-
-    if 1.0 - abs(axis_ratio) < _CIRCULAR_EPS or np.hypot(s1, s2) == 0.0:
-        psi = 0.0
-    else:
-        psi = 0.5 * np.arctan2(s2, s1)
-        # fold (-pi/2, pi/2] to [-pi/2, pi/2)
-        if psi >= np.pi / 2:
-            psi -= np.pi
-    return PolarizationEllipse(psi=float(psi), axis_ratio=axis_ratio, intensity=float(s0))
+    return PolarizationEllipse(psi=float(psi), axis_ratio=float(ratio),
+                               intensity=float(intensity))
 
 
 def ellipse_arrays(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -27,6 +27,8 @@ point q2* = mag q3 when that point lies safely inside the aperture.
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
 
+This module computes maps and opens no files; ``scenarios`` writes them.
+
 Units: nm, nm^-1, radians.
 """
 
@@ -50,8 +52,6 @@ __all__ = [
     "telescope_matrix_sp",
     "transfer_map",
     "field_map",
-    "write_field_map_csv",
-    "write_field_map_pgm",
 ]
 
 DEFAULT_QUAD_POINTS = 201
@@ -291,43 +291,3 @@ def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
     """Output field T(q3) input_pol over a symmetric square q3 grid."""
     return transfer_map(grid_spec, setup, n_grid).apply(input_pol)
 
-
-# ---------------------------------------------------------------------------
-# field map export
-# ---------------------------------------------------------------------------
-
-def write_field_map_csv(fmap: FieldMap, path) -> None:
-    """Write the map as CSV rows q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio."""
-    k = 2.0 * np.pi / fmap.lam
-    lines = ["q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio"]
-    for i, q3x in enumerate(fmap.q3x_axis):
-        for j, q3y in enumerate(fmap.q3y_axis):
-            tx = np.rad2deg(np.arcsin(q3x / k))
-            ty = np.rad2deg(np.arcsin(q3y / k))
-            lines.append(",".join(f"{v:.8e}" for v in (
-                q3x, q3y, tx, ty,
-                fmap.intensity[i, j], fmap.psi[i, j], fmap.axis_ratio[i, j])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_field_map_pgm(fmap: FieldMap, path, channel: str = "intensity") -> None:
-    """Write one channel as a 16-bit binary PGM image.
-
-    ``intensity`` scales [0, max] to [0, 65535]; ``axis_ratio`` maps the
-    signed range [-1, 1] to [0, 65535] so mid-gray is linear polarization.
-    """
-    if channel == "intensity":
-        data = fmap.intensity
-        top = data.max()
-        scaled = data / top if top > 0 else np.zeros_like(data)
-    elif channel == "axis_ratio":
-        scaled = (fmap.axis_ratio + 1.0) / 2.0
-    else:
-        raise ValueError(f"unknown field-map channel {channel!r}")
-    pixels = np.round(np.clip(scaled, 0.0, 1.0) * 65535).astype(">u2")
-    # image rows run along +y (axis index j), columns along +x
-    pixels = pixels.T[::-1]
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode())
-        fh.write(pixels.tobytes())

@@ -8,9 +8,11 @@ Four scenario kinds bind the film, optics and quantum layers together:
 * ``channel`` - monomode post-selection channel report
 
 Config files are plain ``key = value`` lines (``#`` comments); angles are
-degrees in the file and converted to radians at the scenario boundary.  All
-numeric output is fixed scientific notation with 9 significant digits and a
-fixed evaluation order, so identical configs produce byte-identical files.
+degrees in the file and converted to radians at the scenario boundary.  This
+module writes every output file, and only after the run has computed it.
+Every CSV is one ``np.savetxt`` call: comma-separated, one header line, fixed
+scientific notation with 9 significant digits, from a fixed evaluation order,
+so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,15 +25,7 @@ import numpy as np
 
 from .film import FilmModel, default_film, film_matrix, film_matrix_grid, load_tabulated
 from .jones import linear_pol
-from .optics import (
-    PARAXIAL_LIMIT_RAD,
-    GridSpec,
-    SetupParams,
-    field_map,
-    transfer_map,
-    write_field_map_csv,
-    write_field_map_pgm,
-)
+from .optics import PARAXIAL_LIMIT_RAD, GridSpec, SetupParams, field_map, transfer_map
 from .quantum import (
     concurrence,
     gram_allones,
@@ -55,6 +49,8 @@ __all__ = [
 ]
 
 FMT = "%.8e"
+POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_rad",
+                 "axis_ratio"]
 
 KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
 
@@ -139,13 +135,25 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
                     f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
+        # the film, telescope and channel constructors state the remaining
+        # rules.  Only the channel report reads t; its check calls LAPACK,
+        # which would add about 1 MB to the peak memory of every other kind.
+        try:
+            self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
+            if self.kind == "channel":
+                postselect_channel(self.channel_matrix(), self.gram_matrix())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- derived builders ---------------------------------------------------
 
     def film(self) -> FilmModel:
         if self.film_table:
-            return load_tabulated(self.film_table, period=self.period_nm,
-                                  direct_amplitude=self.direct_amplitude)
+            try:
+                return load_tabulated(self.film_table, period=self.period_nm,
+                                      direct_amplitude=self.direct_amplitude)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"film table {self.film_table}: {exc}") from exc
         return default_film(
             gamma_diagonal_nm=self.gamma_diagonal_nm,
             gamma_axis_nm=self.gamma_axis_nm,
@@ -166,6 +174,9 @@ class ScenarioConfig:
             delta=self.delta_mm * 1e6, theta_ap=np.deg2rad(theta),
             film=film,
         )
+
+    def channel_matrix(self) -> np.ndarray:
+        return np.array([[self.t_xx, self.t_xy], [self.t_yx, self.t_yy]], dtype=complex)
 
     def gram_matrix(self) -> np.ndarray:
         if self.gram == "allones":
@@ -250,10 +261,18 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(FMT % v for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, rows, fmt=FMT, delimiter=",", header=",".join(header), comments="")
+
+
+def _write_pgm(path: Path, scaled: np.ndarray) -> None:
+    """Write a map scaled to [0, 1] as a 16-bit binary PGM image.
+
+    Image rows run along +y (axis index j, first row at the largest y),
+    columns along +x.
+    """
+    pixels = np.round(np.clip(scaled, 0.0, 1.0) * 65535).astype(">u2").T[::-1]
+    path.write_bytes(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode()
+                     + pixels.tobytes())
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
@@ -264,8 +283,6 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
     diagonal.  Polarization is parallel (+45 deg) or perpendicular (-45 deg)
     to the diagonal.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     film = cfg.film()
     lams = np.arange(cfg.lambda_min_nm, cfg.lambda_max_nm + 0.5 * cfg.lambda_step_nm,
                      cfg.lambda_step_nm)
@@ -287,6 +304,8 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
             columns.append(ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2)
     table = np.column_stack(columns)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "spectrum.csv"
     _write_csv(path, header, table)
     return {"paths": [path], "lambda_nm": lams, "header": header, "table": table}
@@ -298,8 +317,6 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
     Zero semiaperture is the monomode limit: the channel reduces to the
     normal-incidence film matrix with coherence-preserving solid states.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     apertures = np.arange(
         cfg.semiaperture_min_deg,
         cfg.semiaperture_max_deg + 0.5 * cfg.semiaperture_step_deg,
@@ -328,6 +345,8 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
                 row.append(visibility(b2, source).visibility)
         rows.append(row)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "visibility.csv"
     _write_csv(path, header, rows)
     return {"paths": [path], "semiaperture_deg": apertures, "header": header,
@@ -335,23 +354,34 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
 
 
 def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
-    """Intensity and polarization maps of the output modes for one input."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Intensity and polarization maps of the output modes for one input.
+
+    ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
+    fastest.  The intensity image scales [0, max] to the full grey range;
+    the axis-ratio image maps [-1, 1] to it, so mid-grey is linear
+    polarization.
+    """
     lam = cfg.lambdas_nm[0]
     setup = cfg.setup(cfg.film(), lam)
     theta3 = cfg.theta3_max_deg if cfg.theta3_max_deg > 0 else None
     fmap = field_map(linear_pol(np.deg2rad(cfg.input_pol_deg)),
                      GridSpec(n=cfg.polmap_points, theta3_max_deg=theta3),
                      setup, n_grid=cfg.quad_points)
+    q3 = np.meshgrid(fmap.q3x_axis, fmap.q3y_axis, indexing="ij")
+    theta3_deg = np.rad2deg(np.arcsin(np.stack(q3) / setup.k))
+    table = np.column_stack([c.ravel() for c in (
+        *q3, *theta3_deg, fmap.intensity, fmap.psi, fmap.axis_ratio)])
+    top = fmap.intensity.max()
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "polmap.csv"
     int_path = out_dir / "polmap_intensity.pgm"
     ratio_path = out_dir / "polmap_axis_ratio.pgm"
     meta_path = out_dir / "polmap_meta.txt"
-    write_field_map_csv(fmap, csv_path)
-    write_field_map_pgm(fmap, int_path, channel="intensity")
-    write_field_map_pgm(fmap, ratio_path, channel="axis_ratio")
+    _write_csv(csv_path, POLMAP_HEADER, table)
+    _write_pgm(int_path, fmap.intensity / top if top > 0 else np.zeros_like(fmap.intensity))
+    _write_pgm(ratio_path, (fmap.axis_ratio + 1.0) / 2.0)
     meta_path.write_text(
         "\n".join([
             f"lambda_nm = {FMT % lam}",
@@ -366,15 +396,13 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
 
 def run_channel(cfg: ScenarioConfig, out_dir) -> dict:
     """Monomode post-selection channel report for explicit t and Gram matrix."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    t = np.array([[cfg.t_xx, cfg.t_xy], [cfg.t_yx, cfg.t_yy]], dtype=complex)
-    gram = cfg.gram_matrix()
-    state = postselect_channel(t, gram)
+    state = postselect_channel(cfg.channel_matrix(), cfg.gram_matrix())
     conc = concurrence(state)
     v0 = visibility(0.0, state).visibility
     v45 = visibility(np.deg2rad(45.0), state).visibility
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "channel.txt"
     lines = [f"gram = {cfg.gram}", f"gram_coherence = {FMT % cfg.gram_coherence}"]
     for name, val in (("t_xx", cfg.t_xx), ("t_xy", cfg.t_xy),

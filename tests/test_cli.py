@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plasmon_biphoton.cli import main
-from plasmon_biphoton.film import FilmModel, TabulatedGrid, save_tabulated
+from plasmon_biphoton.film import TABULATED_HEADER, FilmModel, TabulatedGrid, save_tabulated
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
 
 
@@ -100,6 +100,26 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,line", [
+    ("polmap", "f_mm = -1"), ("visibility", "n_substrate = 1.0"),
+    ("spectrum", "period_nm = 0"), ("spectrum", "gamma_axis_nm = 0"),
+    ("spectrum", "peak_transmittance = 0.0001"), ("spectrum", "peak_transmittance = -1"),
+    ("channel", "t_xx = 0\nt_yy = 0"),
+], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
+        "peak_below_direct", "negative_peak", "zero_channel"])
+def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
+    # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
+    # FilmModel, default_film or postselect_channel, or (negative peak) in NaN output
+    kind = "visibility_sweep" if command == "visibility" else command
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"kind = {kind}\n{line}\n")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
     # the table covers |q| <= 1e-4 nm^-1; the 4 deg aperture reaches about 5e-4
     qs = np.array([-1e-4, 1e-4])
@@ -115,6 +135,24 @@ def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: qx = ") and err.count("\n") == 1
     assert "outside tabulated range" in err
     assert not (tmp_path / "out" / "polmap.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "qx,qy,lambda_nm,re_xx\n0,0,797,1\n",
+    f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
+    f"{TABULATED_HEADER}\n0,0,797,1,0,abc,0,0,0,1,0\n",
+    f"{TABULATED_HEADER}\n",
+], ids=["short_header", "ragged_row", "non_numeric_entry", "header_only"])
+@pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
+def test_malformed_film_table_is_config_error(tmp_path, capsys, text):
+    table = tmp_path / "film.csv"
+    table.write_text(text)
+    cfg = write_cfg(tmp_path, kind="spectrum", film_table=str(table))
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: film table ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_film_passes(capsys):

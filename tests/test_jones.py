@@ -71,6 +71,12 @@ def test_ellipse_zero_intensity_raises():
         ellipse_of(np.zeros(2, dtype=complex))
 
 
+@pytest.mark.parametrize("v", [[np.inf, 0.0], [np.nan, 1.0]], ids=["inf", "nan"])
+def test_ellipse_non_finite_raises(v):
+    with pytest.raises(ValueError):
+        ellipse_of(np.array(v, dtype=complex))
+
+
 @st.composite
 def jones_vectors(draw):
     re = st.floats(min_value=-2.0, max_value=2.0)

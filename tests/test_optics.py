@@ -19,8 +19,6 @@ from plasmon_biphoton.optics import (
     field_map,
     telescope_matrix,
     telescope_matrix_sp,
-    write_field_map_csv,
-    write_field_map_pgm,
 )
 
 from oracles import transfer_direct
@@ -256,27 +254,6 @@ def test_field_map_mirror_symmetry():
     fmap = field_map(linear_pol(np.deg2rad(-45.0)), GridSpec(n=9), s, n_grid=101)
     flipped = fmap.intensity[::-1, ::-1].T
     assert np.allclose(fmap.intensity, flipped, rtol=1e-9)
-
-
-def test_field_map_csv_layout(tmp_path, setup):
-    fmap = field_map(linear_pol(0.0), GridSpec(n=3), setup, n_grid=51)
-    path = tmp_path / "map.csv"
-    write_field_map_csv(fmap, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio"
-    assert len(lines) == 1 + 9
-    assert all(len(line.split(",")) == 7 for line in lines[1:])
-
-
-def test_field_map_pgm_format(tmp_path, setup):
-    fmap = field_map(linear_pol(0.0), GridSpec(n=4), setup, n_grid=51)
-    path = tmp_path / "map.pgm"
-    write_field_map_pgm(fmap, path, channel="intensity")
-    blob = path.read_bytes()
-    assert blob.startswith(b"P5\n4 4\n65535\n")
-    assert len(blob) == len(b"P5\n4 4\n65535\n") + 4 * 4 * 2
-    with pytest.raises(ValueError):
-        write_field_map_pgm(fmap, path, channel="psi")
 
 
 def test_field_map_deterministic(setup):

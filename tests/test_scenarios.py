@@ -109,6 +109,16 @@ def test_spectrum_peaks_at_calibrated_wavelengths(tmp_path):
     assert (tmp_path / "spectrum.csv").exists()
 
 
+def test_csv_bytes_are_printf_rows_under_one_header_line(tmp_path):
+    cfg = small_cfg(kind="spectrum", lambda_min_nm=797.0, lambda_max_nm=798.0,
+                    lambda_step_nm=1.0, tilts_deg=(0.0, 4.0))
+    result = run_spectrum(cfg, tmp_path)
+    assert result["table"].shape == (2, 5)
+    expected = ",".join(result["header"]) + "\n" + "".join(
+        ",".join("%.8e" % v for v in row) + "\n" for row in result["table"])
+    assert (tmp_path / "spectrum.csv").read_bytes() == expected.encode()
+
+
 def test_spectrum_tilt_splits_parallel_peak(tmp_path):
     cfg = small_cfg(kind="spectrum", tilts_deg=(0.0, 6.0),
                     lambda_min_nm=760.0, lambda_max_nm=860.0)
@@ -227,6 +237,38 @@ def test_polmap_outputs(tmp_path):
     assert fmap.fields.shape == (7, 7, 2)
     meta = (tmp_path / "polmap_meta.txt").read_text()
     assert "mapped_theta2_max_deg" in meta
+
+
+def test_polmap_csv_layout(tmp_path):
+    cfg = small_cfg(kind="polmap", polmap_points=3)
+    fmap = run_polmap(cfg, tmp_path)["field_map"]
+    lines = (tmp_path / "polmap.csv").read_text().splitlines()
+    assert lines[0] == "q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio"
+    table = np.loadtxt(lines[1:], delimiter=",")
+    assert table.shape == (9, 7)
+    # one row per (q3x, q3y), q3y varying fastest
+    qx, qy = np.repeat(fmap.q3x_axis, 3), np.tile(fmap.q3y_axis, 3)
+    k = 2.0 * np.pi / fmap.lam
+    expected = np.column_stack([
+        qx, qy, np.rad2deg(np.arcsin(qx / k)), np.rad2deg(np.arcsin(qy / k)),
+        fmap.intensity.ravel(), fmap.psi.ravel(), fmap.axis_ratio.ravel()])
+    assert np.allclose(table, expected, rtol=1e-8, atol=0.0)
+
+
+def test_polmap_pgm_format_and_orientation(tmp_path):
+    # a 30 deg input breaks the map's y -> -y and x <-> y symmetries, so a
+    # flipped or transposed image does not match
+    cfg = small_cfg(kind="polmap", polmap_points=4, input_pol_deg=30.0)
+    fmap = run_polmap(cfg, tmp_path)["field_map"]
+    header = b"P5\n4 4\n65535\n"
+    for name, scaled in (("polmap_intensity.pgm", fmap.intensity / fmap.intensity.max()),
+                         ("polmap_axis_ratio.pgm", (fmap.axis_ratio + 1.0) / 2.0)):
+        blob = (tmp_path / name).read_bytes()
+        assert blob.startswith(header)
+        assert len(blob) == len(header) + 4 * 4 * 2
+        pixels = np.frombuffer(blob[len(header):], dtype=">u2").reshape(4, 4)
+        # image row r is q3y index 3 - r (first row is +y), column c is q3x index c
+        assert np.array_equal(pixels, np.round(scaled[:, ::-1].T * 65535))
 
 
 def test_polmap_center_keeps_input_polarization(tmp_path):
