@@ -68,6 +68,8 @@ def _load_config(args, kind: str) -> ScenarioConfig:
 def _validate_film(args) -> int:
     cfg = paper_default_config("spectrum") if args.config == "paper_defaults" \
         else parse_config_file(args.config)
+    if cfg.semiaperture_deg == 0.0:
+        raise ConfigError("semiaperture_deg must be positive to check T(0, 0)")
     film = cfg.film()
     ok = True
     for lam in (728.0, 797.0, 813.0):
@@ -92,6 +94,8 @@ def _validate_film(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.refine < 0:
+            raise ConfigError("--refine must not be negative")
         if args.command == "validate-film":
             return _validate_film(args)
         kind = _SCENARIO_OF_COMMAND[args.command]

@@ -87,8 +87,9 @@ class ResonanceFamily:
     @staticmethod
     def make(seed_order, lambda0, width, amplitude, period):
         """Build a family from one seed order, closing it under the point group."""
-        if lambda0 <= 0 or width <= 0 or period <= 0:
-            raise ValueError("lambda0, width and period must be positive")
+        for name, value in (("lambda0", lambda0), ("width", width), ("period", period)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         orders = _point_group_closure([seed_order])
         m1, m2 = seed_order
         n_eff = lambda0 * np.hypot(m1, m2) / period
@@ -185,7 +186,6 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
     fxx = np.full(shape, model.direct_amplitude, dtype=complex)
     fyy = fxx.copy()
     fxy = np.zeros(shape, dtype=complex)
-    fyx = np.zeros(shape, dtype=complex)
     for fam in model.families:
         for (m1, m2) in sorted(fam.orders):
             gx = 2.0 * np.pi * m1 / model.period
@@ -202,8 +202,8 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
             fxx += lor * ux * ux
             fyy += lor * uy * uy
             fxy += lor * ux * uy
-            fyx += lor * ux * uy
-    return fxx, fxy, fyx, fyy
+    # every dyad u u^T is symmetric; the copy keeps the four arrays independent
+    return fxx, fxy, fxy.copy(), fyy
 
 
 def film_matrix_grid(model: FilmModel, qx, qy, lam):

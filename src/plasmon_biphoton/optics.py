@@ -19,10 +19,13 @@ square-lattice point group so that the symmetry properties of the film carry
 over to T exactly up to floating point.  On that tensor grid the phase
 factor separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2),
 so T on a tensor grid of q3 is two matrix products per Jones component (the
-matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)),
-and the film is sampled once per grid.  A stationary-phase shortcut replaces
-the integral by the analytic Gaussian prefactor times F_lab at the stationary
-point q2* = mag q3 when that point lies safely inside the aperture.
+matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
+The film is sampled once per point-group orbit for analytic films, which
+are point-group symmetric by construction, and T is contracted on one
+quadrant with parity-folded kernels; a tabulated film is sampled once per
+grid point.  A stationary-phase shortcut replaces the integral by the
+analytic Gaussian prefactor times F_lab at the stationary point
+q2* = mag q3 when that point lies safely inside the aperture.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
@@ -94,8 +97,9 @@ class SetupParams:
     film: FilmModel
 
     def __post_init__(self):
-        if self.lam <= 0 or self.f <= 0 or self.delta <= 0:
-            raise ValueError("lam, f and delta must be positive")
+        for name in ("lam", "f", "delta"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.n <= 1.0:
             raise ValueError("substrate index must exceed 1")
         if not 0.0 <= self.theta_ap <= PARAXIAL_LIMIT_RAD:
@@ -168,38 +172,74 @@ class FieldMap:
 def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     """T(q3) on the tensor grid q3x x q3y; returns shape (Mx, My, 2, 2).
 
-    The film is sampled once on the midpoint points of an n_grid x n_grid
-    square masked to the aperture disc.  That point set is symmetric under
-    the square-lattice point group for any n_grid, which makes T(0, 0)
-    proportional to the identity up to floating point rather than up to
-    quadrature error.  The phase factor separates by axis,
+    The film is sampled on the midpoint points of an n_grid x n_grid square
+    masked to the aperture disc, a point set symmetric under the
+    square-lattice point group for any n_grid.  The phase factor separates
+    by axis,
 
         exp(i a |q2 - mag q3|^2) = kx[i, u] ky[j, v],
 
-    so each Jones component, scattered onto the square with zeros outside
-    the disc, becomes kx @ G @ ky.T.  Components are transformed one at a
-    time, so memory stays O(n_grid^2).
+    so each Jones component G, with zeros outside the disc, becomes
+    kx @ G @ ky.T.  Components are transformed one at a time, so memory
+    stays O(n_grid^2).
+
+    An analytic film obeys F(R q) = R F(q) R^T for the whole point group,
+    so it is sampled once per point-group orbit: on the wedge
+    0 <= q2y <= q2x of the disc, on the axis (i - (n_grid - 1) / 2) h, which
+    is exactly antisymmetric.  The diagonal mirror fills the rest of the
+    qx, qy >= 0 quadrant (xx <-> yy, xy <-> yx).  The axis mirrors make
+    G_xx and G_yy even in each axis and G_xy and G_yx odd, so each component
+    is contracted on the quadrant alone with the folded kernels
+    k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of an odd n_grid is
+    counted once.  The symmetry of T thus holds by construction, up to
+    rounding in the matrix products.  A tabulated film is not assumed
+    symmetric: it is sampled on the whole disc of the axis
+    -r + (i + 1/2) h and contracted on the full square.
     """
     r = setup.q2_max
     if r <= 0.0:
         raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
-    axis = -r + (np.arange(n_grid) + 0.5) * h
-    qx, qy = np.meshgrid(axis, axis, indexing="ij")
-    mask = qx ** 2 + qy ** 2 <= r * r
-    components = film_matrix_grid(setup.film, qx[mask], qy[mask], setup.lam)
 
-    def kernel(q3_axis):
+    def kernel(q3_axis, q2_axis):
         centers = setup.magnification * np.asarray(q3_axis, dtype=float)
-        return np.exp(1j * setup.alpha * (axis[None, :] - centers[:, None]) ** 2)
+        return np.exp(1j * setup.alpha * (q2_axis[None, :] - centers[:, None]) ** 2)
 
-    kx, ky = kernel(q3x), kernel(q3y)
-    out = np.empty((kx.shape[0], ky.shape[0], 4), dtype=complex)
-    g = np.zeros((n_grid, n_grid), dtype=complex)
-    for c, values in enumerate(components):
-        g[mask] = values
+    if setup.film.tabulated is not None:
+        axis = -r + (np.arange(n_grid) + 0.5) * h
+        qx, qy = np.meshgrid(axis, axis, indexing="ij")
+        mask = qx ** 2 + qy ** 2 <= r * r
+        components = film_matrix_grid(setup.film, qx[mask], qy[mask], setup.lam)
+        kx, ky = kernel(q3x, axis), kernel(q3y, axis)
+        out = np.empty((kx.shape[0], ky.shape[0], 4), dtype=complex)
+        g = np.zeros((n_grid, n_grid), dtype=complex)
+        for c, values in enumerate(components):
+            g[mask] = values
+            out[..., c] = kx @ g @ ky.T
+        return out.reshape(kx.shape[0], ky.shape[0], 2, 2) * (h * h)
+
+    # exactly antisymmetric, so -half is the mirror image of the q >= 0 half
+    axis = (np.arange(n_grid) - 0.5 * (n_grid - 1)) * h
+    half = axis[n_grid // 2:]
+    a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
+    fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
+
+    def folded(q3_axis):
+        plus, minus = kernel(q3_axis, half), kernel(q3_axis, -half)
+        even, odd = plus + minus, plus - minus
+        if n_grid % 2:
+            even[:, 0] = plus[:, 0]
+        return even, odd
+
+    (xe, xo), (ye, yo) = folded(q3x), folded(q3y)
+    out = np.empty((xe.shape[0], ye.shape[0], 4), dtype=complex)
+    g = np.zeros((half.size, half.size), dtype=complex)
+    for c, (values, mirrored, kx, ky) in enumerate([
+            (fxx, fyy, xe, ye), (fxy, fyx, xo, yo), (fyx, fxy, xo, yo), (fyy, fxx, xe, ye)]):
+        g[b, a] = mirrored
+        g[a, b] = values
         out[..., c] = kx @ g @ ky.T
-    return out.reshape(kx.shape[0], ky.shape[0], 2, 2) * (h * h)
+    return out.reshape(xe.shape[0], ye.shape[0], 2, 2) * (h * h)
 
 
 def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS,

@@ -17,6 +17,7 @@ so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,15 +136,45 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
                     f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
-        # the film, telescope and channel constructors state the remaining
-        # rules.  Only the channel report reads t; its check calls LAPACK,
-        # which would add about 1 MB to the peak memory of every other kind.
+        if self.kind == "polmap" and self.semiaperture_deg == 0.0:
+            raise ConfigError("semiaperture_deg must be positive for a polarization map")
+        # the film, telescope and channel constructors state the remaining rules
         try:
-            self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
-            if self.kind == "channel":
-                postselect_channel(self.channel_matrix(), self.gram_matrix())
+            self._build()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            keys = ", ".join(f"{name} = {_format_value(getattr(self, name))}"
+                             for name in self._keys_behind(exc))
+            raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from exc
+
+    def _build(self) -> None:
+        """Build what the constructors check; raises the first ValueError.
+
+        Only the channel report reads t; its check calls LAPACK, which would
+        add about 1 MB to the peak memory of every other kind.
+        """
+        self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
+        if self.kind == "channel":
+            postselect_channel(self.channel_matrix(), self.gram_matrix())
+
+    def _keys_behind(self, exc: ValueError) -> list[str]:
+        """Numeric keys each of which, set back alone to its default, lifts or changes ``exc``.
+
+        String keys select what is built (kind, film table, Gram form) and are
+        not blamed.
+        """
+        keys = []
+        for f in dataclasses.fields(self):
+            if f.type == "str" or getattr(self, f.name) == f.default:
+                continue
+            trial = copy.copy(self)
+            object.__setattr__(trial, f.name, f.default)
+            try:
+                trial._build()
+            except ValueError as other:
+                if str(other) == str(exc):
+                    continue
+            keys.append(f.name)
+        return keys
 
     # -- derived builders ---------------------------------------------------
 

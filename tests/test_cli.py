@@ -73,8 +73,9 @@ def test_bad_config_value_is_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["quad_points = 0", "polmap_points = 0",
-                                  "semiaperture_deg = 20.0"],
-                         ids=["quad_points", "polmap_points", "semiaperture_deg"])
+                                  "semiaperture_deg = 20.0", "semiaperture_deg = 0"],
+                         ids=["quad_points", "polmap_points", "semiaperture_deg",
+                              "zero_semiaperture"])
 def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = polmap\n{line}\n")
@@ -112,11 +113,49 @@ def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, 
     # FilmModel, default_film or postselect_channel, or (negative peak) in NaN output
     kind = "visibility_sweep" if command == "visibility" else command
     path = tmp_path / "cfg.txt"
-    path.write_text(f"kind = {kind}\n{line}\n")
+    # two valid keys off their defaults, which the message must not blame
+    path.write_text(f"kind = {kind}\nquad_points = 51\nsemiaperture_deg = 4\n{line}\n")
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error") and err.count("\n") == 1
+    # the message names every key of the bad value, not the constructor's parameter
+    keys = [entry.split("=")[0].strip() for entry in line.splitlines()]
+    assert err.startswith(f"config error: {keys[0]} = ")
+    assert all(f"{key} = " in err for key in keys)
+    assert "quad_points" not in err and "semiaperture_deg" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_film_zero_semiaperture_is_config_error(tmp_path, capsys):
+    # ended in a "telescope quadrature needs a positive semiaperture" traceback
+    # after three PASS lines, as did polmap
+    path = tmp_path / "cfg.txt"
+    path.write_text("kind = spectrum\nsemiaperture_deg = 0\n")
+    code = main(["validate-film", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("config error: semiaperture_deg must be positive")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_zero_semiaperture_row_of_a_sweep_still_runs(tmp_path):
+    cfg = write_cfg(tmp_path, kind="visibility_sweep", semiaperture_deg=0.0,
+                    semiaperture_min_deg=0.0, semiaperture_max_deg=2.0,
+                    semiaperture_step_deg=2.0)
+    code = main(["visibility", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+    table = np.loadtxt(tmp_path / "out" / "visibility.csv", delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == [0.0, 2.0]
+    assert table[0, 1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_negative_refine_is_config_error(tmp_path, capsys):
+    # ended in "TypeError: 'float' object cannot be interpreted as an integer"
+    code = main(["polmap", "--refine", "-1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: --refine") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ from plasmon_biphoton.film import (
     default_film,
     film_matrix,
 )
+from plasmon_biphoton import optics
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.optics import (
     FieldMap,
@@ -214,9 +215,11 @@ def random_table_film(lam, rng):
                      tabulated=TabulatedGrid(q, q, np.array([lam - 5.0, lam + 5.0]), mats))
 
 
-@pytest.mark.parametrize("n_grid", [50, 51])
+@pytest.mark.parametrize("n_grid", [50, 51, 201])
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
 def test_separable_transform_matches_direct_sum(n_grid, tabulated):
+    # the analytic film takes the folded quadrant path, the random table the
+    # full square; the oracle sums over the whole disc for both
     rng = np.random.default_rng(n_grid)
     film = random_table_film(797.0, rng) if tabulated else default_film()
     s = SetupParams.paper_defaults(film=film)
@@ -230,6 +233,29 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
     single = telescope_matrix((xs[2], ys[1]), s, n_grid=n_grid)
     assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabulated):
+    n_grid = 201
+    film = random_table_film(797.0, np.random.default_rng(0)) if tabulated else default_film()
+    points = []
+    original = optics.film_matrix_grid
+
+    def counting(model, qx, qy, lam):
+        points.append(np.size(qx))
+        return original(model, qx, qy, lam)
+
+    monkeypatch.setattr(optics, "film_matrix_grid", counting)
+    _transfer_grid(SetupParams.paper_defaults(film=film), [0.0], [0.0], n_grid)
+    # midpoints (2i + 1 - n) h / 2 of the square inside the disc of radius n h / 2
+    odd = 2 * np.arange(n_grid) + 1 - n_grid
+    masked = np.count_nonzero(odd[:, None] ** 2 + odd[None, :] ** 2 <= n_grid ** 2)
+    assert len(points) == 1
+    if tabulated:
+        assert points[0] == masked
+    else:
+        assert points[0] <= masked / 7
 
 
 # --- field maps and export --------------------------------------------------
