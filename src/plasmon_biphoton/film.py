@@ -113,15 +113,12 @@ class TabulatedGrid:
 class FilmModel:
     """Hole-array film: lattice period, direct amplitude and resonance families.
 
-    thickness_nm and hole_diameter_nm are descriptive metadata only; they do
-    not enter the phenomenological transfer matrix.
+    A film with a ``tabulated`` grid is interpolated from it instead.
     """
 
     period: float
     direct_amplitude: complex
     families: tuple
-    thickness_nm: float = 200.0
-    hole_diameter_nm: float = 200.0
     tabulated: TabulatedGrid | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -269,19 +266,38 @@ def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
         base = base + i * stride
         step.append(stride)
     (tx, ty, tl), (dx, dy, dl) = frac, step
+    # the four bilinear weights, shared by every component and both lambda
+    # planes; tx and ty go, so that the weights add no memory
+    w00, w10, w01, w11 = (1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty
+    del frac, tx, ty
 
+    # each sum runs in place, in the operand order of the bilinear formula,
+    # so the results keep every bit; a plane is the left operand of its
+    # scaling, so NumPy scales it in place.  Both keep the peak memory down.
     def component(m):
         c = m.reshape(-1)
 
         def plane(b):
-            return ((1 - tx) * (1 - ty) * c[b] + tx * (1 - ty) * c[b + dx]
-                    + (1 - tx) * ty * c[b + dy] + tx * ty * c[b + dx + dy])
+            out = w00 * c[b]
+            out += w10 * c[b + dx]
+            out += w01 * c[b + dy]
+            out += w11 * c[b + dx + dy]
+            return out
 
-        return (1 - tl) * plane(base) + tl * plane(base + dl)
+        return plane(base) * (1 - tl) + plane(base + dl) * tl
 
     m = grid.matrices
     return (component(m[..., 0, 0]), component(m[..., 0, 1]),
             component(m[..., 1, 0]), component(m[..., 1, 1]))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a finite 1-D array.
+
+    What ``np.unique`` returns, without its first-call import of numpy.ma.
+    """
+    s = np.sort(values)
+    return s[np.append(True, s[1:] != s[:-1])]
 
 
 def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0) -> FilmModel:
@@ -307,7 +323,7 @@ def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0)
         raise ValueError(f"non-finite entries in column {expected[np.argmin(finite)]}")
 
     qx, qy, lam = data[:, 0], data[:, 1], data[:, 2]
-    qx_ax, qy_ax, lam_ax = np.unique(qx), np.unique(qy), np.unique(lam)
+    qx_ax, qy_ax, lam_ax = _distinct(qx), _distinct(qy), _distinct(lam)
     n = lam_ax.size * qx_ax.size * qy_ax.size
     if data.shape[0] != n:
         raise ValueError("tabulated grid is not rectangular in (qx, qy, lambda)")

@@ -176,6 +176,15 @@ class ScenarioConfig:
             keys.append(f.name)
         return keys
 
+    def require_transmission(self, values, where: str) -> None:
+        """ConfigError if ``values``, film or transform entries, are all zero.
+
+        Only a tabulated film can transmit nothing; the analytic one always
+        has a resonant part.
+        """
+        if not np.any(values):
+            raise ConfigError(f"film_table = {self.film_table}: film transmits nothing {where}")
+
     # -- derived builders ---------------------------------------------------
 
     def film(self) -> FilmModel:
@@ -292,16 +301,19 @@ def parse_config_file(path) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    np.savetxt(path, rows, fmt=FMT, delimiter=",", header=",".join(header), comments="")
+    # given a path, savetxt would open it through np.lib._datasource, whose
+    # first use imports gzip
+    with open(path, "w") as fh:
+        np.savetxt(fh, rows, fmt=FMT, delimiter=",", header=",".join(header), comments="")
 
 
-def _write_pgm(path: Path, scaled: np.ndarray) -> None:
-    """Write a map scaled to [0, 1] as a 16-bit binary PGM image.
+def _write_pgm(path: Path, scaled: np.ndarray, top_grey: int = 65535) -> None:
+    """Write a map scaled to [0, 1] as a 16-bit binary PGM image, 1 at ``top_grey``.
 
     Image rows run along +y (axis index j, first row at the largest y),
     columns along +x.
     """
-    pixels = np.round(np.clip(scaled, 0.0, 1.0) * 65535).astype(">u2").T[::-1]
+    pixels = np.round(np.clip(scaled, 0.0, 1.0) * top_grey).astype(">u2").T[::-1]
     path.write_bytes(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode()
                      + pixels.tobytes())
 
@@ -346,7 +358,8 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
     """Fringe visibility vs semiaperture for each (wavelength, beta2).
 
     Zero semiaperture is the monomode limit: the channel reduces to the
-    normal-incidence film matrix with coherence-preserving solid states.
+    normal-incidence film matrix with coherence-preserving solid states.  A
+    cell into which the film transmits nothing is a ConfigError.
     """
     apertures = np.arange(
         cfg.semiaperture_min_deg,
@@ -364,12 +377,15 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
         row = [ap]
         for lam in cfg.lambdas_nm:
             if ap == 0.0:
-                state = postselect_channel(film_matrix(film, (0.0, 0.0), lam),
-                                           gram_allones())
+                f0 = film_matrix(film, (0.0, 0.0), lam)
+                cfg.require_transmission(f0, f"at normal incidence at {lam:g} nm")
+                state = postselect_channel(f0, gram_allones())
             else:
                 tmap = transfer_map(GridSpec(n=cfg.map_points),
                                     cfg.setup(film, lam, semiaperture_deg=ap),
                                     n_grid=cfg.quad_points)
+                cfg.require_transmission(
+                    tmap.matrices, f"through a {ap:g} deg semiaperture at {lam:g} nm")
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
                 source = state if ap == 0.0 else tmap.apply(linear_pol(b2 + np.pi / 2.0))
@@ -388,9 +404,10 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
     """Intensity and polarization maps of the output modes for one input.
 
     ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
-    fastest.  The intensity image scales [0, max] to the full grey range;
-    the axis-ratio image maps [-1, 1] to it, so mid-grey is linear
-    polarization.
+    fastest.  The intensity image scales [0, max] to the full grey range
+    0...65535; the axis-ratio image maps [-1, 1] to 0...65534, so linear
+    polarization is the grey level 32767.  A map into which the film
+    transmits nothing is a ConfigError.
     """
     lam = cfg.lambdas_nm[0]
     setup = cfg.setup(cfg.film(), lam)
@@ -403,6 +420,8 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
     table = np.column_stack([c.ravel() for c in (
         *q3, *theta3_deg, fmap.intensity, fmap.psi, fmap.axis_ratio)])
     top = fmap.intensity.max()
+    cfg.require_transmission(
+        top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,8 +430,10 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
     ratio_path = out_dir / "polmap_axis_ratio.pgm"
     meta_path = out_dir / "polmap_meta.txt"
     _write_csv(csv_path, POLMAP_HEADER, table)
-    _write_pgm(int_path, fmap.intensity / top if top > 0 else np.zeros_like(fmap.intensity))
-    _write_pgm(ratio_path, (fmap.axis_ratio + 1.0) / 2.0)
+    _write_pgm(int_path, fmap.intensity / top)
+    # linear polarization, axis ratio 0 up to rounding noise, is grey 32767
+    # exactly; with 65535 it would sit on the rounding midpoint 32767.5
+    _write_pgm(ratio_path, (fmap.axis_ratio + 1.0) / 2.0, top_grey=65534)
     meta_path.write_text(
         "\n".join([
             f"lambda_nm = {FMT % lam}",

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,17 @@ def write_cfg(tmp_path, **overrides):
     cfg = ScenarioConfig(**base)
     path = tmp_path / "cfg.txt"
     path.write_text(serialize_config(cfg))
+    return path
+
+
+def write_table(tmp_path, matrix, lams=(790.0, 800.0)):
+    """Film table of one constant 2x2 matrix on a 5 x 5 q grid over |q| <= 1e-3 nm^-1."""
+    qs = np.linspace(-1e-3, 1e-3, 5)
+    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array(lams),
+                         matrices=np.broadcast_to(matrix, (len(lams), 5, 5, 2, 2)))
+    path = tmp_path / "film.csv"
+    save_tabulated(FilmModel(period=700.0, direct_amplitude=0.0, families=(),
+                             tabulated=grid), path)
     return path
 
 
@@ -208,6 +224,54 @@ def test_refine_doubles_quadrature(tmp_path, capsys):
                  "--refine", "2", "--verbose"])
     assert code == 0
     assert "204x204" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("visibility", dict(semiaperture_min_deg=0.0)),
+    ("visibility", dict()),
+    ("polmap", dict()),
+    ("validate-film", dict()),
+], ids=["visibility_monomode_row", "visibility_aperture", "polmap", "validate_film"])
+def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, overrides):
+    # visibility ended in a "ValueError: all channel amplitudes vanish"
+    # traceback, polmap wrote an all-zero map and exited 0, and validate-film
+    # passed every check with residual nan
+    lams = (700.0, 850.0) if command == "validate-film" else (790.0, 800.0)
+    table = write_table(tmp_path, np.zeros((2, 2)), lams)
+    kind = {"visibility": "visibility_sweep", "validate-film": "spectrum"}.get(command, command)
+    cfg = write_cfg(tmp_path, kind=kind, film_table=str(table), semiaperture_deg=4.0,
+                    **overrides)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"config error: film_table = {table}: film transmits nothing")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["polmap", "spectrum"])
+def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command):
+    # every pbsim call is a fresh process, so a first-call import is paid by
+    # every run: np.unique imports numpy.ma, and np.savetxt on a path gzip
+    table = write_table(tmp_path, 0.1 * np.eye(2)) if command == "polmap" else ""
+    cfg = write_cfg(tmp_path, kind=command, film_table=str(table), semiaperture_deg=4.0)
+    code = ("import sys\n"
+            "from plasmon_biphoton.cli import main\n"
+            f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted({'numpy.ma', 'gzip'} & set(sys.modules)))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_options_may_precede_the_command(tmp_path):
+    code = main(["--out", str(tmp_path / "out"), "--refine", "0", "channel"])
+    assert code == 0
+    assert (tmp_path / "out" / "channel.txt").exists()
 
 
 def test_unknown_subcommand_exits():

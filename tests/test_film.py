@@ -176,6 +176,22 @@ def test_tabulated_round_trip(tmp_path):
     assert out.read_text() == path.read_text()
 
 
+@pytest.mark.parametrize("table", ["sampled", "random"])
+def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
+    if table == "sampled":
+        path = sample_tabulated(tmp_path)
+    else:
+        path = tmp_path / "random.csv"
+        save_tabulated(random_table(np.random.default_rng(7), 3), path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    g = load_tabulated(path).tabulated
+    for axis, column in ((g.qx, 0), (g.qy, 1), (g.lam, 2)):
+        expected = np.unique(data[:, column])
+        assert axis.dtype == expected.dtype and axis.tobytes() == expected.tobytes()
+    expected = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(g.matrices.shape)
+    assert g.matrices.tobytes() == expected.tobytes()
+
+
 def test_tabulated_interpolation_midpoint(tmp_path):
     model = load_tabulated(sample_tabulated(tmp_path))
     g = model.tabulated

@@ -261,14 +261,37 @@ def test_polmap_pgm_format_and_orientation(tmp_path):
     cfg = small_cfg(kind="polmap", polmap_points=4, input_pol_deg=30.0)
     fmap = run_polmap(cfg, tmp_path)["field_map"]
     header = b"P5\n4 4\n65535\n"
-    for name, scaled in (("polmap_intensity.pgm", fmap.intensity / fmap.intensity.max()),
-                         ("polmap_axis_ratio.pgm", (fmap.axis_ratio + 1.0) / 2.0)):
+    for name, grey in (("polmap_intensity.pgm", fmap.intensity / fmap.intensity.max() * 65535),
+                       ("polmap_axis_ratio.pgm", (fmap.axis_ratio + 1.0) / 2.0 * 65534)):
         blob = (tmp_path / name).read_bytes()
         assert blob.startswith(header)
         assert len(blob) == len(header) + 4 * 4 * 2
         pixels = np.frombuffer(blob[len(header):], dtype=">u2").reshape(4, 4)
         # image row r is q3y index 3 - r (first row is +y), column c is q3x index c
-        assert np.array_equal(pixels, np.round(scaled[:, ::-1].T * 65535))
+        assert np.array_equal(pixels, np.round(grey[:, ::-1].T))
+
+
+def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
+        tmp_path, monkeypatch):
+    # with [-1, 1] scaled onto 0...65535, axis ratio 0 was grey 32767.5, so
+    # +-1e-15 of rounding noise on a linear output picked 32767 or 32768
+    ratios = np.array([[1e-15, -1e-15, 0.0],
+                       [-1e-15, 0.0, 1e-15],
+                       [1e-15, 1.0, -1.0]])
+
+    def fake_field_map(*args, **kwargs):
+        fmap = optics.field_map(*args, **kwargs)
+        return dataclasses.replace(fmap, axis_ratio=ratios)
+
+    monkeypatch.setattr(scenarios, "field_map", fake_field_map)
+    run_polmap(small_cfg(kind="polmap", polmap_points=3), tmp_path)
+    blob = (tmp_path / "polmap_axis_ratio.pgm").read_bytes()
+    header = b"P5\n3 3\n65535\n"
+    assert blob.startswith(header)
+    image = np.frombuffer(blob[len(header):], dtype=">u2").reshape(3, 3)
+    pixels = image[::-1].T  # back to [q3x index, q3y index]
+    assert np.array_equal(pixels[np.abs(ratios) < 1.0], np.full(7, 32767))
+    assert pixels[2, 1] == 65534 and pixels[2, 2] == 0
 
 
 def test_polmap_center_keeps_input_polarization(tmp_path):
