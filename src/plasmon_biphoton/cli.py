@@ -1,7 +1,8 @@
 """Command-line front end for the scenario pipelines.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 numerical
-convergence failure.  ``--config paper_defaults`` uses the built-in
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure (the quadrature did not converge, or a computed table holds NaN or
++-inf and is not written).  ``--config paper_defaults`` uses the built-in
 defaults for the chosen subcommand.
 """
 
@@ -16,6 +17,7 @@ from .film import TableRangeError, film_matrix
 from .optics import QuadratureConvergenceError, telescope_matrix
 from .scenarios import (
     ConfigError,
+    NonFiniteOutputError,
     ScenarioConfig,
     paper_default_config,
     parse_config_file,
@@ -38,10 +40,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2 on a usage error, the code of a numerical failure
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # one parser: every command takes the same options, which may come
     # before or after it
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pbsim",
         description="Plasmon-assisted entangled-photon transmission simulator",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -76,10 +85,11 @@ def _validate_film(args) -> int:
     if cfg.semiaperture_deg == 0.0:
         raise ConfigError("semiaperture_deg must be positive to check T(0, 0)")
     film = cfg.film()
-    setup = cfg.setup(film, cfg.lambda_diagonal_nm)
     checks = [(f"F(0, {lam:g} nm)", film_matrix(film, (0.0, 0.0), lam), 1e-12)
-              for lam in (728.0, 797.0, 813.0)]
-    checks.append(("T(0, 0)", telescope_matrix((0.0, 0.0), setup, n_grid=101), 1e-8))
+              for lam in cfg.lambdas_nm]
+    checks += [(f"T(0, 0, {lam:g} nm)",
+                telescope_matrix((0.0, 0.0), cfg.setup(film, lam), n_grid=101), 1e-8)
+               for lam in cfg.lambdas_nm]
     for name, m, _ in checks:
         cfg.require_transmission(m, f"in {name}")
     ok = True
@@ -113,7 +123,7 @@ def main(argv=None) -> int:
     except (ConfigError, TableRangeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except QuadratureConvergenceError as exc:
+    except (QuadratureConvergenceError, NonFiniteOutputError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

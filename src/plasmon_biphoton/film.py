@@ -303,9 +303,9 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0) -> FilmModel:
     """Load a tabulated film-matrix grid from CSV (see TABULATED_HEADER).
 
-    The rows must form a nonempty rectangular (qx, qy, lambda) grid of
-    finite entries sorted lexicographically by (lambda, qx, qy).  Every
-    malformed table raises ValueError with a one-line message.
+    The rows must list each point of a nonempty rectangular (qx, qy, lambda)
+    grid once, sorted lexicographically by (lambda, qx, qy), with finite
+    entries.  Every malformed table raises ValueError with a one-line message.
     """
     expected = TABULATED_HEADER.split(",")
     with open(path) as fh:
@@ -322,17 +322,19 @@ def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0)
     if not finite.all():
         raise ValueError(f"non-finite entries in column {expected[np.argmin(finite)]}")
 
-    qx, qy, lam = data[:, 0], data[:, 1], data[:, 2]
-    qx_ax, qy_ax, lam_ax = _distinct(qx), _distinct(qy), _distinct(lam)
-    n = lam_ax.size * qx_ax.size * qy_ax.size
-    if data.shape[0] != n:
+    lam_ax, qx_ax, qy_ax = (_distinct(data[:, k]) for k in (2, 0, 1))
+    shape = (lam_ax.size, qx_ax.size, qy_ax.size)
+    if data.shape[0] != np.prod(shape):
         raise ValueError("tabulated grid is not rectangular in (qx, qy, lambda)")
-    if not np.array_equal(np.lexsort((qy, qx, lam)), np.arange(n)):
-        raise ValueError("rows must be sorted lexicographically by (lambda, qx, qy)")
+    # row by row, the coordinates must be those of the grid: this also
+    # refuses a repeated row standing in for a missing one
+    for axis, column in ((lam_ax[:, None, None], 2), (qx_ax[:, None], 0), (qy_ax, 1)):
+        if not np.array_equal(data[:, column].reshape(shape), np.broadcast_to(axis, shape)):
+            raise ValueError("rows must list each grid point once, sorted "
+                             "lexicographically by (lambda, qx, qy)")
 
     # columns re_xx, im_xx, re_xy, ... : xx, xy, yx, yy in row-major 2x2 order
-    mats = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(
-        lam_ax.size, qx_ax.size, qy_ax.size, 2, 2)
+    mats = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(*shape, 2, 2)
     grid = TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats)
     return FilmModel(period=period, direct_amplitude=complex(direct_amplitude),
                      families=(), tabulated=grid)

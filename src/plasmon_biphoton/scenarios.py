@@ -10,9 +10,11 @@ Four scenario kinds bind the film, optics and quantum layers together:
 Config files are plain ``key = value`` lines (``#`` comments); angles are
 degrees in the file and converted to radians at the scenario boundary.  This
 module writes every output file, and only after the run has computed it.
-Every CSV is one ``np.savetxt`` call: comma-separated, one header line, fixed
-scientific notation with 9 significant digits, from a fixed evaluation order,
-so identical configs produce byte-identical files.
+Every CSV is comma-separated under one header line, each value in fixed
+scientific notation with 9 significant digits, byte for byte what
+``"%.8e" % value`` prints; it comes from a fixed evaluation order, so
+identical configs produce byte-identical files.  A table holding NaN or
++-inf is refused (NonFiniteOutputError) before its file is opened.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .quantum import (
 __all__ = [
     "ScenarioConfig",
     "ConfigError",
+    "NonFiniteOutputError",
     "parse_config",
     "parse_config_file",
     "serialize_config",
@@ -58,6 +61,10 @@ KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
+
+
+class NonFiniteOutputError(ArithmeticError):
+    """A computed table holds NaN or +-inf; it is not written."""
 
 
 @dataclass(frozen=True)
@@ -300,11 +307,112 @@ def parse_config_file(path) -> ScenarioConfig:
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # given a path, savetxt would open it through np.lib._datasource, whose
-    # first use imports gzip
-    with open(path, "w") as fh:
-        np.savetxt(fh, rows, fmt=FMT, delimiter=",", header=",".join(header), comments="")
+# A value's text is the 16-byte field "-d.dddddddde+dd," held as two
+# little-endian int64 words; each table below holds, for one group of digits,
+# its ASCII bytes in place in a word.  y = |x| * 10**s, |s| <= 44, is scaled
+# in two steps of _MULTIPLY[k + 22] / _DIVIDE[k + 22] = 10**k, |k| <= 22,
+# each exact in float64 (5**22 < 2**53) and one of them 10**0.
+_POWER = np.array([float(10 ** abs(k)) for k in range(-22, 23)])
+_MULTIPLY = np.where(np.arange(-22, 23) > 0, _POWER, 1.0)
+_DIVIDE = np.where(np.arange(-22, 23) < 0, _POWER, 1.0)
+_ASCII = np.arange(1000, dtype=np.int64)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+
+
+def _in_word(values: np.ndarray, byte_positions: list[int]) -> np.ndarray:
+    """Integer whose little-endian bytes hold the last axis of ``values`` at ``byte_positions``."""
+    return (values << 8 * np.array(byte_positions)).sum(axis=-1)
+
+
+# word 0: "-d.ddddd", from the mantissa's leading and middle three digits
+_LEADING = _in_word(_ASCII, [1, 3, 4]) | ord("-") | ord(".") << 16
+_MIDDLE = _in_word(_ASCII, [5, 6, 7])
+# word 1: "ddde+dd,", from its trailing three digits and the exponent -36...52
+_TRAILING = _in_word(_ASCII, [0, 1, 2]) | ord("e") << 24
+_EXPONENT = (_in_word(_ASCII[np.abs(np.arange(-36, 53)), 1:], [5, 6])
+             | np.where(np.arange(-36, 53) < 0, ord("-"), ord("+")) << 32)
+_BLOCK_VALUES = 2048
+
+
+def _format_block(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """Text of a finite 2-D block, its negative entries, and the rows it vouches for.
+
+    Each value of a vouched-for row reads ``FMT % value``.  |x| is scaled by
+    two exact powers of ten into y = |x| * 10**s, with at most two roundings:
+    |y - exact| < 2.3e-7 for y < 1e9.  Rounding y to the 9-digit integer
+    mantissa is then exact unless the fraction of y lies within 1e-6 of one
+    half (a tie or near-tie, which FMT rounds half to even on the exact binary
+    value), and 8 - s is FMT's exponent when y lies in [1e8, 1e9 - 1/2).
+    Values that need |s| > 44 (subnormals, 1e+-300) fail that range check.
+    """
+    rows, cols = block.shape
+    x = np.abs(block).ravel()
+    zero = x == 0.0
+    # exponent estimate; the range check on y catches a wrong one
+    e = np.floor(np.log10(np.where(zero, 1.0, x))).astype(np.int64)
+    s = np.minimum(np.maximum(8 - e, -44), 44)
+    first = s // 2 + 22
+    second = s - s // 2 + 22
+    y = (x * _MULTIPLY.take(first) / _DIVIDE.take(first)
+         * _MULTIPLY.take(second) / _DIVIDE.take(second))
+    fraction = y - np.floor(y)
+    exact = zero | ((y >= 1e8) & (y < 1e9 - 0.5) & (np.abs(fraction - 0.5) > 1e-6))
+    mantissa = np.rint(np.where(exact, y, 0.0)).astype(np.int64)
+    leading = mantissa // 1000000
+    rest = mantissa - leading * 1000000
+    middle = rest // 1000
+
+    separator = np.full(cols, ord(",") << 56, dtype=np.int64)
+    separator[-1] = ord("\n") << 56
+    words = np.empty((rows, cols, 2), dtype="<i8")
+    words[..., 0] = (_LEADING.take(leading) | _MIDDLE.take(middle)).reshape(rows, cols)
+    words[..., 1] = (_TRAILING.take(rest - middle * 1000)
+                     | _EXPONENT.take(44 - s)).reshape(rows, cols) | separator
+    fields = words.view(np.uint8).reshape(x.size, 16)
+    negative = np.signbit(block)
+    keep = np.ones(fields.shape, dtype=bool)
+    keep[:, 0] = negative.ravel()
+    return fields[keep].tobytes(), negative, exact.reshape(rows, cols).all(axis=1)
+
+
+def _csv_rows(table: np.ndarray):
+    """Yield the bytes of a finite 2-D table, ``FMT % value`` joined by commas and newlines.
+
+    Blocks of about _BLOCK_VALUES values go through _format_block; a row it
+    does not vouch for is formatted by Python instead.
+    """
+    step = max(1, _BLOCK_VALUES // table.shape[1])
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        text, negative, exact = _format_block(block)
+        if exact.all():
+            yield text
+            continue
+        # 15 bytes per field, and one more for a minus sign
+        row_bytes = 15 * block.shape[1] + negative.sum(axis=1)
+        ends = np.cumsum(row_bytes)
+        pos = 0
+        for r in np.flatnonzero(~exact):
+            yield text[pos:ends[r] - row_bytes[r]]
+            yield (",".join(FMT % v for v in block[r].tolist()) + "\n").encode()
+            pos = ends[r]
+        yield text[pos:]
+
+
+def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write a float64 table under one header line, each value as ``FMT % value``.
+
+    A table holding NaN or +-inf is refused before its directory or file is
+    made.
+    """
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteOutputError(
+            f"{path}: {header[col]} = {table[row, col]} in row {row + 1}; nothing written")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        fh.writelines(_csv_rows(table))
 
 
 def _write_pgm(path: Path, scaled: np.ndarray, top_grey: int = 65535) -> None:
@@ -347,9 +455,7 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
             columns.append(ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2)
     table = np.column_stack(columns)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "spectrum.csv"
+    path = Path(out_dir) / "spectrum.csv"
     _write_csv(path, header, table)
     return {"paths": [path], "lambda_nm": lams, "header": header, "table": table}
 
@@ -391,13 +497,12 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
                 source = state if ap == 0.0 else tmap.apply(linear_pol(b2 + np.pi / 2.0))
                 row.append(visibility(b2, source).visibility)
         rows.append(row)
+    table = np.array(rows)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "visibility.csv"
-    _write_csv(path, header, rows)
+    path = Path(out_dir) / "visibility.csv"
+    _write_csv(path, header, table)
     return {"paths": [path], "semiaperture_deg": apertures, "header": header,
-            "table": np.array(rows)}
+            "table": table}
 
 
 def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
@@ -424,12 +529,11 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
         top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "polmap.csv"
     int_path = out_dir / "polmap_intensity.pgm"
     ratio_path = out_dir / "polmap_axis_ratio.pgm"
     meta_path = out_dir / "polmap_meta.txt"
-    _write_csv(csv_path, POLMAP_HEADER, table)
+    _write_csv(csv_path, POLMAP_HEADER, table)  # makes out_dir
     _write_pgm(int_path, fmap.intensity / top)
     # linear polarization, axis ratio 0 up to rounding noise, is grey 32767
     # exactly; with 65535 it would sit on the rounding midpoint 32767.5
@@ -443,7 +547,8 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
             f"mapped_theta2_max_deg = {FMT % (fmap.theta3_max_deg * setup.magnification)}",
             f"grid_points = {cfg.polmap_points}",
         ]) + "\n")
-    return {"paths": [csv_path, int_path, ratio_path, meta_path], "field_map": fmap}
+    return {"paths": [csv_path, int_path, ratio_path, meta_path], "field_map": fmap,
+            "table": table}
 
 
 def run_channel(cfg: ScenarioConfig, out_dir) -> dict:

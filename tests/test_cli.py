@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plasmon_biphoton import scenarios
 from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, FilmModel, TabulatedGrid, save_tabulated
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
@@ -218,6 +219,21 @@ def test_validate_film_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_validate_film_checks_the_config_wavelengths(tmp_path, capsys):
+    # checked F(0) at 728, 797 and 813 nm whatever the config, so a table of
+    # the band in use ended in "lambda = 728 outside tabulated range"
+    table = write_table(tmp_path, 0.1 * np.eye(2), lams=(790.0, 800.0))
+    cfg = write_cfg(tmp_path, kind="spectrum", film_table=str(table), semiaperture_deg=4.0,
+                    lambdas_nm=(797.0, 792.5))
+    code = main(["validate-film", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = captured.out.splitlines()
+    assert [line.split(" proportional")[0] for line in lines] == [
+        "F(0, 797 nm)", "F(0, 792.5 nm)", "T(0, 0, 797 nm)", "T(0, 0, 792.5 nm)"]
+    assert all("PASS" in line for line in lines)
+
+
 def test_refine_doubles_quadrature(tmp_path, capsys):
     cfg = write_cfg(tmp_path, kind="channel")
     code = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -249,12 +265,20 @@ def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["polmap", "spectrum"])
-def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command):
+@pytest.mark.parametrize("command,overrides", [
+    ("polmap", dict()),
+    ("spectrum", dict()),
+    ("visibility", dict()),
+    # every wavelength a near-tie of %.8e, so every row is formatted by Python
+    ("spectrum", dict(lambda_min_nm=790.0000005, lambda_max_nm=792.0)),
+], ids=["polmap", "spectrum", "visibility", "spectrum_printf_rows"])
+def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     # every pbsim call is a fresh process, so a first-call import is paid by
     # every run: np.unique imports numpy.ma, and np.savetxt on a path gzip
     table = write_table(tmp_path, 0.1 * np.eye(2)) if command == "polmap" else ""
-    cfg = write_cfg(tmp_path, kind=command, film_table=str(table), semiaperture_deg=4.0)
+    kind = "visibility_sweep" if command == "visibility" else command
+    cfg = write_cfg(tmp_path, kind=kind, film_table=str(table), semiaperture_deg=4.0,
+                    **overrides)
     code = ("import sys\n"
             "from plasmon_biphoton.cli import main\n"
             f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
@@ -274,6 +298,42 @@ def test_options_may_precede_the_command(tmp_path):
     assert (tmp_path / "out" / "channel.txt").exists()
 
 
-def test_unknown_subcommand_exits():
-    with pytest.raises(SystemExit):
+def test_unknown_subcommand_exits(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pbsim") and "pbsim: error: argument command" in err
+
+
+@pytest.mark.parametrize("argv", [[], ["spectrum", "--refine", "x"]],
+                         ids=["no_command", "non_integer_refine"])
+def test_usage_error_exits_1(capsys, argv):
+    # argparse exits 2, which is the code of a numerical failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pbsim") and "pbsim: error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "validate-film" in capsys.readouterr().out
+
+
+def test_non_finite_output_is_numerical_error(tmp_path, capsys, monkeypatch):
+    def nan_film(*args):
+        return tuple(np.full(np.shape(args[-1]), np.nan + 0j) for _ in range(4))
+
+    monkeypatch.setattr(scenarios, "film_matrix_grid", nan_film)
+    cfg = write_cfg(tmp_path, kind="spectrum")
+    out = tmp_path / "out"
+    code = main(["spectrum", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"numerical error: {out / 'spectrum.csv'}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()

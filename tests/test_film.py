@@ -5,6 +5,7 @@ import pytest
 
 from oracles import interpolate_tabulated_point
 from plasmon_biphoton.film import (
+    TABULATED_HEADER,
     FilmModel,
     ResonanceFamily,
     TableRangeError,
@@ -283,6 +284,18 @@ def test_tabulated_rejects_non_rectangular(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one row
     with pytest.raises(ValueError):
+        load_tabulated(path)
+
+
+def test_tabulated_rejects_a_repeated_row_in_place_of_a_missing_one(tmp_path):
+    # (qx, qy) = (0,0), (0,1), (1,1), (1,1) at one wavelength: the row count
+    # and the sort order are those of a 2 x 2 x 1 grid, and the matrix of the
+    # fourth row loaded into the missing (1, 0) cell
+    path = tmp_path / "film.csv"
+    rows = [f"{qx},{qy},797,{k},0,0,0,0,0,{k},0"
+            for k, (qx, qy) in enumerate([(0, 0), (0, 1), (1, 1), (1, 1)])]
+    path.write_text("\n".join([TABULATED_HEADER] + rows) + "\n")
+    with pytest.raises(ValueError, match="each grid point once"):
         load_tabulated(path)
 
 

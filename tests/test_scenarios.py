@@ -1,7 +1,10 @@
 import dataclasses
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plasmon_biphoton import optics, scenarios
 from plasmon_biphoton.film import (
@@ -13,7 +16,9 @@ from plasmon_biphoton.film import (
 )
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.scenarios import (
+    POLMAP_HEADER,
     ConfigError,
+    NonFiniteOutputError,
     ScenarioConfig,
     paper_default_config,
     parse_config,
@@ -117,6 +122,59 @@ def test_csv_bytes_are_printf_rows_under_one_header_line(tmp_path):
     expected = ",".join(result["header"]) + "\n" + "".join(
         ",".join("%.8e" % v for v in row) + "\n" for row in result["table"])
     assert (tmp_path / "spectrum.csv").read_bytes() == expected.encode()
+
+
+def printf_rows(table):
+    return "".join(",".join("%.8e" % v for v in row) + "\n" for row in table).encode()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_rows_are_printf_of_any_finite_table(table):
+    assert b"".join(scenarios._csv_rows(table)) == printf_rows(table)
+
+
+# ties and near-ties, powers of ten at and past the two exact scaling steps,
+# and values outside them: each must come out as %.8e prints it
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+               np.finfo(float).tiny, 1234567895.0, -1234567895.0, 9.9999999995e-5,
+               123456789.5, 999999999.5, 0.1, 1.0, 10.0,
+               1e22, 1e-22, 1e23, 1e-23, 1e44, 1e-44, -1e44, 1e-36, 1e-37, 1e52, 1e53]
+
+
+def test_csv_rows_are_printf_of_edge_values():
+    for table in (np.reshape(EDGE_VALUES, (-1, 1)), np.reshape(EDGE_VALUES, (1, -1))):
+        assert b"".join(scenarios._csv_rows(table)) == printf_rows(table)
+    # among ordinary values, in rows scattered over several blocks
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((1500, 7)) * 10.0 ** rng.integers(-30, 30, (1500, 7))
+    rows = rng.choice(len(table), len(EDGE_VALUES), replace=False)
+    table[rows, rng.integers(0, 7, len(rows))] = EDGE_VALUES
+    table[[0, 1, -1], 0] = 1234567895.0
+    assert b"".join(scenarios._csv_rows(table)) == printf_rows(table)
+
+
+@pytest.mark.parametrize("run,header", [
+    (lambda tmp: run_spectrum(small_cfg(kind="spectrum"), tmp), None),
+    (lambda tmp: run_visibility_sweep(small_cfg(), tmp), None),
+    (lambda tmp: run_polmap(small_cfg(kind="polmap"), tmp), POLMAP_HEADER),
+], ids=["spectrum", "visibility", "polmap"])
+def test_runner_csv_is_savetxt_of_its_table(tmp_path, run, header):
+    result = run(tmp_path)
+    expected = io.StringIO()
+    np.savetxt(expected, result["table"], fmt="%.8e", delimiter=",",
+               header=",".join(header or result["header"]), comments="")
+    assert result["paths"][0].read_text() == expected.getvalue()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_csv_writer_refuses_non_finite_table(tmp_path, value):
+    path = tmp_path / "out" / "t.csv"
+    table = np.ones((3, 2))
+    table[2, 1] = value
+    with pytest.raises(NonFiniteOutputError, match=f"{path}: b = {value} in row 3"):
+        scenarios._write_csv(path, ["a", "b"], table)
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_tilt_splits_parallel_peak(tmp_path):
