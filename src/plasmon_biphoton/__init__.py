@@ -7,7 +7,6 @@ matrices, output polarization maps, and coincidence fringe visibilities.
 """
 
 from .jones import (
-    PolarizationEllipse,
     ellipse_of,
     jones_intensity,
     linear_pol,
@@ -24,7 +23,6 @@ from .optics import (
     telescope_matrix_sp,
 )
 from .quantum import (
-    GRAM_LABELS,
     PostselectedState,
     VisibilityResult,
     coincidence_rate,
@@ -39,7 +37,6 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PolarizationEllipse",
     "ellipse_of",
     "jones_intensity",
     "linear_pol",
@@ -56,7 +53,6 @@ __all__ = [
     "field_map",
     "telescope_matrix",
     "telescope_matrix_sp",
-    "GRAM_LABELS",
     "PostselectedState",
     "VisibilityResult",
     "coincidence_rate",

@@ -1,9 +1,9 @@
 """Command-line front end for the scenario pipelines.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure (the quadrature did not converge, or a computed table holds NaN or
-+-inf and is not written).  ``--config paper_defaults`` uses the built-in
-defaults for the chosen subcommand.
+Exit codes: 0 success, 1 configuration or usage error (an ``--out`` path
+that cannot be a directory is one), 2 numerical failure (a computed table
+holds NaN or +-inf and is not written).  ``--config paper_defaults`` uses
+the built-in defaults for the chosen subcommand.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .film import TableRangeError, film_matrix
-from .optics import QuadratureConvergenceError, telescope_matrix
+from .optics import telescope_matrix
 from .scenarios import (
     ConfigError,
     NonFiniteOutputError,
@@ -123,7 +123,11 @@ def main(argv=None) -> int:
     except (ConfigError, TableRangeError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureConvergenceError, NonFiniteOutputError) as exc:
+    except (FileExistsError, NotADirectoryError) as exc:
+        print(f"config error: --out {args.out}: cannot create output directory "
+              f"({exc.strerror})", file=sys.stderr)
+        return 1
+    except NonFiniteOutputError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,7 +50,6 @@ __all__ = [
     "FieldMap",
     "QuadratureConvergenceError",
     "StationaryPointError",
-    "TransferMap",
     "telescope_matrix",
     "telescope_matrix_sp",
     "transfer_map",
@@ -283,38 +282,8 @@ def telescope_matrix_sp(q3, setup: SetupParams, margin: float = 0.05) -> np.ndar
     return prefactor * film_matrix(setup.film, q2_star, setup.lam)
 
 
-@dataclass(frozen=True)
-class TransferMap:
-    """Telescope matrices on a symmetric square q3 grid, for any input.
-
-    matrices[i, j] is T at (q3_axis[i], q3_axis[j]).  Building it is the
-    expensive step of a field map; ``apply`` contracts it with one input
-    polarization, so a map can be reused for several inputs.
-    """
-
-    q3_axis: np.ndarray
-    matrices: np.ndarray
-    lam: float
-    theta3_max_deg: float
-
-    def apply(self, input_pol: np.ndarray) -> FieldMap:
-        """Output field T(q3) input_pol and its polarization ellipses."""
-        input_pol = np.asarray(input_pol, dtype=complex)
-        norm = np.sqrt(np.real(np.vdot(input_pol, input_pol)))
-        if not np.isclose(norm, 1.0, atol=1e-9):
-            raise ValueError("input polarization must be normalized")
-        fields = self.matrices @ input_pol
-        intensity, psi, ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
-        return FieldMap(
-            q3x_axis=self.q3_axis, q3y_axis=self.q3_axis.copy(), fields=fields,
-            intensity=intensity, psi=psi, axis_ratio=ratio,
-            input_pol=input_pol, lam=self.lam, theta3_max_deg=self.theta3_max_deg,
-        )
-
-
-def transfer_map(grid_spec: GridSpec, setup: SetupParams,
-                 n_grid: int = DEFAULT_QUAD_POINTS) -> TransferMap:
-    """T(q3) over the symmetric square q3 grid of ``grid_spec``."""
+def _q3_axis(grid_spec: GridSpec, setup: SetupParams) -> tuple[np.ndarray, float]:
+    """Symmetric q3 axis of ``grid_spec`` and its half-extent theta3_max in radians."""
     if grid_spec.theta3_max_deg is None:
         theta3_max = setup.theta_ap / setup.magnification
     else:
@@ -322,12 +291,28 @@ def transfer_map(grid_spec: GridSpec, setup: SetupParams,
     q3_max = setup.k * np.sin(theta3_max)
     axis = np.linspace(-q3_max, q3_max, grid_spec.n) if grid_spec.n > 1 \
         else np.zeros(1)
-    return TransferMap(q3_axis=axis, matrices=_transfer_grid(setup, axis, axis, n_grid),
-                       lam=setup.lam, theta3_max_deg=float(np.rad2deg(theta3_max)))
+    return axis, theta3_max
+
+
+def transfer_map(grid_spec: GridSpec, setup: SetupParams,
+                 n_grid: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+    """T(q3) over the symmetric square q3 grid of ``grid_spec``; shape (n, n, 2, 2)."""
+    axis, _ = _q3_axis(grid_spec, setup)
+    return _transfer_grid(setup, axis, axis, n_grid)
 
 
 def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
               n_grid: int = DEFAULT_QUAD_POINTS) -> FieldMap:
-    """Output field T(q3) input_pol over a symmetric square q3 grid."""
-    return transfer_map(grid_spec, setup, n_grid).apply(input_pol)
-
+    """Output field T(q3) input_pol over a symmetric square q3 grid, with its ellipses."""
+    input_pol = np.asarray(input_pol, dtype=complex)
+    norm = np.sqrt(np.real(np.vdot(input_pol, input_pol)))
+    if not np.isclose(norm, 1.0, atol=1e-9):
+        raise ValueError("input polarization must be normalized")
+    axis, theta3_max = _q3_axis(grid_spec, setup)
+    fields = _transfer_grid(setup, axis, axis, n_grid) @ input_pol
+    intensity, psi, ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
+    return FieldMap(
+        q3x_axis=axis, q3y_axis=axis.copy(), fields=fields,
+        intensity=intensity, psi=psi, axis_ratio=ratio,
+        input_pol=input_pol, lam=setup.lam, theta3_max_deg=float(np.rad2deg(theta3_max)),
+    )

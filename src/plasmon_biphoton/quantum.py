@@ -9,7 +9,8 @@ Two pictures are supported, mirroring the two regimes of the experiment:
 * multimode: photon 2 is projected first; photon 1 then propagates
   classically through the telescope as a single linearly polarized field,
   and the coincidence rate is the polarizer-projected power summed over the
-  detected q3 grid (uniform bucket-detector weights, optional iris mask).
+  detected q3 grid (uniform bucket-detector weights).  That sum depends on
+  the fields only through the real 2x2 form sum Re(E E^H) of ``power_form``.
 
 Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 """
@@ -32,6 +33,7 @@ __all__ = [
     "gram_allones",
     "postselect_channel",
     "concurrence",
+    "power_form",
     "coincidence_rate",
     "visibility",
 ]
@@ -138,14 +140,6 @@ def concurrence(state: PostselectedState | np.ndarray) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
-def _map_weights(fmap: FieldMap, iris_radius_frac: float | None) -> np.ndarray:
-    if iris_radius_frac is None:
-        return np.ones_like(fmap.intensity)
-    qx, qy = np.meshgrid(fmap.q3x_axis, fmap.q3y_axis, indexing="ij")
-    r_max = max(abs(fmap.q3x_axis).max(), 1e-300)
-    return (np.hypot(qx, qy) <= iris_radius_frac * r_max).astype(float)
-
-
 def _check_map_pairing(fmap: FieldMap, beta2: float) -> None:
     """The map must have been computed with photon 1 polarized at beta2 + 90 deg."""
     expected = linear_pol(beta2 + np.pi / 2.0)
@@ -156,20 +150,28 @@ def _check_map_pairing(fmap: FieldMap, beta2: float) -> None:
             f"|overlap|^2 = {overlap:.6f}")
 
 
-def _coincidence_form(source, beta2: float,
-                      iris_radius_frac: float | None = None) -> np.ndarray:
+def power_form(fields: np.ndarray) -> np.ndarray:
+    """Real symmetric 2x2 form sum Re(E E^H) over fields E of shape (..., 2).
+
+    A polarizer at beta1 then passes the summed power e(beta1)^T A e(beta1).
+    """
+    ex = fields[..., 0]
+    ey = fields[..., 1]
+    a = np.empty((2, 2), dtype=complex)
+    a[0, 0] = np.sum(np.abs(ex) ** 2)
+    a[1, 1] = np.sum(np.abs(ey) ** 2)
+    a[0, 1] = np.sum(ex * np.conj(ey))
+    a[1, 0] = np.conj(a[0, 1])
+    return a.real
+
+
+def _coincidence_form(source, beta2: float) -> np.ndarray:
     """Real symmetric 2x2 form A with C(beta1) = e(beta1)^T A e(beta1)."""
+    if isinstance(source, np.ndarray) and source.shape == (2, 2):
+        return source
     if isinstance(source, FieldMap):
         _check_map_pairing(source, beta2)
-        w = _map_weights(source, iris_radius_frac)
-        ex = source.fields[..., 0]
-        ey = source.fields[..., 1]
-        a = np.empty((2, 2), dtype=complex)
-        a[0, 0] = np.sum(w * np.abs(ex) ** 2)
-        a[1, 1] = np.sum(w * np.abs(ey) ** 2)
-        a[0, 1] = np.sum(w * ex * np.conj(ey))
-        a[1, 0] = np.conj(a[0, 1])
-        return a.real
+        return power_form(source.fields)
     if isinstance(source, PostselectedState):
         rho4 = source.rho
         p2 = polarizer(beta2)
@@ -180,26 +182,25 @@ def _coincidence_form(source, beta2: float,
     raise TypeError(f"unsupported coincidence source {type(source).__name__}")
 
 
-def coincidence_rate(source, beta1: float, beta2: float,
-                     iris_radius_frac: float | None = None) -> float:
+def coincidence_rate(source, beta1: float, beta2: float) -> float:
     """Coincidence rate for polarizer angles (beta1, beta2), arbitrary scale.
 
-    ``source`` is either a PostselectedState (monomode) or a FieldMap that
-    was computed with photon 1 input polarization beta2 + 90 deg (multimode).
+    ``source`` is a PostselectedState (monomode), or (multimode) a FieldMap
+    computed with photon 1 input polarization beta2 + 90 deg or the
+    ``power_form`` of such fields.
     """
-    a = _coincidence_form(source, beta2, iris_radius_frac)
+    a = _coincidence_form(source, beta2)
     e1 = np.array([np.cos(beta1), np.sin(beta1)])
     return float(e1 @ a @ e1)
 
 
-def visibility(beta2: float, source,
-               iris_radius_frac: float | None = None) -> VisibilityResult:
+def visibility(beta2: float, source) -> VisibilityResult:
     """Fringe visibility over beta1 at fixed beta2, by eigendecomposition.
 
     The coincidence rate is a quadratic form in (cos beta1, sin beta1); its
     extrema over beta1 are the eigenvalues of the real symmetric form.
     """
-    a = _coincidence_form(source, beta2, iris_radius_frac)
+    a = _coincidence_form(source, beta2)
     evals, evecs = np.linalg.eigh(a)
     c_min, c_max = float(max(evals[0], 0.0)), float(max(evals[1], 0.0))
     if c_max + c_min <= 0.0 or c_max == 0.0:

@@ -34,6 +34,7 @@ from .quantum import (
     gram_allones,
     gram_identity,
     postselect_channel,
+    power_form,
     visibility,
 )
 
@@ -465,6 +466,8 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
 
     Zero semiaperture is the monomode limit: the channel reduces to the
     normal-incidence film matrix with coherence-preserving solid states.  A
+    nonzero aperture builds T once on the ``map_points``^2 grid; each beta2
+    reduces T e to its 2x2 ``power_form``, so no field map is built.  A
     cell into which the film transmits nothing is a ConfigError.
     """
     apertures = np.arange(
@@ -487,14 +490,14 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
                 cfg.require_transmission(f0, f"at normal incidence at {lam:g} nm")
                 state = postselect_channel(f0, gram_allones())
             else:
-                tmap = transfer_map(GridSpec(n=cfg.map_points),
-                                    cfg.setup(film, lam, semiaperture_deg=ap),
-                                    n_grid=cfg.quad_points)
+                t = transfer_map(GridSpec(n=cfg.map_points),
+                                 cfg.setup(film, lam, semiaperture_deg=ap),
+                                 n_grid=cfg.quad_points)
                 cfg.require_transmission(
-                    tmap.matrices, f"through a {ap:g} deg semiaperture at {lam:g} nm")
+                    t, f"through a {ap:g} deg semiaperture at {lam:g} nm")
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                source = state if ap == 0.0 else tmap.apply(linear_pol(b2 + np.pi / 2.0))
+                source = state if ap == 0.0 else power_form(t @ linear_pol(b2 + np.pi / 2.0))
                 row.append(visibility(b2, source).visibility)
         rows.append(row)
     table = np.array(rows)

@@ -58,13 +58,12 @@ def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
     return (1 - tl) * plane(il0) + tl * plane(il1)
 
 
-def visibility_brute(beta2: float, source, step_deg: float = 1.0,
-                     iris_radius_frac: float | None = None) -> VisibilityResult:
+def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityResult:
     """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.
 
     Independent cross-check of the eigenvalue route in ``quantum.visibility``.
     """
-    a = _coincidence_form(source, beta2, iris_radius_frac)
+    a = _coincidence_form(source, beta2)
 
     def rate(b1):
         e1 = np.array([np.cos(b1), np.sin(b1)])

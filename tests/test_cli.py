@@ -292,6 +292,22 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["existing_file", "under_a_file"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, under):
+    # mkdir raises FileExistsError for an existing file, NotADirectoryError under one
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under else blocker
+    cfg = write_cfg(tmp_path, kind="spectrum")
+    for argv in (["spectrum", "--config", str(cfg)], ["channel"]):
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"config error: --out {out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert blocker.read_text() == "keep\n"
+
+
 def test_options_may_precede_the_command(tmp_path):
     code = main(["--out", str(tmp_path / "out"), "--refine", "0", "channel"])
     assert code == 0

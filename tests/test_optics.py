@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plasmon_biphoton.film import (
     FilmModel,
@@ -233,6 +234,34 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
     single = telescope_matrix((xs[2], ys[1]), s, n_grid=n_grid)
     assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
+
+
+@given(n_grid=st.integers(min_value=3, max_value=24),
+       theta_ap_deg=st.floats(min_value=1.0, max_value=8.0),
+       lam=st.floats(min_value=793.0, max_value=801.0),
+       xs=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=3),
+       ys=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=3),
+       gammas=st.tuples(st.floats(min_value=1.0, max_value=60.0),
+                        st.floats(min_value=1.0, max_value=60.0)),
+       table_seed=st.none() | st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_transform_matches_direct_sum_property(n_grid, theta_ap_deg, lam, xs, ys, gammas,
+                                               table_seed):
+    # q3 in units of the mapped aperture q2_max / mag, so |x| > 1 lies
+    # outside it; a drawn table seed selects a random film table, else the
+    # analytic film with drawn resonance widths
+    if table_seed is None:
+        film = default_film(gamma_diagonal_nm=gammas[0], gamma_axis_nm=gammas[1])
+    else:
+        film = random_table_film(797.0, np.random.default_rng(table_seed))
+    s = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg, film=film)
+    unit = s.q2_max / s.magnification
+    xs, ys = unit * np.array(xs), unit * np.array(ys)
+    qx, qy = np.meshgrid(xs, ys, indexing="ij")
+    ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
+    ref = ref.reshape(xs.size, ys.size, 2, 2)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])

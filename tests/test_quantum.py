@@ -10,6 +10,7 @@ from plasmon_biphoton.quantum import (
     gram_allones,
     gram_identity,
     postselect_channel,
+    power_form,
     singlet,
     visibility,
 )
@@ -191,6 +192,8 @@ def test_visibility_matches_brute_force(seed):
     fast = visibility(b2, fmap)
     slow = visibility_brute(b2, fmap)
     assert fast.visibility == pytest.approx(slow.visibility, abs=1e-6)
+    # the 2x2 form of the same fields is the same input
+    assert visibility(b2, power_form(fields)) == fast
 
 
 def test_visibility_invariant_under_global_map_phase():

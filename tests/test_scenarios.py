@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from plasmon_biphoton import optics, scenarios
+from plasmon_biphoton import jones, optics, scenarios
 from plasmon_biphoton.film import (
     TabulatedGrid,
     default_film,
@@ -15,6 +15,7 @@ from plasmon_biphoton.film import (
     transmittance,
 )
 from plasmon_biphoton.jones import linear_pol
+from plasmon_biphoton.quantum import visibility
 from plasmon_biphoton.scenarios import (
     POLMAP_HEADER,
     ConfigError,
@@ -280,6 +281,50 @@ def test_tabulated_visibility_sweep_loads_table_once(tmp_path, monkeypatch):
     result = run_visibility_sweep(cfg, tmp_path / "out")
     assert len(loads) == 1
     assert np.all(np.isfinite(result["table"]))
+
+
+@pytest.mark.parametrize("kind", ["analytic", "tabulated"])
+def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
+    # each nonzero-aperture cell is the visibility of the field map built
+    # for its (lambda, aperture, beta2), to the last bit
+    lambdas = (797.0, 728.0)
+    table = ""
+    if kind == "tabulated":
+        lambdas = (797.0,)
+        probe = small_cfg().setup(default_film(), 797.0, semiaperture_deg=8.0)
+        table = write_film_table(tmp_path / "film.csv", 1.01 * probe.q2_max,
+                                 (790.0, 797.0, 804.0))
+    cfg = small_cfg(kind="visibility_sweep", film_table=table, lambdas_nm=lambdas,
+                    beta2_deg=(0.0, 30.0, 45.0))
+    result = run_visibility_sweep(cfg, tmp_path / "out")
+    film = cfg.film()
+    for row, ap in enumerate(result["semiaperture_deg"]):
+        if ap == 0.0:
+            continue
+        cells = iter(result["table"][row, 1:])
+        for lam in cfg.lambdas_nm:
+            setup = cfg.setup(film, lam, semiaperture_deg=ap)
+            for b2 in np.deg2rad(cfg.beta2_deg):
+                fmap = optics.field_map(linear_pol(b2 + np.pi / 2.0),
+                                        optics.GridSpec(n=cfg.map_points), setup,
+                                        n_grid=cfg.quad_points)
+                assert next(cells) == visibility(b2, fmap).visibility
+
+
+class EllipseExtracted(Exception):
+    pass
+
+
+def test_visibility_sweep_extracts_no_ellipse(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise EllipseExtracted
+
+    monkeypatch.setattr(optics, "ellipse_arrays", refuse)
+    monkeypatch.setattr(jones, "ellipse_arrays", refuse)
+    result = run_visibility_sweep(small_cfg(kind="visibility_sweep"), tmp_path / "sweep")
+    assert np.all(np.isfinite(result["table"]))
+    with pytest.raises(EllipseExtracted):
+        run_polmap(small_cfg(kind="polmap"), tmp_path / "polmap")
 
 
 # --- polmap -----------------------------------------------------------------
