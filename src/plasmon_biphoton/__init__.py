@@ -6,13 +6,7 @@ polarization-entangled biphoton: transmittance spectra, multimode transfer
 matrices, output polarization maps, and coincidence fringe visibilities.
 """
 
-from .jones import (
-    ellipse_of,
-    jones_intensity,
-    linear_pol,
-    polarizer,
-    rotation,
-)
+from .jones import linear_pol, polarizer, rotation
 from .film import FilmModel, ResonanceFamily, film_matrix, resonance_wavelength, transmittance
 from .optics import (
     FieldMap,
@@ -20,7 +14,6 @@ from .optics import (
     SetupParams,
     field_map,
     telescope_matrix,
-    telescope_matrix_sp,
 )
 from .quantum import (
     PostselectedState,
@@ -37,8 +30,6 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ellipse_of",
-    "jones_intensity",
     "linear_pol",
     "polarizer",
     "rotation",
@@ -52,7 +43,6 @@ __all__ = [
     "SetupParams",
     "field_map",
     "telescope_matrix",
-    "telescope_matrix_sp",
     "PostselectedState",
     "VisibilityResult",
     "coincidence_rate",

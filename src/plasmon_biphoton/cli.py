@@ -1,9 +1,10 @@
 """Command-line front end for the scenario pipelines.
 
 Exit codes: 0 success, 1 configuration or usage error (an ``--out`` path
-that cannot be a directory is one), 2 numerical failure (a computed table
-holds NaN or +-inf and is not written).  ``--config paper_defaults`` uses
-the built-in defaults for the chosen subcommand.
+that cannot be a directory is one, and so is an output file name under it
+that is taken by a directory), 2 numerical failure (a computed table holds
+NaN or +-inf and is not written).  ``--config paper_defaults`` uses the
+built-in defaults for the chosen subcommand.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ def main(argv=None) -> int:
         return 1
     except (FileExistsError, NotADirectoryError) as exc:
         print(f"config error: --out {args.out}: cannot create output directory "
+              f"({exc.strerror})", file=sys.stderr)
+        return 1
+    except IsADirectoryError as exc:
+        print(f"config error: --out {args.out}: cannot write {exc.filename} "
               f"({exc.strerror})", file=sys.stderr)
         return 1
     except NonFiniteOutputError as exc:

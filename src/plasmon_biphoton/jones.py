@@ -3,45 +3,29 @@
 Jones vectors are complex ndarrays of shape (2,) and Jones matrices complex
 ndarrays of shape (2, 2).  The p/s bases of oblique modes never appear
 explicitly; they enter only through conjugation with ``rotation(phi)``.
+Polarization ellipses are extracted for whole arrays of field components by
+``ellipse_arrays``; a single Jones vector is the one-point case.
 
 Handedness convention
 ---------------------
 ``axis_ratio > 0`` if and only if ``Im(ex * conj(ey)) > 0``.  The orientation
-``psi`` of a circular state is reported as 0.
+``psi`` of a circular state is reported as 0, and a zero field gets
+intensity 0, psi 0 and axis_ratio 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PolarizationEllipse",
     "rotation",
     "polarizer",
     "linear_pol",
-    "jones_intensity",
-    "ellipse_of",
+    "ellipse_arrays",
 ]
 
 # |axis_ratio| above this is treated as circular (psi degenerate, reported 0)
 _CIRCULAR_EPS = 1e-14
-
-
-@dataclass(frozen=True)
-class PolarizationEllipse:
-    """Polarization ellipse of a fully polarized transverse field.
-
-    psi : major-axis orientation, radians in [-pi/2, pi/2)
-    axis_ratio : signed minor/major axis ratio in [-1, 1]; the sign encodes
-        handedness (see module docstring)
-    intensity : |ex|^2 + |ey|^2
-    """
-
-    psi: float
-    axis_ratio: float
-    intensity: float
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -63,30 +47,6 @@ def polarizer(beta: float) -> np.ndarray:
 def linear_pol(angle: float) -> np.ndarray:
     """Unit Jones vector linearly polarized at ``angle`` radians from x."""
     return np.array([np.cos(angle), np.sin(angle)], dtype=complex)
-
-
-def jones_intensity(v: np.ndarray) -> float:
-    """Total intensity |ex|^2 + |ey|^2 of a Jones vector."""
-    v = np.asarray(v)
-    return float(np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2)
-
-
-def ellipse_of(v: np.ndarray) -> PolarizationEllipse:
-    """Polarization ellipse of a Jones vector: the one-point ``ellipse_arrays``.
-
-    Raises
-    ------
-    ValueError
-        If the input has zero or non-finite intensity (the ellipse is undefined).
-    """
-    v = np.asarray(v, dtype=complex)
-    if not np.all(np.isfinite(v)):  # inf * 0 in the Stokes products would warn first
-        raise ValueError("polarization ellipse undefined for non-finite field")
-    intensity, psi, ratio = ellipse_arrays(v[0], v[1])
-    if not 0.0 < intensity < np.inf:
-        raise ValueError("polarization ellipse undefined for zero-intensity field")
-    return PolarizationEllipse(psi=float(psi), axis_ratio=float(ratio),
-                               intensity=float(intensity))
 
 
 def ellipse_arrays(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,9 +23,8 @@ matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
 The film is sampled once per point-group orbit for analytic films, which
 are point-group symmetric by construction, and T is contracted on one
 quadrant with parity-folded kernels; a tabulated film is sampled once per
-grid point.  A stationary-phase shortcut replaces the integral by the
-analytic Gaussian prefactor times F_lab at the stationary point
-q2* = mag q3 when that point lies safely inside the aperture.
+grid point.  The grid density is the caller's choice (``n_grid``); nothing
+here refines it or estimates its error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
@@ -41,39 +40,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .film import FilmModel, default_film, film_matrix, film_matrix_grid
+from .film import FilmModel, default_film, film_matrix_grid
 from .jones import ellipse_arrays
 
 __all__ = [
     "SetupParams",
     "GridSpec",
     "FieldMap",
-    "QuadratureConvergenceError",
-    "StationaryPointError",
     "telescope_matrix",
-    "telescope_matrix_sp",
     "transfer_map",
     "field_map",
 ]
 
 DEFAULT_QUAD_POINTS = 201
 PARAXIAL_LIMIT_RAD = 0.3
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Refining the quadrature grid changed the result by more than the tolerance."""
-
-    def __init__(self, coarse, fine, rel_change):
-        super().__init__(
-            f"telescope quadrature not converged: relative change {rel_change:.3e} "
-            "on grid refinement")
-        self.coarse = coarse
-        self.fine = fine
-        self.rel_change = rel_change
-
-
-class StationaryPointError(ValueError):
-    """Stationary phase point outside (or too close to) the aperture edge."""
 
 
 @dataclass(frozen=True)
@@ -163,8 +143,6 @@ class FieldMap:
     intensity: np.ndarray
     psi: np.ndarray
     axis_ratio: np.ndarray
-    input_pol: np.ndarray
-    lam: float
     theta3_max_deg: float
 
 
@@ -241,45 +219,9 @@ def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     return out.reshape(xe.shape[0], ye.shape[0], 2, 2) * (h * h)
 
 
-def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS,
-                     check_convergence: bool = False, tol: float = 1e-4,
-                     max_refinements: int = 1) -> np.ndarray:
-    """Telescope-plus-film transfer matrix T(q3, 0) by aperture quadrature.
-
-    With ``check_convergence`` the grid density is doubled (up to
-    ``max_refinements`` times) until no entry moves by more than ``tol``
-    relative to the matrix scale; if the budget runs out unconverged, a
-    QuadratureConvergenceError carrying the last two results is raised.
-    """
-    current = _transfer_grid(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
-    if not check_convergence:
-        return current
-    for level in range(1, max_refinements + 1):
-        previous = current
-        current = _transfer_grid(setup, [q3[0]], [q3[1]], 2 ** level * n_grid)[0, 0]
-        scale = np.max(np.abs(current))
-        rel = np.max(np.abs(current - previous)) / scale if scale > 0 else 0.0
-        if rel <= tol:
-            return current
-    raise QuadratureConvergenceError(previous, current, rel)
-
-
-def telescope_matrix_sp(q3, setup: SetupParams, margin: float = 0.05) -> np.ndarray:
-    """Stationary-phase approximation of the telescope matrix.
-
-    Valid when the stationary point q2* = mag q3 lies inside the aperture
-    disc by the relative ``margin``; the Gaussian prefactor i pi / a makes
-    the result constant-factor-comparable to ``telescope_matrix``.
-    """
-    q3 = np.asarray(q3, dtype=float)
-    q2_star = setup.magnification * q3
-    r = np.hypot(q2_star[0], q2_star[1])
-    if r >= (1.0 - margin) * setup.q2_max:
-        raise StationaryPointError(
-            f"stationary point |q2*| = {r:.4e} nm^-1 not inside the aperture "
-            f"(limit {(1.0 - margin) * setup.q2_max:.4e})")
-    prefactor = 1j * np.pi / setup.alpha
-    return prefactor * film_matrix(setup.film, q2_star, setup.lam)
+def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
+    """Telescope-plus-film transfer matrix T(q3, 0) by aperture quadrature."""
+    return _transfer_grid(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
 
 
 def _q3_axis(grid_spec: GridSpec, setup: SetupParams) -> tuple[np.ndarray, float]:
@@ -314,5 +256,5 @@ def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
     return FieldMap(
         q3x_axis=axis, q3y_axis=axis.copy(), fields=fields,
         intensity=intensity, psi=psi, axis_ratio=ratio,
-        input_pol=input_pol, lam=setup.lam, theta3_max_deg=float(np.rad2deg(theta3_max)),
+        theta3_max_deg=float(np.rad2deg(theta3_max)),
     )

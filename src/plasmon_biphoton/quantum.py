@@ -7,10 +7,14 @@ Two pictures are supported, mirroring the two regimes of the experiment:
   interpolates between perfect which-way recording (identity) and none at
   all (all-ones).
 * multimode: photon 2 is projected first; photon 1 then propagates
-  classically through the telescope as a single linearly polarized field,
-  and the coincidence rate is the polarizer-projected power summed over the
-  detected q3 grid (uniform bucket-detector weights).  That sum depends on
-  the fields only through the real 2x2 form sum Re(E E^H) of ``power_form``.
+  classically through the telescope as a single linearly polarized field
+  (polarized at beta2 + 90 deg), and the coincidence rate is the
+  polarizer-projected power summed over the detected q3 grid (uniform
+  bucket-detector weights).  That sum depends on the fields only through
+  the real 2x2 form sum Re(E E^H), which ``power_form`` builds.
+
+``coincidence_rate`` and ``visibility`` take either picture as their source:
+a ``PostselectedState`` or a real 2x2 form.
 
 Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 """
@@ -21,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import linear_pol, polarizer
-from .optics import FieldMap
+from .jones import polarizer
 
 __all__ = [
     "GRAM_LABELS",
@@ -140,16 +143,6 @@ def concurrence(state: PostselectedState | np.ndarray) -> float:
     return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
 
 
-def _check_map_pairing(fmap: FieldMap, beta2: float) -> None:
-    """The map must have been computed with photon 1 polarized at beta2 + 90 deg."""
-    expected = linear_pol(beta2 + np.pi / 2.0)
-    overlap = abs(np.vdot(expected, fmap.input_pol)) ** 2
-    if not np.isclose(overlap, 1.0, atol=1e-9):
-        raise ValueError(
-            "field map was not computed with input polarization beta2 + 90 deg; "
-            f"|overlap|^2 = {overlap:.6f}")
-
-
 def power_form(fields: np.ndarray) -> np.ndarray:
     """Real symmetric 2x2 form sum Re(E E^H) over fields E of shape (..., 2).
 
@@ -169,9 +162,6 @@ def _coincidence_form(source, beta2: float) -> np.ndarray:
     """Real symmetric 2x2 form A with C(beta1) = e(beta1)^T A e(beta1)."""
     if isinstance(source, np.ndarray) and source.shape == (2, 2):
         return source
-    if isinstance(source, FieldMap):
-        _check_map_pairing(source, beta2)
-        return power_form(source.fields)
     if isinstance(source, PostselectedState):
         rho4 = source.rho
         p2 = polarizer(beta2)
@@ -185,9 +175,9 @@ def _coincidence_form(source, beta2: float) -> np.ndarray:
 def coincidence_rate(source, beta1: float, beta2: float) -> float:
     """Coincidence rate for polarizer angles (beta1, beta2), arbitrary scale.
 
-    ``source`` is a PostselectedState (monomode), or (multimode) a FieldMap
-    computed with photon 1 input polarization beta2 + 90 deg or the
-    ``power_form`` of such fields.
+    ``source`` is a PostselectedState (monomode) or (multimode) the
+    ``power_form`` of photon 1's output fields for input polarization
+    beta2 + 90 deg.
     """
     a = _coincidence_form(source, beta2)
     e1 = np.array([np.cos(beta1), np.sin(beta1)])

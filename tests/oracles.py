@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from plasmon_biphoton.film import film_matrix_grid
-from plasmon_biphoton.quantum import VisibilityResult, _coincidence_form
+from plasmon_biphoton.film import film_matrix, film_matrix_grid
+from plasmon_biphoton.quantum import PostselectedState, VisibilityResult
 
 
 def transfer_direct(setup, q3_points, n_grid):
@@ -25,6 +25,24 @@ def transfer_direct(setup, q3_points, n_grid):
         phase = np.exp(1j * setup.alpha * ((q2x - cx) ** 2 + (q2y - cy) ** 2))
         out.append(phase @ film)
     return np.array(out).reshape(-1, 2, 2) * (h * h)
+
+
+def telescope_matrix_sp(q3, setup, margin: float = 0.05) -> np.ndarray:
+    """Stationary-phase approximation of the telescope matrix.
+
+    The Gaussian prefactor i pi / a times F_lab at the stationary point
+    q2* = mag q3, which makes the result constant-factor-comparable to
+    ``telescope_matrix``.  Valid only when q2* lies inside the aperture disc
+    by the relative ``margin``; raises ValueError otherwise.
+    """
+    q3 = np.asarray(q3, dtype=float)
+    q2_star = setup.magnification * q3
+    r = np.hypot(q2_star[0], q2_star[1])
+    if r >= (1.0 - margin) * setup.q2_max:
+        raise ValueError(
+            f"stationary point |q2*| = {r:.4e} nm^-1 not inside the aperture "
+            f"(limit {(1.0 - margin) * setup.q2_max:.4e})")
+    return (1j * np.pi / setup.alpha) * film_matrix(setup.film, q2_star, setup.lam)
 
 
 def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
@@ -61,13 +79,25 @@ def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
 def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityResult:
     """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.
 
-    Independent cross-check of the eigenvalue route in ``quantum.visibility``.
+    Independent cross-check of ``quantum.visibility``: the rate is computed
+    straight from ``source``, with no 2x2 form in between.  A field array E
+    of shape (..., 2) (photon 1's output for input polarization
+    beta2 + 90 deg) gives C(beta1) = sum |cos(beta1) Ex + sin(beta1) Ey|^2;
+    a PostselectedState gives Tr[rho (P(beta1) x P(beta2))].
     """
-    a = _coincidence_form(source, beta2)
+    if isinstance(source, PostselectedState):
+        e2 = np.array([np.cos(beta2), np.sin(beta2)])
 
-    def rate(b1):
-        e1 = np.array([np.cos(b1), np.sin(b1)])
-        return float(e1 @ a @ e1)
+        def rate(b1):
+            e1 = np.array([np.cos(b1), np.sin(b1)])
+            projector = np.kron(np.outer(e1, e1), np.outer(e2, e2))
+            return float(np.trace(source.rho @ projector).real)
+    else:
+        fields = np.asarray(source)
+
+        def rate(b1):
+            return float(np.sum(np.abs(np.cos(b1) * fields[..., 0]
+                                       + np.sin(b1) * fields[..., 1]) ** 2))
 
     angles = np.deg2rad(np.arange(0.0, 180.0, step_deg))
     rates = np.array([rate(b) for b in angles])

@@ -292,19 +292,28 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["existing_file", "under_a_file"])
-def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, under):
-    # mkdir raises FileExistsError for an existing file, NotADirectoryError under one
+@pytest.mark.parametrize("case", ["existing_file", "under_a_file", "output_is_a_directory"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, case):
+    # mkdir raises FileExistsError for an existing file, NotADirectoryError
+    # under one; writing an output file that is a directory (through
+    # _write_csv for spectrum, write_text for channel) raises IsADirectoryError
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n")
-    out = blocker / "sub" if under else blocker
+    out = {"existing_file": blocker, "under_a_file": blocker / "sub",
+           "output_is_a_directory": tmp_path / "d"}[case]
+    if case == "output_is_a_directory":
+        for name in ("spectrum.csv", "channel.txt"):
+            (out / name).mkdir(parents=True)
     cfg = write_cfg(tmp_path, kind="spectrum")
-    for argv in (["spectrum", "--config", str(cfg)], ["channel"]):
+    for argv, name in ((["spectrum", "--config", str(cfg)], "spectrum.csv"),
+                       (["channel"], "channel.txt")):
         code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith(f"config error: --out {out}: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        if case == "output_is_a_directory":
+            assert captured.err.endswith(f"cannot write {out / name} (Is a directory)\n")
     assert blocker.read_text() == "keep\n"
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plasmon_biphoton.jones import linear_pol, rotation
-from plasmon_biphoton.optics import FieldMap
+from plasmon_biphoton.optics import GridSpec, SetupParams, field_map
 from plasmon_biphoton.quantum import (
     coincidence_rate,
     concurrence,
@@ -18,21 +18,9 @@ from plasmon_biphoton.quantum import (
 from oracles import visibility_brute
 
 
-def make_field_map(fields, input_pol, lam=797.0):
-    """Small synthetic FieldMap for quantum-layer tests."""
-    n = fields.shape[0]
-    axis = np.linspace(-1e-5, 1e-5, n)
-    intensity = np.abs(fields[..., 0]) ** 2 + np.abs(fields[..., 1]) ** 2
-    return FieldMap(q3x_axis=axis, q3y_axis=axis.copy(), fields=fields,
-                    intensity=intensity, psi=np.zeros_like(intensity),
-                    axis_ratio=np.zeros_like(intensity), input_pol=input_pol,
-                    lam=lam, theta3_max_deg=0.1)
-
-
-def uniform_map(pol_angle, n=5):
-    v = linear_pol(pol_angle)
-    fields = np.tile(v, (n, n, 1))
-    return make_field_map(fields, input_pol=v)
+def uniform_fields(pol_angle, n=5):
+    """n x n grid of identical fields linearly polarized at ``pol_angle``."""
+    return np.tile(linear_pol(pol_angle), (n, n, 1))
 
 
 # --- singlet ---------------------------------------------------------------
@@ -147,10 +135,10 @@ def test_monomode_singlet_malus_law():
 
 def test_multimode_identity_transfer_malus_law():
     b2 = 0.4
-    fmap = uniform_map(b2 + np.pi / 2)
-    c_ref = coincidence_rate(fmap, b2 + np.pi / 2, b2)
+    form = power_form(uniform_fields(b2 + np.pi / 2))
+    c_ref = coincidence_rate(form, b2 + np.pi / 2, b2)
     for b1 in (0.0, 0.7, 2.0):
-        c = coincidence_rate(fmap, b1, b2)
+        c = coincidence_rate(form, b1, b2)
         assert c == pytest.approx(c_ref * np.sin(b1 - b2) ** 2, abs=1e-9 * c_ref)
 
 
@@ -173,10 +161,16 @@ def test_case_ii_visibility_is_one_everywhere():
         assert visibility(b2, state).visibility == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mismatched_map_pairing_raises():
-    fmap = uniform_map(np.pi / 2)  # input at 90 deg pairs with beta2 = 0
-    with pytest.raises(ValueError):
-        coincidence_rate(fmap, 0.1, np.pi / 4)
+def test_field_map_is_not_a_coincidence_source():
+    # the multimode source is the 2x2 power form of the map's fields
+    fmap = field_map(linear_pol(np.pi / 2), GridSpec(n=3), SetupParams.paper_defaults(),
+                     n_grid=21)
+    for source in (fmap, fmap.fields, np.eye(3)):
+        with pytest.raises(TypeError):
+            visibility(0.0, source)
+        with pytest.raises(TypeError):
+            coincidence_rate(source, 0.1, 0.0)
+    assert visibility(0.0, power_form(fmap.fields)).visibility > 0.0
 
 
 # --- visibility: eigenvalue route vs brute-force scan ----------------------
@@ -188,19 +182,20 @@ def test_visibility_matches_brute_force(seed):
     b2 = rng.uniform(0.0, np.pi)
     n = 4
     fields = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
-    fmap = make_field_map(fields.astype(complex), input_pol=linear_pol(b2 + np.pi / 2))
-    fast = visibility(b2, fmap)
-    slow = visibility_brute(b2, fmap)
+    fast = visibility(b2, power_form(fields))
+    slow = visibility_brute(b2, fields)
     assert fast.visibility == pytest.approx(slow.visibility, abs=1e-6)
-    # the 2x2 form of the same fields is the same input
-    assert visibility(b2, power_form(fields)) == fast
+    # monomode: a post-selected state of a random channel
+    t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    state = postselect_channel(t, gram_allones())
+    assert visibility(b2, state).visibility == pytest.approx(
+        visibility_brute(b2, state).visibility, abs=1e-6)
 
 
 def test_visibility_invariant_under_global_map_phase():
     rng = np.random.default_rng(7)
     fields = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
     b2 = 0.6
-    f1 = make_field_map(fields.astype(complex), linear_pol(b2 + np.pi / 2))
-    f2 = make_field_map(np.exp(0.77j) * fields, linear_pol(b2 + np.pi / 2))
-    assert visibility(b2, f1).visibility == pytest.approx(
-        visibility(b2, f2).visibility, abs=1e-12)
+    v1 = visibility(b2, power_form(fields)).visibility
+    v2 = visibility(b2, power_form(np.exp(0.77j) * fields)).visibility
+    assert v1 == pytest.approx(v2, abs=1e-12)

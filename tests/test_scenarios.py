@@ -15,7 +15,7 @@ from plasmon_biphoton.film import (
     transmittance,
 )
 from plasmon_biphoton.jones import linear_pol
-from plasmon_biphoton.quantum import visibility
+from plasmon_biphoton.quantum import power_form, visibility
 from plasmon_biphoton.scenarios import (
     POLMAP_HEADER,
     ConfigError,
@@ -308,7 +308,7 @@ def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
                 fmap = optics.field_map(linear_pol(b2 + np.pi / 2.0),
                                         optics.GridSpec(n=cfg.map_points), setup,
                                         n_grid=cfg.quad_points)
-                assert next(cells) == visibility(b2, fmap).visibility
+                assert next(cells) == visibility(b2, power_form(fmap.fields)).visibility
 
 
 class EllipseExtracted(Exception):
@@ -351,7 +351,7 @@ def test_polmap_csv_layout(tmp_path):
     assert table.shape == (9, 7)
     # one row per (q3x, q3y), q3y varying fastest
     qx, qy = np.repeat(fmap.q3x_axis, 3), np.tile(fmap.q3y_axis, 3)
-    k = 2.0 * np.pi / fmap.lam
+    k = 2.0 * np.pi / cfg.lambdas_nm[0]
     expected = np.column_stack([
         qx, qy, np.rad2deg(np.arcsin(qx / k)), np.rad2deg(np.arcsin(qy / k)),
         fmap.intensity.ravel(), fmap.psi.ravel(), fmap.axis_ratio.ravel()])
