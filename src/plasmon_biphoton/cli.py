@@ -1,18 +1,27 @@
 """Command-line front end for the scenario pipelines.
 
-Exit codes: 0 success, 1 configuration or usage error (an ``--out`` path
-that cannot be a directory is one, and so is an output file name under it
-that is taken by a directory), 2 numerical failure (a computed table holds
-NaN or +-inf and is not written).  ``--config paper_defaults`` uses the
-built-in defaults for the chosen subcommand.
+Every command takes the same options, before or after it: ``--config FILE``,
+``--out DIR``, ``--refine N`` and ``--verbose``, each value as the next
+argument or after ``=``.  One small loop reads them; every ``pbsim`` call is
+a fresh process, and building an ``argparse`` parser (which imports
+``gettext`` and ``locale``) cost a spectrum run about a quarter of its time.
+Option names are matched in full, not by prefix.
+
+Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
+error (an ``--out`` path that cannot be a directory is one, and so is an
+output file name under it that is taken by a directory), 2 numerical
+failure (a computed table holds NaN or +-inf and is not written).  A usage
+error prints the usage and one ``pbsim: error: ...`` line to stderr.
+``--config paper_defaults`` uses the built-in defaults for the chosen
+subcommand.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .film import TableRangeError, film_matrix
 from .optics import telescope_matrix
@@ -40,31 +49,77 @@ _COMMANDS = {
     "validate-film": "check film-model symmetry invariants",
 }
 
+_USAGE = ("usage: pbsim [-h] [--config CONFIG] [--out OUT] [--refine N] [--verbose]\n"
+          "             {" + ",".join(_COMMANDS) + "}\n")
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse exits 2 on a usage error, the code of a numerical failure
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+_HELP = _USAGE + """
+Plasmon-assisted entangled-photon transmission simulator
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  config file path, or 'paper_defaults' (the default)
+  --out OUT        output directory (default: out)
+  --refine N       double the quadrature grid N times
+  --verbose        print the run and each file written
+
+commands:
+""" + "".join(f"  {name:<15}  {text}\n" for name, text in _COMMANDS.items())
+
+# each option and the value it has when not given
+_DEFAULTS = {"config": "paper_defaults", "out": "out", "refine": 0, "verbose": False}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # one parser: every command takes the same options, which may come
-    # before or after it
-    parser = _Parser(
-        prog="pbsim",
-        description="Plasmon-assisted entangled-photon transmission simulator",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<15} {text}" for name, text in _COMMANDS.items()))
-    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
-    parser.add_argument("--config", default="paper_defaults",
-                        help="config file path, or 'paper_defaults'")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--refine", type=int, default=0, metavar="N",
-                        help="double the quadrature grid N times")
-    parser.add_argument("--verbose", action="store_true")
-    return parser
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}pbsim: error: {message}\n")
+    sys.exit(1)
+
+
+def _is_value(arg: str) -> bool:
+    """Whether ``arg`` can be a value: not option-like, or '-', or a negative number."""
+    return not arg.startswith("-") or arg == "-" or arg[1:].replace(".", "", 1).isdigit()
+
+
+def _parse_args(argv) -> SimpleNamespace:
+    """The command and the options in ``argv``, read left to right.
+
+    Prints the help and exits 0 on ``-h``/``--help``; prints the usage and
+    argparse's message for a usage error and exits 1.
+    """
+    opts = dict(_DEFAULTS)
+    command, extra = None, []
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            sys.exit(0)
+        elif name == "--verbose":
+            if eq:
+                _usage_error(f"argument --verbose: ignored explicit argument {value!r}")
+            opts["verbose"] = True
+        elif name in ("--config", "--out", "--refine"):
+            if not eq:
+                value = next(args, None)
+                if value is None or not _is_value(value):
+                    _usage_error(f"argument {name}: expected one argument")
+            if name == "--refine":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"argument --refine: invalid int value: {value!r}")
+            opts[name[2:]] = value
+        elif command is None and _is_value(arg):
+            if arg not in _COMMANDS:
+                choices = ", ".join(repr(c) for c in _COMMANDS)
+                _usage_error(f"argument command: invalid choice: {arg!r} (choose from {choices})")
+            command = arg
+        else:
+            extra.append(arg)
+    if command is None:
+        _usage_error("the following arguments are required: command")
+    if extra:
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=command, **opts)
 
 
 def _load_config(args, kind: str) -> ScenarioConfig:
@@ -105,7 +160,7 @@ def _validate_film(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.refine < 0:
             raise ConfigError("--refine must not be negative")

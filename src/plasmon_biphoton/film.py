@@ -44,14 +44,11 @@ __all__ = [
     "save_tabulated",
 ]
 
-# point group of the square lattice: 4 rotations x 2 reflections
-_POINT_GROUP = [
-    np.array([[c, -s], [s, c]])
-    for c, s in [(1, 0), (0, 1), (-1, 0), (0, -1)]
-] + [
-    np.array([[1, 0], [0, -1]]) @ np.array([[c, -s], [s, c]])
-    for c, s in [(1, 0), (0, 1), (-1, 0), (0, -1)]
-]
+# point group of the square lattice, 4 rotations x 2 reflections, each an
+# integer matrix ((a, b), (c, d)) acting on lattice orders (m1, m2)
+_QUARTER_TURNS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+_POINT_GROUP = ([((c, -s), (s, c)) for c, s in _QUARTER_TURNS]
+                + [((c, -s), (-s, -c)) for c, s in _QUARTER_TURNS])
 
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
 
@@ -61,12 +58,8 @@ class TableRangeError(ValueError):
 
 
 def _point_group_closure(orders):
-    closed = set()
-    for m1, m2 in orders:
-        for g in _POINT_GROUP:
-            v = g @ np.array([m1, m2])
-            closed.add((int(round(v[0])), int(round(v[1]))))
-    return frozenset(closed)
+    return frozenset((a * m1 + b * m2, c * m1 + d * m2)
+                     for m1, m2 in orders for (a, b), (c, d) in _POINT_GROUP)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ identical configs produce byte-identical files.  A table holding NaN or
 
 from __future__ import annotations
 
+import cmath
 import copy
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +60,11 @@ POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_r
                  "axis_ratio"]
 
 KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
+
+
+def _values(value) -> tuple:
+    """A tuple field's values, or a scalar field's one value."""
+    return value if isinstance(value, (tuple, list)) else (value,)
 
 
 class ConfigError(ValueError):
@@ -121,10 +128,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         for f in dataclasses.fields(self):
             if f.type in ("float", "complex", "tuple") and \
-                    not np.all(np.isfinite(getattr(self, f.name))):
+                    not all(map(cmath.isfinite, _values(getattr(self, f.name)))):
                 raise ConfigError(f"{f.name} must be finite")
         for name in ("lambda_min_nm", "lambdas_nm", "lambda_diagonal_nm", "lambda_axis_nm"):
-            if not np.all(np.asarray(getattr(self, name)) > 0):
+            if not all(v > 0 for v in _values(getattr(self, name))):
                 raise ConfigError(f"{name} must be positive")
         if self.lambda_min_nm >= self.lambda_max_nm or self.lambda_step_nm <= 0:
             raise ConfigError("spectrum wavelength range must be nonempty and increasing")
@@ -140,10 +147,10 @@ class ScenarioConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
-            if not 0.0 <= np.deg2rad(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:
+            if not 0.0 <= math.radians(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
-                    f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
+                    f"[0, {math.degrees(PARAXIAL_LIMIT_RAD):.4g}] deg")
         if self.kind == "polmap" and self.semiaperture_deg == 0.0:
             raise ConfigError("semiaperture_deg must be positive for a polarization map")
         # the film, telescope and channel constructors state the remaining rules
@@ -157,12 +164,17 @@ class ScenarioConfig:
     def _build(self) -> None:
         """Build what the constructors check; raises the first ValueError.
 
-        Only the channel report reads t; its check calls LAPACK, which would
-        add about 1 MB to the peak memory of every other kind.
+        A finite value so large that building overflows is one too.  Only
+        the channel report reads t; its check calls LAPACK, which would add
+        about 1 MB to the peak memory of every other kind.
         """
-        self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
-        if self.kind == "channel":
-            postselect_channel(self.channel_matrix(), self.gram_matrix())
+        try:
+            with np.errstate(over="raise"):
+                self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
+                if self.kind == "channel":
+                    postselect_channel(self.channel_matrix(), self.gram_matrix())
+        except ArithmeticError as exc:
+            raise ValueError("building the film, telescope or channel overflows") from exc
 
     def _keys_behind(self, exc: ValueError) -> list[str]:
         """Numeric keys each of which, set back alone to its default, lifts or changes ``exc``.

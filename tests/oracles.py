@@ -1,9 +1,13 @@
 """Slow reference implementations that tests compare the library against."""
 
+import dataclasses
+
 import numpy as np
 
 from plasmon_biphoton.film import film_matrix, film_matrix_grid
+from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD
 from plasmon_biphoton.quantum import PostselectedState, VisibilityResult
+from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
 
 
 def transfer_direct(setup, q3_points, n_grid):
@@ -120,3 +124,44 @@ def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityR
     return VisibilityResult(beta2=beta2, visibility=v,
                             beta1_max=float(beta1_max), beta1_min=float(beta1_min),
                             c_max=c_max, c_min=c_min)
+
+
+def config_refusal(**values):
+    """Message of the first field check a ScenarioConfig of ``values`` fails, or None.
+
+    The checks ``ScenarioConfig.__post_init__`` makes before it builds the
+    film and telescope, in its order and with its messages, written as NumPy
+    array predicates (np.isfinite, np.asarray, np.deg2rad); the library makes
+    them on Python scalars.  Fields not in ``values`` take their defaults.
+    """
+    fields = dataclasses.fields(ScenarioConfig)
+    cfg = dict({f.name: f.default for f in fields}, **values)
+    if cfg["kind"] not in KINDS:
+        return f"unknown scenario kind {cfg['kind']!r}; expected one of {KINDS}"
+    for f in fields:
+        if f.type in ("float", "complex", "tuple") and not np.all(np.isfinite(cfg[f.name])):
+            return f"{f.name} must be finite"
+    for name in ("lambda_min_nm", "lambdas_nm", "lambda_diagonal_nm", "lambda_axis_nm"):
+        if not np.all(np.asarray(cfg[name]) > 0):
+            return f"{name} must be positive"
+    if cfg["lambda_min_nm"] >= cfg["lambda_max_nm"] or cfg["lambda_step_nm"] <= 0:
+        return "spectrum wavelength range must be nonempty and increasing"
+    if cfg["semiaperture_step_deg"] <= 0 or \
+            cfg["semiaperture_min_deg"] > cfg["semiaperture_max_deg"]:
+        return "semiaperture range must be nonempty and increasing"
+    if not cfg["lambdas_nm"] or not cfg["beta2_deg"] or not cfg["tilts_deg"]:
+        return "list-valued config fields must be nonempty"
+    if cfg["gram"] not in ("allones", "identity", "coherence"):
+        return f"unknown gram spec {cfg['gram']!r}"
+    if not 0.0 <= cfg["gram_coherence"] <= 1.0:
+        return "gram_coherence must lie in [0, 1]"
+    for name in ("quad_points", "map_points", "polmap_points"):
+        if cfg[name] < 1:
+            return f"{name} must be at least 1"
+    for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
+        if not 0.0 <= np.deg2rad(cfg[name]) <= PARAXIAL_LIMIT_RAD:
+            return (f"{name} must lie in the paraxial range "
+                    f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
+    if cfg["kind"] == "polmap" and cfg["semiaperture_deg"] == 0.0:
+        return "semiaperture_deg must be positive for a polarization map"
+    return None

@@ -123,11 +123,15 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     ("spectrum", "period_nm = 0"), ("spectrum", "gamma_axis_nm = 0"),
     ("spectrum", "peak_transmittance = 0.0001"), ("spectrum", "peak_transmittance = -1"),
     ("channel", "t_xx = 0\nt_yy = 0"),
+    ("spectrum", "direct_amplitude = 1e200"), ("channel", "t_xy = 1e160j"),
 ], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
-        "peak_below_direct", "negative_peak", "zero_channel"])
+        "peak_below_direct", "negative_peak", "zero_channel", "overflowing_direct_amplitude",
+        "overflowing_channel"])
 def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
     # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
-    # FilmModel, default_film or postselect_channel, or (negative peak) in NaN output
+    # FilmModel, default_film or postselect_channel, or (negative peak) in NaN
+    # output; a finite value whose square overflows, in an OverflowError
+    # traceback or an overflow warning
     kind = "visibility_sweep" if command == "visibility" else command
     path = tmp_path / "cfg.txt"
     # two valid keys off their defaults, which the message must not blame
@@ -274,7 +278,8 @@ def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, 
 ], ids=["polmap", "spectrum", "visibility", "spectrum_printf_rows"])
 def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     # every pbsim call is a fresh process, so a first-call import is paid by
-    # every run: np.unique imports numpy.ma, and np.savetxt on a path gzip
+    # every run: np.unique imports numpy.ma, np.savetxt on a path gzip, and an
+    # argparse parser argparse, gettext and locale
     table = write_table(tmp_path, 0.1 * np.eye(2)) if command == "polmap" else ""
     kind = "visibility_sweep" if command == "visibility" else command
     cfg = write_cfg(tmp_path, kind=kind, film_table=str(table), semiaperture_deg=4.0,
@@ -282,7 +287,8 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     code = ("import sys\n"
             "from plasmon_biphoton.cli import main\n"
             f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-            "print(sorted({'numpy.ma', 'gzip'} & set(sys.modules)))\n")
+            "print(sorted({'numpy.ma', 'gzip', 'argparse', 'gettext', 'locale'}"
+            " & set(sys.modules)))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -347,6 +353,57 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "validate-film" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]], ids=["alone", "after_command"])
+def test_short_help_lists_usage_and_commands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: pbsim") and captured.err == ""
+    assert all(f"\n  {name} " in captured.out
+               for name in ("spectrum", "visibility", "polmap", "channel", "validate-film"))
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before_command", "after_command"])
+def test_options_take_their_value_after_equals(tmp_path, before):
+    cfg = write_cfg(tmp_path, kind="spectrum")
+    options = [f"--config={cfg}", f"--out={tmp_path / 'out'}"]
+    code = main(options + ["spectrum"] if before else ["spectrum"] + options)
+    assert code == 0
+    assert (tmp_path / "out" / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--bogus"], "unrecognized arguments: --bogus"),
+    # names are matched in full: a prefix of --config is not it
+    (["spectrum", "--conf", "cfg.txt"], "unrecognized arguments: --conf cfg.txt"),
+    (["spectrum", "--out"], "argument --out: expected one argument"),
+    (["spectrum", "--out", "--verbose"], "argument --out: expected one argument"),
+    (["spectrum", "polmap"], "unrecognized arguments: polmap"),
+    (["spectrum", "--verbose=yes"], "argument --verbose: ignored explicit argument 'yes'"),
+    (["spectrum", "--refine=1.5"], "argument --refine: invalid int value: '1.5'"),
+], ids=["unknown_option", "abbreviated_option", "trailing_out", "out_without_value",
+        "two_commands", "verbose_with_value", "non_integer_refine_after_equals"])
+def test_usage_error_names_the_argument(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: pbsim")
+    assert captured.err.endswith(f"\npbsim: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_refine_after_equals_is_config_error(tmp_path, capsys):
+    code = main(["polmap", "--refine=-1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "config error: --refine must not be negative\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_output_is_numerical_error(tmp_path, capsys, monkeypatch):

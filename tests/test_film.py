@@ -322,3 +322,16 @@ def test_family_orders_are_point_group_closed(film):
     assert fam.orders == frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)})
     fam = axis_family(film)
     assert fam.orders == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+
+
+@pytest.mark.parametrize("seed", [(1, 1), (1, 0), (2, 1), (3, 0), (-2, 5)])
+def test_family_orders_are_the_orbit_under_the_eight_lattice_symmetries(seed):
+    # the orbit under 2x2 rotation matrices by multiples of 90 deg and their
+    # products with the mirror y -> -y
+    rotations = [np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                 for a in np.arange(4) * np.pi / 2]
+    group = rotations + [np.diag([1.0, -1.0]) @ r for r in rotations]
+    orbit = {tuple(int(round(c)) for c in g @ np.array(seed, dtype=float)) for g in group}
+    fam = ResonanceFamily.make(seed, 2000.0, 5.0, 0.1, 700.0)
+    assert fam.orders == frozenset(orbit)
+    assert all(type(m) is int for order in fam.orders for m in order)

@@ -1,11 +1,13 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import config_refusal
 from plasmon_biphoton import jones, optics, scenarios
 from plasmon_biphoton.film import (
     TabulatedGrid,
@@ -58,6 +60,57 @@ def write_film_table(path, q_max, lams, n_q=9):
 def test_serialize_parse_round_trip():
     cfg = small_cfg(kind="spectrum", direct_amplitude=0.02 + 0.003j,
                     t_xy=-0.5j, gram="coherence", gram_coherence=0.25)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+_NUMBER_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)
+                  if f.type in ("float", "complex", "tuple")}
+
+
+def _real(default: float):
+    """A field value: the default, scaled near it, zero, negative, +-inf, NaN or any float."""
+    return st.one_of(st.just(default), st.floats(0.5, 2.0).map(lambda s: s * default),
+                     st.sampled_from([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]),
+                     st.floats())
+
+
+def _field_value(name: str):
+    f = _NUMBER_FIELDS[name]
+    if f.type == "tuple":
+        return st.integers(0, 3).flatmap(
+            lambda n: st.lists(_real(f.default[0]), min_size=n, max_size=n)).map(tuple)
+    if f.type == "complex":
+        return st.builds(complex, _real(f.default.real), _real(f.default.imag))
+    return _real(f.default)
+
+
+_CONFIG_VALUES = st.tuples(
+    st.sampled_from(scenarios.KINDS),
+    st.lists(st.sampled_from(sorted(_NUMBER_FIELDS)), max_size=4, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({n: _field_value(n) for n in names})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_VALUES)
+@example(("spectrum", {"tilts_deg": (0.0, 2.0, math.nan)}))
+@example(("visibility_sweep", {"lambdas_nm": (797.0, -728.0)}))
+@example(("channel", {"t_xy": complex(0.0, math.inf)}))
+@example(("polmap", {"semiaperture_deg": math.degrees(optics.PARAXIAL_LIMIT_RAD)}))
+def test_number_fields_are_accepted_as_by_the_numpy_checks(kind_values):
+    # every draw ends in a config or a ConfigError; the field checks refuse
+    # exactly what the NumPy predicate in oracles refuses, with its message
+    kind, values = kind_values
+    refusal = config_refusal(kind=kind, **values)
+    try:
+        cfg = ScenarioConfig(kind=kind, **values)
+    except ConfigError as exc:
+        if refusal is not None:
+            assert str(exc) == refusal
+        else:
+            # passed the field checks; a film, telescope or channel constructor refused
+            assert isinstance(exc.__cause__, ValueError)
+        return
+    assert refusal is None
     assert parse_config(serialize_config(cfg)) == cfg
 
 
