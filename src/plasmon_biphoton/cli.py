@@ -8,9 +8,9 @@ a fresh process, and building an ``argparse`` parser (which imports
 Option names are matched in full, not by prefix.
 
 Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
-error (an ``--out`` path that cannot be a directory is one, and so is an
-output file name under it that is taken by a directory), 2 numerical
-failure (a computed table holds NaN or +-inf and is not written).  A usage
+error (a ``--config`` file that cannot be read, an ``--out`` directory or
+output file that cannot be made or written), 2 numerical failure (a
+computed table holds NaN or +-inf; no file of the run is written).  A usage
 error prints the usage and one ``pbsim: error: ...`` line to stderr.
 ``--config paper_defaults`` uses the built-in defaults for the chosen
 subcommand.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .film import TableRangeError, film_matrix
@@ -171,21 +170,13 @@ def main(argv=None) -> int:
         if args.verbose:
             print(f"running {kind} -> {args.out} "
                   f"(quadrature {cfg.quad_points}x{cfg.quad_points})")
-        result = run_scenario(cfg, Path(args.out))
+        result = run_scenario(cfg, args.out)
         for path in result["paths"]:
             if args.verbose:
                 print(f"wrote {path}")
         return 0
-    except (ConfigError, TableRangeError, FileNotFoundError) as exc:
+    except (ConfigError, TableRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (FileExistsError, NotADirectoryError) as exc:
-        print(f"config error: --out {args.out}: cannot create output directory "
-              f"({exc.strerror})", file=sys.stderr)
-        return 1
-    except IsADirectoryError as exc:
-        print(f"config error: --out {args.out}: cannot write {exc.filename} "
-              f"({exc.strerror})", file=sys.stderr)
         return 1
     except NonFiniteOutputError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

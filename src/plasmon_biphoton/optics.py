@@ -77,8 +77,8 @@ class SetupParams:
 
     def __post_init__(self):
         for name in ("lam", "f", "delta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.n <= 1.0:
             raise ValueError("substrate index must exceed 1")
         if not 0.0 <= self.theta_ap <= PARAXIAL_LIMIT_RAD:

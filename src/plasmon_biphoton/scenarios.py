@@ -8,13 +8,14 @@ Four scenario kinds bind the film, optics and quantum layers together:
 * ``channel`` - monomode post-selection channel report
 
 Config files are plain ``key = value`` lines (``#`` comments); angles are
-degrees in the file and converted to radians at the scenario boundary.  This
-module writes every output file, and only after the run has computed it.
-Every CSV is comma-separated under one header line, each value in fixed
-scientific notation with 9 significant digits, byte for byte what
-``"%.8e" % value`` prints; it comes from a fixed evaluation order, so
-identical configs produce byte-identical files.  A table holding NaN or
-+-inf is refused (NonFiniteOutputError) before its file is opened.
+degrees in the file and converted to radians at the scenario boundary.  The
+runners compute and open no files; ``run_scenario`` alone writes them, after
+the run has computed them all.  Every CSV is comma-separated under one
+header line, each value in fixed scientific notation with 9 significant
+digits, byte for byte what ``"%.8e" % value`` prints; it comes from a fixed
+evaluation order, so identical configs produce byte-identical files.  A NaN
+or +-inf in any table refuses the run (NonFiniteOutputError): no file of it
+is written.
 """
 
 from __future__ import annotations
@@ -313,7 +314,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def parse_config_file(path) -> ScenarioConfig:
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"--config {path}: cannot read ({exc.strerror})") from exc
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -411,35 +416,19 @@ def _csv_rows(table: np.ndarray):
         yield text[pos:]
 
 
-def _write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
-    """Write a float64 table under one header line, each value as ``FMT % value``.
-
-    A table holding NaN or +-inf is refused before its directory or file is
-    made.
-    """
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise NonFiniteOutputError(
-            f"{path}: {header[col]} = {table[row, col]} in row {row + 1}; nothing written")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        fh.writelines(_csv_rows(table))
-
-
-def _write_pgm(path: Path, scaled: np.ndarray, top_grey: int = 65535) -> None:
-    """Write a map scaled to [0, 1] as a 16-bit binary PGM image, 1 at ``top_grey``.
+def _encode_pgm(scaled: np.ndarray, top_grey: int = 65535) -> bytes:
+    """A map scaled to [0, 1] as a 16-bit binary PGM image, 1 at ``top_grey``.
 
     Image rows run along +y (axis index j, first row at the largest y),
     columns along +x.
     """
-    pixels = np.round(np.clip(scaled, 0.0, 1.0) * top_grey).astype(">u2").T[::-1]
-    path.write_bytes(f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode()
-                     + pixels.tobytes())
+    # a NaN casts quietly: the run's table holds it too, and is refused
+    with np.errstate(invalid="ignore"):
+        pixels = np.round(np.clip(scaled, 0.0, 1.0) * top_grey).astype(">u2").T[::-1]
+    return f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode() + pixels.tobytes()
 
 
-def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
+def run_spectrum(cfg: ScenarioConfig) -> dict:
     """Transmittance vs wavelength for each tilt, both diagonal polarizations.
 
     The tilt rotates the incidence around one lattice diagonal; to first
@@ -467,13 +456,11 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> dict:
             ey = fyx * pol[0] + fyy * pol[1]
             columns.append(ex.real ** 2 + ex.imag ** 2 + ey.real ** 2 + ey.imag ** 2)
     table = np.column_stack(columns)
-
-    path = Path(out_dir) / "spectrum.csv"
-    _write_csv(path, header, table)
-    return {"paths": [path], "lambda_nm": lams, "header": header, "table": table}
+    return {"files": {"spectrum.csv": (header, table)}, "lambda_nm": lams,
+            "header": header, "table": table}
 
 
-def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
+def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     """Fringe visibility vs semiaperture for each (wavelength, beta2).
 
     Zero semiaperture is the monomode limit: the channel reduces to the
@@ -513,14 +500,11 @@ def run_visibility_sweep(cfg: ScenarioConfig, out_dir) -> dict:
                 row.append(visibility(b2, source).visibility)
         rows.append(row)
     table = np.array(rows)
-
-    path = Path(out_dir) / "visibility.csv"
-    _write_csv(path, header, table)
-    return {"paths": [path], "semiaperture_deg": apertures, "header": header,
-            "table": table}
+    return {"files": {"visibility.csv": (header, table)}, "semiaperture_deg": apertures,
+            "header": header, "table": table}
 
 
-def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
+def run_polmap(cfg: ScenarioConfig) -> dict:
     """Intensity and polarization maps of the output modes for one input.
 
     ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
@@ -543,39 +527,31 @@ def run_polmap(cfg: ScenarioConfig, out_dir) -> dict:
     cfg.require_transmission(
         top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
-    out_dir = Path(out_dir)
-    csv_path = out_dir / "polmap.csv"
-    int_path = out_dir / "polmap_intensity.pgm"
-    ratio_path = out_dir / "polmap_axis_ratio.pgm"
-    meta_path = out_dir / "polmap_meta.txt"
-    _write_csv(csv_path, POLMAP_HEADER, table)  # makes out_dir
-    _write_pgm(int_path, fmap.intensity / top)
-    # linear polarization, axis ratio 0 up to rounding noise, is grey 32767
-    # exactly; with 65535 it would sit on the rounding midpoint 32767.5
-    _write_pgm(ratio_path, (fmap.axis_ratio + 1.0) / 2.0, top_grey=65534)
-    meta_path.write_text(
-        "\n".join([
+    files = {
+        "polmap.csv": (POLMAP_HEADER, table),
+        "polmap_intensity.pgm": _encode_pgm(fmap.intensity / top),
+        # linear polarization, axis ratio 0 up to rounding noise, is grey 32767
+        # exactly; with 65535 it would sit on the rounding midpoint 32767.5
+        "polmap_axis_ratio.pgm": _encode_pgm((fmap.axis_ratio + 1.0) / 2.0, top_grey=65534),
+        "polmap_meta.txt": ("\n".join([
             f"lambda_nm = {FMT % lam}",
             f"input_pol_deg = {FMT % cfg.input_pol_deg}",
             f"semiaperture_deg = {FMT % cfg.semiaperture_deg}",
             f"theta3_max_deg = {FMT % fmap.theta3_max_deg}",
             f"mapped_theta2_max_deg = {FMT % (fmap.theta3_max_deg * setup.magnification)}",
             f"grid_points = {cfg.polmap_points}",
-        ]) + "\n")
-    return {"paths": [csv_path, int_path, ratio_path, meta_path], "field_map": fmap,
-            "table": table}
+        ]) + "\n").encode(),
+    }
+    return {"files": files, "field_map": fmap, "table": table}
 
 
-def run_channel(cfg: ScenarioConfig, out_dir) -> dict:
+def run_channel(cfg: ScenarioConfig) -> dict:
     """Monomode post-selection channel report for explicit t and Gram matrix."""
     state = postselect_channel(cfg.channel_matrix(), cfg.gram_matrix())
     conc = concurrence(state)
     v0 = visibility(0.0, state).visibility
     v45 = visibility(np.deg2rad(45.0), state).visibility
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "channel.txt"
     lines = [f"gram = {cfg.gram}", f"gram_coherence = {FMT % cfg.gram_coherence}"]
     for name, val in (("t_xx", cfg.t_xx), ("t_xy", cfg.t_xy),
                       ("t_yx", cfg.t_yx), ("t_yy", cfg.t_yy)):
@@ -588,9 +564,8 @@ def run_channel(cfg: ScenarioConfig, out_dir) -> dict:
     lines.append(f"concurrence = {FMT % conc}")
     lines.append(f"V_0 = {FMT % v0}")
     lines.append(f"V_45 = {FMT % v45}")
-    path.write_text("\n".join(lines) + "\n")
-    return {"paths": [path], "state": state, "concurrence": conc,
-            "v0": v0, "v45": v45}
+    return {"files": {"channel.txt": ("\n".join(lines) + "\n").encode()}, "state": state,
+            "concurrence": conc, "v0": v0, "v45": v45}
 
 
 _RUNNERS = {
@@ -602,5 +577,39 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
-    """Dispatch a config to its scenario runner."""
-    return _RUNNERS[cfg.kind](cfg, out_dir)
+    """Run a config's scenario, then write its files, in order, under ``out_dir``.
+
+    A runner returns each file by name, a CSV as (header, table) or bytes.
+    Any non-finite table is refused before the directory is made; a failed
+    mkdir or write is a ConfigError naming ``--out``.  Adds ``paths``.
+    """
+    result = _RUNNERS[cfg.kind](cfg)
+    out = Path(out_dir)
+    for name, content in result["files"].items():
+        if isinstance(content, tuple):
+            header, table = content
+            finite = np.isfinite(table)
+            if not finite.all():
+                row, col = np.argwhere(~finite)[0]
+                raise NonFiniteOutputError(f"{out / name}: {header[col]} = {table[row, col]} "
+                                           f"in row {row + 1}; nothing written")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out {out_dir}: cannot create output directory ({exc.strerror})") from exc
+    result["paths"] = []
+    for name, content in result["files"].items():
+        path = out / name
+        try:
+            with open(path, "wb") as fh:
+                if isinstance(content, bytes):
+                    fh.write(content)
+                else:
+                    header, table = content
+                    fh.write((",".join(header) + "\n").encode())
+                    fh.writelines(_csv_rows(table))
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir}: cannot write {path} ({exc.strerror})") from exc
+        result["paths"].append(path)
+    return result

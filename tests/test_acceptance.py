@@ -25,7 +25,7 @@ from plasmon_biphoton.quantum import (
     power_form,
     visibility,
 )
-from plasmon_biphoton.scenarios import ScenarioConfig, run_spectrum, run_visibility_sweep
+from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario, run_spectrum
 
 from oracles import visibility_brute
 
@@ -156,11 +156,11 @@ def test_criterion_07_visibility_oracle_equivalence():
     assert worst <= 1e-6
 
 
-def test_criterion_08_spectrum_reproduction(tmp_path):
+def test_criterion_08_spectrum_reproduction():
     cfg = ScenarioConfig(kind="spectrum", lambda_min_nm=700.0,
                          lambda_max_nm=870.0, lambda_step_nm=0.25,
                          tilts_deg=(0.0, 2.0, 4.0, 6.0))
-    result = run_spectrum(cfg, tmp_path)
+    result = run_spectrum(cfg)
     lams = result["lambda_nm"]
     table = result["table"]
     film = cfg.film()
@@ -284,8 +284,8 @@ def test_criterion_10_determinism_and_convergence(tmp_path):
                          beta2_deg=(45.0, 0.0), semiaperture_min_deg=8.0,
                          semiaperture_max_deg=8.0, semiaperture_step_deg=1.0,
                          map_points=21)
-    run_visibility_sweep(cfg, tmp_path / "a")
-    run_visibility_sweep(cfg, tmp_path / "b")
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
     identical = (tmp_path / "a" / "visibility.csv").read_bytes() == \
         (tmp_path / "b" / "visibility.csv").read_bytes()
 

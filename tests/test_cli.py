@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plasmon_biphoton import scenarios
+from plasmon_biphoton import optics, scenarios
 from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, FilmModel, TabulatedGrid, save_tabulated
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
@@ -79,7 +79,19 @@ def test_missing_config_file_is_error(tmp_path, capsys):
     code = main(["spectrum", "--config", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"config error: --config {tmp_path / 'nope.txt'}: "
+                                       "cannot read (No such file or directory)\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "validate-film"])
+def test_config_that_is_a_directory_is_config_error(tmp_path, capsys, command):
+    # was reported as an --out fault: "--out out: cannot write ... (Is a directory)"
+    code = main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"config error: --config {tmp_path}: cannot read (Is a directory)\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_value_is_error(tmp_path, capsys):
@@ -124,14 +136,16 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     ("spectrum", "peak_transmittance = 0.0001"), ("spectrum", "peak_transmittance = -1"),
     ("channel", "t_xx = 0\nt_yy = 0"),
     ("spectrum", "direct_amplitude = 1e200"), ("channel", "t_xy = 1e160j"),
+    ("visibility", "f_mm = 1e305"), ("visibility", "delta_mm = 1e305"),
 ], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
         "peak_below_direct", "negative_peak", "zero_channel", "overflowing_direct_amplitude",
-        "overflowing_channel"])
+        "overflowing_channel", "overflowing_focal_length", "overflowing_thickness"])
 def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
     # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
     # FilmModel, default_film or postselect_channel, or (negative peak) in NaN
     # output; a finite value whose square overflows, in an OverflowError
-    # traceback or an overflow warning
+    # traceback or an overflow warning; a focal length or thickness that
+    # overflows to inf in nm, in a warning and a numerical error
     kind = "visibility_sweep" if command == "visibility" else command
     path = tmp_path / "cfg.txt"
     # two valid keys off their defaults, which the message must not blame
@@ -300,26 +314,31 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
 
 @pytest.mark.parametrize("case", ["existing_file", "under_a_file", "output_is_a_directory"])
 def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, case):
-    # mkdir raises FileExistsError for an existing file, NotADirectoryError
-    # under one; writing an output file that is a directory (through
-    # _write_csv for spectrum, write_text for channel) raises IsADirectoryError
+    # making the directory fails for an existing file or a path under one;
+    # opening an output file fails when a directory takes its name, for a
+    # CSV, a text report, a PGM image and the polmap metadata
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n")
-    out = {"existing_file": blocker, "under_a_file": blocker / "sub",
-           "output_is_a_directory": tmp_path / "d"}[case]
-    if case == "output_is_a_directory":
-        for name in ("spectrum.csv", "channel.txt"):
+    spectrum = write_cfg(tmp_path, kind="spectrum")
+    (tmp_path / "polmap").mkdir()
+    polmap = write_cfg(tmp_path / "polmap", kind="polmap")
+    runs = [(["spectrum", "--config", str(spectrum)], "spectrum.csv"),
+            (["channel"], "channel.txt"),
+            (["polmap", "--config", str(polmap)], "polmap_intensity.pgm"),
+            (["polmap", "--config", str(polmap)], "polmap_meta.txt")]
+    for i, (argv, name) in enumerate(runs):
+        out = {"existing_file": blocker, "under_a_file": blocker / "sub",
+               "output_is_a_directory": tmp_path / f"d{i}"}[case]
+        if case == "output_is_a_directory":
             (out / name).mkdir(parents=True)
-    cfg = write_cfg(tmp_path, kind="spectrum")
-    for argv, name in ((["spectrum", "--config", str(cfg)], "spectrum.csv"),
-                       (["channel"], "channel.txt")):
         code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith(f"config error: --out {out}: ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
-        if case == "output_is_a_directory":
-            assert captured.err.endswith(f"cannot write {out / name} (Is a directory)\n")
+        fault = {"existing_file": "cannot create output directory (File exists)",
+                 "under_a_file": "cannot create output directory (Not a directory)",
+                 "output_is_a_directory": f"cannot write {out / name} (Is a directory)"}[case]
+        assert captured.err == f"config error: --out {out}: {fault}\n"
+        assert captured.out == ""
     assert blocker.read_text() == "keep\n"
 
 
@@ -417,5 +436,23 @@ def test_non_finite_output_is_numerical_error(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"numerical error: {out / 'spectrum.csv'}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
+def test_non_finite_polmap_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the images are encoded before the table is checked; a NaN map must
+    # neither warn as it is cast to grey levels nor leave any of four files
+    def nan_film(*args):
+        return tuple(np.full(np.shape(args[1]), np.nan + 0j) for _ in range(4))
+
+    monkeypatch.setattr(optics, "film_matrix_grid", nan_film)
+    cfg = write_cfg(tmp_path, kind="polmap")
+    out = tmp_path / "out"
+    code = main(["polmap", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"numerical error: {out / 'polmap.csv'}: intensity = nan ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not out.exists()

@@ -155,7 +155,7 @@ def test_paper_default_config_kinds():
 
 def test_spectrum_peaks_at_calibrated_wavelengths(tmp_path):
     cfg = small_cfg(kind="spectrum", tilts_deg=(0.0,))
-    result = run_spectrum(cfg, tmp_path)
+    result = run_scenario(cfg, tmp_path)
     lams = result["lambda_nm"]
     table = result["table"]
     perp, par = table[:, 1], table[:, 2]
@@ -171,7 +171,7 @@ def test_spectrum_peaks_at_calibrated_wavelengths(tmp_path):
 def test_csv_bytes_are_printf_rows_under_one_header_line(tmp_path):
     cfg = small_cfg(kind="spectrum", lambda_min_nm=797.0, lambda_max_nm=798.0,
                     lambda_step_nm=1.0, tilts_deg=(0.0, 4.0))
-    result = run_spectrum(cfg, tmp_path)
+    result = run_scenario(cfg, tmp_path)
     assert result["table"].shape == (2, 5)
     expected = ",".join(result["header"]) + "\n" + "".join(
         ",".join("%.8e" % v for v in row) + "\n" for row in result["table"])
@@ -208,13 +208,13 @@ def test_csv_rows_are_printf_of_edge_values():
     assert b"".join(scenarios._csv_rows(table)) == printf_rows(table)
 
 
-@pytest.mark.parametrize("run,header", [
-    (lambda tmp: run_spectrum(small_cfg(kind="spectrum"), tmp), None),
-    (lambda tmp: run_visibility_sweep(small_cfg(), tmp), None),
-    (lambda tmp: run_polmap(small_cfg(kind="polmap"), tmp), POLMAP_HEADER),
+@pytest.mark.parametrize("kind,header", [
+    ("spectrum", None),
+    ("visibility_sweep", None),
+    ("polmap", POLMAP_HEADER),
 ], ids=["spectrum", "visibility", "polmap"])
-def test_runner_csv_is_savetxt_of_its_table(tmp_path, run, header):
-    result = run(tmp_path)
+def test_runner_csv_is_savetxt_of_its_table(tmp_path, kind, header):
+    result = run_scenario(small_cfg(kind=kind), tmp_path)
     expected = io.StringIO()
     np.savetxt(expected, result["table"], fmt="%.8e", delimiter=",",
                header=",".join(header or result["header"]), comments="")
@@ -222,19 +222,23 @@ def test_runner_csv_is_savetxt_of_its_table(tmp_path, run, header):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_csv_writer_refuses_non_finite_table(tmp_path, value):
-    path = tmp_path / "out" / "t.csv"
+def test_csv_writer_refuses_non_finite_table(tmp_path, monkeypatch, value):
+    # a bad value in any table refuses every file of the run, the ones
+    # before it too, and the directory is not made
+    out = tmp_path / "out"
     table = np.ones((3, 2))
     table[2, 1] = value
-    with pytest.raises(NonFiniteOutputError, match=f"{path}: b = {value} in row 3"):
-        scenarios._write_csv(path, ["a", "b"], table)
-    assert not (tmp_path / "out").exists()
+    files = {"first.txt": b"finite\n", "t.csv": (["a", "b"], table)}
+    monkeypatch.setitem(scenarios._RUNNERS, "channel", lambda cfg: {"files": files})
+    with pytest.raises(NonFiniteOutputError, match=f"{out / 't.csv'}: b = {value} in row 3"):
+        run_scenario(small_cfg(kind="channel"), out)
+    assert not out.exists()
 
 
-def test_spectrum_tilt_splits_parallel_peak(tmp_path):
+def test_spectrum_tilt_splits_parallel_peak():
     cfg = small_cfg(kind="spectrum", tilts_deg=(0.0, 6.0),
                     lambda_min_nm=760.0, lambda_max_nm=860.0)
-    result = run_spectrum(cfg, tmp_path)
+    result = run_spectrum(cfg)
     lams = result["lambda_nm"]
     table = result["table"]
     par0, par6 = table[:, 2], table[:, 4]
@@ -254,7 +258,7 @@ def test_spectrum_matches_per_point_transmittance(tmp_path, kind):
     table = write_film_table(tmp_path / "film.csv", 8e-4, lams) if kind == "tabulated" else ""
     cfg = small_cfg(kind="spectrum", film_table=table, tilts_deg=(0.0, 1.5, 4.0),
                     lambda_min_nm=781.0, lambda_max_nm=809.0, lambda_step_nm=0.7)
-    result = run_spectrum(cfg, tmp_path / "out")
+    result = run_spectrum(cfg)
     film = cfg.film()
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
     expected = []
@@ -274,7 +278,7 @@ def test_spectrum_matches_per_point_transmittance(tmp_path, kind):
 def test_visibility_sweep_monomode_row_is_unity(tmp_path):
     cfg = small_cfg(kind="visibility_sweep", semiaperture_min_deg=0.0,
                     semiaperture_max_deg=8.0, semiaperture_step_deg=8.0)
-    result = run_visibility_sweep(cfg, tmp_path)
+    result = run_scenario(cfg, tmp_path)
     table = result["table"]
     assert table[0, 0] == 0.0
     # zero aperture: the film matrix at q = 0 is proportional to the identity,
@@ -291,13 +295,13 @@ def test_visibility_sweep_deterministic(tmp_path):
     cfg = small_cfg(kind="visibility_sweep", semiaperture_min_deg=4.0,
                     semiaperture_max_deg=4.0, lambdas_nm=(797.0,),
                     beta2_deg=(45.0,))
-    run_visibility_sweep(cfg, tmp_path / "a")
-    run_visibility_sweep(cfg, tmp_path / "b")
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
     assert (tmp_path / "a" / "visibility.csv").read_bytes() == \
         (tmp_path / "b" / "visibility.csv").read_bytes()
 
 
-def test_visibility_sweep_samples_film_once_per_cell(tmp_path, monkeypatch):
+def test_visibility_sweep_samples_film_once_per_cell(monkeypatch):
     # apertures 0, 4 and 8 deg: T is built for each (lambda, nonzero
     # aperture) and shared by both beta2 values
     sampled = []
@@ -310,7 +314,7 @@ def test_visibility_sweep_samples_film_once_per_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(optics, "film_matrix_grid", counting)
     cfg = small_cfg(kind="visibility_sweep", lambdas_nm=(797.0, 728.0),
                     beta2_deg=(0.0, 45.0))
-    run_visibility_sweep(cfg, tmp_path)
+    run_visibility_sweep(cfg)
     assert sorted(sampled) == [728.0, 728.0, 797.0, 797.0]
 
 
@@ -331,7 +335,7 @@ def test_tabulated_visibility_sweep_loads_table_once(tmp_path, monkeypatch):
                     map_points=3, lambdas_nm=(797.0,), beta2_deg=(45.0,),
                     semiaperture_min_deg=0.0, semiaperture_max_deg=8.0,
                     semiaperture_step_deg=2.0)
-    result = run_visibility_sweep(cfg, tmp_path / "out")
+    result = run_visibility_sweep(cfg)
     assert len(loads) == 1
     assert np.all(np.isfinite(result["table"]))
 
@@ -349,7 +353,7 @@ def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
                                  (790.0, 797.0, 804.0))
     cfg = small_cfg(kind="visibility_sweep", film_table=table, lambdas_nm=lambdas,
                     beta2_deg=(0.0, 30.0, 45.0))
-    result = run_visibility_sweep(cfg, tmp_path / "out")
+    result = run_visibility_sweep(cfg)
     film = cfg.film()
     for row, ap in enumerate(result["semiaperture_deg"]):
         if ap == 0.0:
@@ -368,23 +372,23 @@ class EllipseExtracted(Exception):
     pass
 
 
-def test_visibility_sweep_extracts_no_ellipse(tmp_path, monkeypatch):
+def test_visibility_sweep_extracts_no_ellipse(monkeypatch):
     def refuse(*args, **kwargs):
         raise EllipseExtracted
 
     monkeypatch.setattr(optics, "ellipse_arrays", refuse)
     monkeypatch.setattr(jones, "ellipse_arrays", refuse)
-    result = run_visibility_sweep(small_cfg(kind="visibility_sweep"), tmp_path / "sweep")
+    result = run_visibility_sweep(small_cfg(kind="visibility_sweep"))
     assert np.all(np.isfinite(result["table"]))
     with pytest.raises(EllipseExtracted):
-        run_polmap(small_cfg(kind="polmap"), tmp_path / "polmap")
+        run_polmap(small_cfg(kind="polmap"))
 
 
 # --- polmap -----------------------------------------------------------------
 
 def test_polmap_outputs(tmp_path):
     cfg = small_cfg(kind="polmap")
-    result = run_polmap(cfg, tmp_path)
+    result = run_scenario(cfg, tmp_path)
     names = sorted(p.name for p in result["paths"])
     assert names == ["polmap.csv", "polmap_axis_ratio.pgm",
                      "polmap_intensity.pgm", "polmap_meta.txt"]
@@ -397,7 +401,7 @@ def test_polmap_outputs(tmp_path):
 
 def test_polmap_csv_layout(tmp_path):
     cfg = small_cfg(kind="polmap", polmap_points=3)
-    fmap = run_polmap(cfg, tmp_path)["field_map"]
+    fmap = run_scenario(cfg, tmp_path)["field_map"]
     lines = (tmp_path / "polmap.csv").read_text().splitlines()
     assert lines[0] == "q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio"
     table = np.loadtxt(lines[1:], delimiter=",")
@@ -415,7 +419,7 @@ def test_polmap_pgm_format_and_orientation(tmp_path):
     # a 30 deg input breaks the map's y -> -y and x <-> y symmetries, so a
     # flipped or transposed image does not match
     cfg = small_cfg(kind="polmap", polmap_points=4, input_pol_deg=30.0)
-    fmap = run_polmap(cfg, tmp_path)["field_map"]
+    fmap = run_scenario(cfg, tmp_path)["field_map"]
     header = b"P5\n4 4\n65535\n"
     for name, grey in (("polmap_intensity.pgm", fmap.intensity / fmap.intensity.max() * 65535),
                        ("polmap_axis_ratio.pgm", (fmap.axis_ratio + 1.0) / 2.0 * 65534)):
@@ -440,7 +444,7 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
         return dataclasses.replace(fmap, axis_ratio=ratios)
 
     monkeypatch.setattr(scenarios, "field_map", fake_field_map)
-    run_polmap(small_cfg(kind="polmap", polmap_points=3), tmp_path)
+    run_scenario(small_cfg(kind="polmap", polmap_points=3), tmp_path)
     blob = (tmp_path / "polmap_axis_ratio.pgm").read_bytes()
     header = b"P5\n3 3\n65535\n"
     assert blob.startswith(header)
@@ -450,9 +454,9 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
     assert pixels[2, 1] == 65534 and pixels[2, 2] == 0
 
 
-def test_polmap_center_keeps_input_polarization(tmp_path):
+def test_polmap_center_keeps_input_polarization():
     cfg = small_cfg(kind="polmap", input_pol_deg=-45.0)
-    fmap = run_polmap(cfg, tmp_path)["field_map"]
+    fmap = run_polmap(cfg)["field_map"]
     c = cfg.polmap_points // 2
     assert abs(np.rad2deg(fmap.psi[c, c]) + 45.0) < 1.0
     assert abs(fmap.axis_ratio[c, c]) < 0.05
@@ -462,7 +466,7 @@ def test_polmap_center_keeps_input_polarization(tmp_path):
 
 def test_channel_identity_allones_report(tmp_path):
     cfg = small_cfg(kind="channel")
-    result = run_channel(cfg, tmp_path)
+    result = run_scenario(cfg, tmp_path)
     assert result["concurrence"] == pytest.approx(1.0, abs=1e-9)
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
     assert result["v45"] == pytest.approx(1.0, abs=1e-9)
@@ -470,17 +474,17 @@ def test_channel_identity_allones_report(tmp_path):
     assert "concurrence" in text and "success_weight" in text
 
 
-def test_channel_identity_gram_report(tmp_path):
+def test_channel_identity_gram_report():
     cfg = small_cfg(kind="channel", gram="identity")
-    result = run_channel(cfg, tmp_path)
+    result = run_channel(cfg)
     assert result["concurrence"] == pytest.approx(0.0, abs=1e-9)
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
     assert result["v45"] == pytest.approx(0.0, abs=1e-9)
 
 
-def test_channel_partial_coherence_interpolates(tmp_path):
+def test_channel_partial_coherence_interpolates():
     cfg = small_cfg(kind="channel", gram="coherence", gram_coherence=0.5)
-    result = run_channel(cfg, tmp_path)
+    result = run_channel(cfg)
     assert 0.0 < result["v45"] < 1.0
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
 
