@@ -11,7 +11,7 @@ Everything is expressed in the lab (x, y) frame, so the returned matrix obeys
 F_lab(q) = R(phi_q)^-1 F_rot(q) R(phi_q) with respect to any rotated-frame
 formulation.  Alternatively a tabulated grid of matrices (from an external
 rigorous solver) can be loaded; it is interpolated bilinearly and never
-extrapolated.
+extrapolated; it must be point-group symmetric, as an analytic film is.
 
 ``film_matrix_grid`` is the one evaluator for both kinds of film: qx, qy and
 lambda may be scalars or arrays of any shapes that broadcast together, and
@@ -26,7 +26,7 @@ Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ _POINT_GROUP = ([((c, -s), (s, c)) for c, s in _QUARTER_TURNS]
                 + [((c, -s), (-s, -c)) for c, s in _QUARTER_TURNS])
 
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
+
+SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of save_tabulated's "%.8e"
 
 
 class TableRangeError(ValueError):
@@ -93,13 +95,31 @@ class ResonanceFamily:
 
 @dataclass(frozen=True)
 class TabulatedGrid:
-    """Rectangular grid of film matrices on (qx, qy, lambda)."""
+    """Rectangular, point-group symmetric grid of film matrices on (qx, qy, lambda).
+
+    On its nodes qx = qy = -qx[::-1], and F(R q) = R F(q) R^T for the x and diagonal
+    mirrors, which generate the group, to SYMMETRY_TOL of max |q| or max |F|; else ValueError.
+    """
 
     qx: np.ndarray
     qy: np.ndarray
     lam: np.ndarray
     # shape (n_lam, n_qx, n_qy, 2, 2)
     matrices: np.ndarray
+
+    def __post_init__(self):
+        qx, qy, m = self.qx, self.qy, self.matrices
+        if qx.shape != qy.shape:
+            raise ValueError(f"film table is not point-group symmetric: {qx.size} qx, {qy.size} qy")
+        # x mirror: xy and yx change sign; diagonal mirror: xx <-> yy, xy <-> yx
+        axes = max(np.max(np.abs(qx + qx[::-1])), np.max(np.abs(qy - qx)))
+        mats = max(np.max(np.abs(m[:, ::-1] - m * np.array([[1, -1], [-1, 1]]))),
+                   np.max(np.abs(m.transpose(0, 2, 1, 3, 4) - m[..., ::-1, ::-1])))
+        for what, worst, scale in (("q axes", axes, np.max(np.abs([qx, qy]))),
+                                   ("matrices", mats, np.max(np.abs(m)))):
+            if not worst <= SYMMETRY_TOL * scale:
+                raise ValueError(f"film table is not point-group symmetric: {what} asymmetry "
+                                 f"{worst / scale:.3g} exceeds the tolerance {SYMMETRY_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +137,6 @@ class FilmModel:
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("lattice period must be positive")
-
-    def with_tabulated(self, grid: TabulatedGrid) -> "FilmModel":
-        return replace(self, tabulated=grid)
 
 
 def default_film(

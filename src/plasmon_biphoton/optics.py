@@ -14,17 +14,15 @@ lab basis throughout.
 
 with a = (n - 1) Delta / (2 n k) and angular magnification
 mag = n f / ((n - 1) Delta).  The integral is evaluated by a midpoint rule on
-a square grid masked to the aperture disc; the grid is symmetric under the
-square-lattice point group so that the symmetry properties of the film carry
-over to T exactly up to floating point.  On that tensor grid the phase
+a square grid masked to the aperture disc.  On that tensor grid the phase
 factor separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2),
 so T on a tensor grid of q3 is two matrix products per Jones component (the
 matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
-The film is sampled once per point-group orbit for analytic films, which
-are point-group symmetric by construction, and T is contracted on one
-quadrant with parity-folded kernels; a tabulated film is sampled once per
-grid point.  The grid density is the caller's choice (``n_grid``); nothing
-here refines it or estimates its error.
+Every film is point-group symmetric (``film`` refuses a table that is not),
+so it is sampled once per point-group orbit and T is contracted on one
+quadrant with parity-folded kernels: T keeps the point group exactly up to
+floating point.  The grid density is the caller's choice (``n_grid``);
+nothing here refines it or estimates its error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
@@ -149,10 +147,9 @@ class FieldMap:
 def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     """T(q3) on the tensor grid q3x x q3y; returns shape (Mx, My, 2, 2).
 
-    The film is sampled on the midpoint points of an n_grid x n_grid square
-    masked to the aperture disc, a point set symmetric under the
-    square-lattice point group for any n_grid.  The phase factor separates
-    by axis,
+    The film is sampled at the midpoints of an n_grid x n_grid square masked
+    to the aperture disc, a point set symmetric under the square-lattice
+    point group for any n_grid.  The phase factor separates by axis,
 
         exp(i a |q2 - mag q3|^2) = kx[i, u] ky[j, v],
 
@@ -160,40 +157,21 @@ def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     kx @ G @ ky.T.  Components are transformed one at a time, so memory
     stays O(n_grid^2).
 
-    An analytic film obeys F(R q) = R F(q) R^T for the whole point group,
-    so it is sampled once per point-group orbit: on the wedge
-    0 <= q2y <= q2x of the disc, on the axis (i - (n_grid - 1) / 2) h, which
-    is exactly antisymmetric.  The diagonal mirror fills the rest of the
-    qx, qy >= 0 quadrant (xx <-> yy, xy <-> yx).  The axis mirrors make
-    G_xx and G_yy even in each axis and G_xy and G_yx odd, so each component
-    is contracted on the quadrant alone with the folded kernels
-    k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of an odd n_grid is
-    counted once.  The symmetry of T thus holds by construction, up to
-    rounding in the matrix products.  A tabulated film is not assumed
-    symmetric: it is sampled on the whole disc of the axis
-    -r + (i + 1/2) h and contracted on the full square.
+    The film obeys F(R q) = R F(q) R^T for the whole point group, so it is
+    sampled once per point-group orbit: on the wedge 0 <= q2y <= q2x of the
+    disc, on the axis (i - (n_grid - 1) / 2) h, which is exactly
+    antisymmetric.  The diagonal mirror fills the rest of the qx, qy >= 0
+    quadrant (xx <-> yy, xy <-> yx).  The axis mirrors make G_xx and G_yy
+    even in each axis and G_xy and G_yx odd, so each component is contracted
+    on the quadrant alone with the folded kernels k(+q) + k(-q) and
+    k(+q) - k(-q); the q = 0 column of an odd n_grid is counted once.  The
+    symmetry of T thus holds by construction, up to rounding in the matrix
+    products.
     """
     r = setup.q2_max
     if r <= 0.0:
         raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
-
-    def kernel(q3_axis, q2_axis):
-        centers = setup.magnification * np.asarray(q3_axis, dtype=float)
-        return np.exp(1j * setup.alpha * (q2_axis[None, :] - centers[:, None]) ** 2)
-
-    if setup.film.tabulated is not None:
-        axis = -r + (np.arange(n_grid) + 0.5) * h
-        qx, qy = np.meshgrid(axis, axis, indexing="ij")
-        mask = qx ** 2 + qy ** 2 <= r * r
-        components = film_matrix_grid(setup.film, qx[mask], qy[mask], setup.lam)
-        kx, ky = kernel(q3x, axis), kernel(q3y, axis)
-        out = np.empty((kx.shape[0], ky.shape[0], 4), dtype=complex)
-        g = np.zeros((n_grid, n_grid), dtype=complex)
-        for c, values in enumerate(components):
-            g[mask] = values
-            out[..., c] = kx @ g @ ky.T
-        return out.reshape(kx.shape[0], ky.shape[0], 2, 2) * (h * h)
 
     # exactly antisymmetric, so -half is the mirror image of the q >= 0 half
     axis = (np.arange(n_grid) - 0.5 * (n_grid - 1)) * h
@@ -202,7 +180,9 @@ def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
 
     def folded(q3_axis):
-        plus, minus = kernel(q3_axis, half), kernel(q3_axis, -half)
+        centers = setup.magnification * np.asarray(q3_axis, dtype=float)
+        plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
+                       for q2 in (half, -half))
         even, odd = plus + minus, plus - minus
         if n_grid % 2:
             even[:, 0] = plus[:, 0]

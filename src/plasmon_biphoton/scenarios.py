@@ -581,7 +581,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 
     A runner returns each file by name, a CSV as (header, table) or bytes.
     Any non-finite table is refused before the directory is made; a failed
-    mkdir or write is a ConfigError naming ``--out``.  Adds ``paths``.
+    mkdir or write is a ConfigError naming ``--out``, and a failed write
+    first removes every file the run opened.  Adds ``paths``.
     """
     result = _RUNNERS[cfg.kind](cfg)
     out = Path(out_dir)
@@ -603,6 +604,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
         path = out / name
         try:
             with open(path, "wb") as fh:
+                result["paths"].append(path)
                 if isinstance(content, bytes):
                     fh.write(content)
                 else:
@@ -610,6 +612,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
                     fh.write((",".join(header) + "\n").encode())
                     fh.writelines(_csv_rows(table))
         except OSError as exc:
+            for opened in result["paths"]:
+                opened.unlink(missing_ok=True)
             raise ConfigError(f"--out {out_dir}: cannot write {path} ({exc.strerror})") from exc
-        result["paths"].append(path)
     return result

@@ -1,10 +1,17 @@
-"""Slow reference implementations that tests compare the library against."""
+"""Slow reference implementations that tests compare the library against,
+and the film tables they compare it on."""
 
 import dataclasses
 
 import numpy as np
 
-from plasmon_biphoton.film import film_matrix, film_matrix_grid
+from plasmon_biphoton.film import (
+    FilmModel,
+    TabulatedGrid,
+    default_film,
+    film_matrix,
+    film_matrix_grid,
+)
 from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD
 from plasmon_biphoton.quantum import PostselectedState, VisibilityResult
 from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
@@ -78,6 +85,38 @@ def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
                 + tx * ty * m[il, ix1, iy1])
 
     return (1 - tl) * plane(il0) + tl * plane(il1)
+
+
+def default_film_table(q_max, lams, n_q=9) -> FilmModel:
+    """The default film sampled on an n_q x n_q grid over |qx|, |qy| <= q_max."""
+    qs = np.linspace(-q_max, q_max, n_q)
+    lam, qx, qy = np.meshgrid(lams, qs, qs, indexing="ij")
+    mats = np.stack(film_matrix_grid(default_film(), qx, qy, lam), axis=-1)
+    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float),
+                         matrices=mats.reshape(qx.shape + (2, 2)))
+    return FilmModel(period=700.0, direct_amplitude=0j, families=(), tabulated=grid)
+
+
+def symmetric_random_grid(rng, q, lam) -> TabulatedGrid:
+    """A seeded random film table on the antisymmetric axis ``q`` (both qx and qy).
+
+    Random complex matrices averaged over the 8 elements R of the square
+    point group, F(q) -> R^T F(R q) R, so that F(R q) = R F(q) R^T holds up
+    to rounding.  R maps the node of signed index s = i - (n - 1) / 2 to the
+    node of signed index R s, because q is antisymmetric.
+    """
+    shape = (len(lam), q.size, q.size, 2, 2)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    s = np.arange(q.size) - 0.5 * (q.size - 1)
+    sx, sy = np.meshgrid(s, s, indexing="ij")
+    total = np.zeros(shape, dtype=complex)
+    for c, n in [(1, 0), (0, 1), (-1, 0), (0, -1)]:
+        for r in (np.array([[c, -n], [n, c]]), np.array([[c, n], [n, -c]])):
+            ix = np.rint(r[0, 0] * sx + r[0, 1] * sy + 0.5 * (q.size - 1)).astype(int)
+            iy = np.rint(r[1, 0] * sx + r[1, 1] * sy + 0.5 * (q.size - 1)).astype(int)
+            total += r.T @ raw[:, ix, iy] @ r
+    return TabulatedGrid(qx=q, qy=q.copy(), lam=np.asarray(lam, dtype=float),
+                         matrices=total / 8)
 
 
 def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityResult:

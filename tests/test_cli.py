@@ -211,6 +211,26 @@ def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "polmap.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["polmap", "spectrum"])
+def test_asymmetric_film_table_is_config_error(tmp_path, capsys, command):
+    # one off-diagonal entry of an otherwise symmetric table, as in a table
+    # that does not come from a square hole array
+    table = write_table(tmp_path, 0.1 * np.eye(2))
+    lines = table.read_text().splitlines()
+    row = lines[3].split(",")
+    row[5] = "1.00000000e-02"  # re_xy at (qx, qy) = (-1e-3, 0)
+    lines[3] = ",".join(row)
+    table.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, kind=command, film_table=str(table), semiaperture_deg=4.0)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: film table {table}: film table is not "
+                          "point-group symmetric: matrices asymmetry 0.1 exceeds")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [
     "qx,qy,lambda_nm,re_xx\n0,0,797,1\n",
     f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
@@ -316,7 +336,8 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
 def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, case):
     # making the directory fails for an existing file or a path under one;
     # opening an output file fails when a directory takes its name, for a
-    # CSV, a text report, a PGM image and the polmap metadata
+    # CSV, a text report, a PGM image and the polmap metadata, and leaves no
+    # file of the run behind
     blocker = tmp_path / "taken"
     blocker.write_text("keep\n")
     spectrum = write_cfg(tmp_path, kind="spectrum")
@@ -339,6 +360,9 @@ def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, case):
                  "output_is_a_directory": f"cannot write {out / name} (Is a directory)"}[case]
         assert captured.err == f"config error: --out {out}: {fault}\n"
         assert captured.out == ""
+        if case == "output_is_a_directory":
+            # the files written before the blocked one are removed again
+            assert list(out.iterdir()) == [out / name] and (out / name).is_dir()
     assert blocker.read_text() == "keep\n"
 
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import interpolate_tabulated_point
+from oracles import interpolate_tabulated_point, symmetric_random_grid
 from plasmon_biphoton.film import (
     TABULATED_HEADER,
     FilmModel,
@@ -218,15 +218,47 @@ def test_tabulated_refuses_extrapolation(tmp_path):
 
 
 def random_table(rng, n_lam):
-    """Film table on random non-uniform axes with random complex matrices."""
+    """Point-group symmetric random film table on random non-uniform axes."""
     def axis(start, n, scale):
         return start + np.cumsum(rng.uniform(0.2, 1.0, n)) * scale
 
-    shape = (n_lam, 6, 5, 2, 2)
-    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    grid = TabulatedGrid(qx=axis(-6e-4, 6, 2e-4), qy=axis(-5e-4, 5, 2e-4),
-                         lam=axis(790.0, n_lam, 3.0), matrices=mats)
+    half = axis(0.0, 3, 2e-4)
+    grid = symmetric_random_grid(rng, np.concatenate([-half[::-1], half]),
+                                 axis(790.0, n_lam, 3.0))
     return FilmModel(period=700.0, direct_amplitude=0.0, families=(), tabulated=grid)
+
+
+def refused_asymmetry(what, grid_args):
+    """The relative asymmetry, to 3 digits, that TabulatedGrid(**grid_args) refuses for ``what``."""
+    with pytest.raises(ValueError, match="not point-group symmetric") as exc:
+        TabulatedGrid(**grid_args)
+    found = re.fullmatch(rf".*: {what} asymmetry (\S+) exceeds the tolerance 1e-08",
+                         str(exc.value))
+    assert found, str(exc.value)
+    return float(found.group(1))
+
+
+def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
+    g = random_table(np.random.default_rng(3), 3).tabulated
+    args = dict(qx=g.qx, qy=g.qy, lam=g.lam, matrices=g.matrices)
+    scale = np.max(np.abs(g.matrices))
+    # one entry, not the largest, moved by a fraction of the largest
+    entry = (1, 4, 2, 0, 1)
+    assert abs(g.matrices[entry]) < scale
+    bumped = g.matrices.copy()
+    bumped[entry] += 1e-6 * scale
+    assert refused_asymmetry("matrices", dict(args, matrices=bumped)) == \
+        pytest.approx(1e-6, rel=5e-3)
+    # within the rounding of a saved table: loads
+    bumped[entry] = g.matrices[entry] + 1e-10 * scale
+    TabulatedGrid(**dict(args, matrices=bumped))
+    # both axes shifted: still one axis, but no longer antisymmetric
+    shift = 1e-5
+    q = g.qx + shift
+    assert refused_asymmetry("q axes", dict(args, qx=q, qy=q)) == \
+        pytest.approx(2 * shift / np.max(np.abs(q)), rel=5e-3)
+    with pytest.raises(ValueError, match="not point-group symmetric: 6 qx, 5 qy"):
+        TabulatedGrid(**dict(args, qy=g.qy[:-1], matrices=g.matrices[:, :, :-1]))
 
 
 @pytest.mark.parametrize("n_lam", [3, 1], ids=["three_lambdas", "one_lambda"])

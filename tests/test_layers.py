@@ -1,5 +1,6 @@
 """Layering guards: the package modules import each other along one fixed
-graph, and only four functions touch files.
+graph, only four functions touch files, and ``optics`` cannot tell a film
+table from an analytic film.
 
 A new import between modules has to edit ``LAYERS`` on purpose, and a new
 file read or write has to edit ``FILE_IO_OWNERS``.
@@ -63,3 +64,11 @@ def file_io_callers(path):
 def test_only_the_owners_touch_files():
     src = Path(plasmon_biphoton.__file__).parent
     assert set().union(*map(file_io_callers, src.glob("*.py"))) == FILE_IO_OWNERS
+
+
+def test_optics_does_not_know_the_film_kind():
+    # every film is point-group symmetric, so the aperture transform has one
+    # path; reading ``FilmModel.tabulated`` would let it fork on the kind again
+    path = Path(plasmon_biphoton.__file__).parent / "optics.py"
+    assert not [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "tabulated"]

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from plasmon_biphoton.film import (
     FilmModel,
     ResonanceFamily,
-    TabulatedGrid,
     default_film,
     film_matrix,
 )
@@ -19,7 +18,12 @@ from plasmon_biphoton.optics import (
     telescope_matrix,
 )
 
-from oracles import telescope_matrix_sp, transfer_direct
+from oracles import (
+    default_film_table,
+    symmetric_random_grid,
+    telescope_matrix_sp,
+    transfer_direct,
+)
 
 
 @pytest.fixture(scope="module")
@@ -177,19 +181,16 @@ def test_convergence_check_default_film_at_spec_tolerance():
 # --- separable transform against the direct-sum oracle ----------------------
 
 def random_table_film(lam, rng):
-    """A seeded random film table over the 8 deg aperture, with no point-group symmetry."""
-    q = np.linspace(-1.2e-3, 1.2e-3, 9)
-    shape = (2, 9, 9, 2, 2)
-    mats = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return FilmModel(period=700.0, direct_amplitude=0j, families=(),
-                     tabulated=TabulatedGrid(q, q, np.array([lam - 5.0, lam + 5.0]), mats))
+    """A seeded random point-group symmetric film table over the 8 deg aperture."""
+    grid = symmetric_random_grid(rng, np.linspace(-1.2e-3, 1.2e-3, 9), [lam - 5.0, lam + 5.0])
+    return FilmModel(period=700.0, direct_amplitude=0j, families=(), tabulated=grid)
 
 
 @pytest.mark.parametrize("n_grid", [50, 51, 201])
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
 def test_separable_transform_matches_direct_sum(n_grid, tabulated):
-    # the analytic film takes the folded quadrant path, the random table the
-    # full square; the oracle sums over the whole disc for both
+    # the transform samples one wedge of the disc and folds it over the
+    # quadrant; the oracle sums over the whole disc
     rng = np.random.default_rng(n_grid)
     film = random_table_film(797.0, rng) if tabulated else default_film()
     s = SetupParams.paper_defaults(film=film)
@@ -250,10 +251,7 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
     odd = 2 * np.arange(n_grid) + 1 - n_grid
     masked = np.count_nonzero(odd[:, None] ** 2 + odd[None, :] ** 2 <= n_grid ** 2)
     assert len(points) == 1
-    if tabulated:
-        assert points[0] == masked
-    else:
-        assert points[0] <= masked / 7
+    assert points[0] <= masked / 7
 
 
 # --- field maps and export --------------------------------------------------
@@ -271,13 +269,18 @@ def test_field_map_single_point_is_on_axis(setup):
     assert abs(fmap.fields[0, 0, 1]) <= 1e-8 * abs(fmap.fields[0, 0, 0])
 
 
-def test_field_map_mirror_symmetry():
+@pytest.mark.parametrize("film", ["analytic", "table"])
+def test_field_map_mirror_symmetry(film):
     # -45 deg input is an eigenstate of the anti-diagonal mirror, so the
-    # intensity map is symmetric under (x, y) -> (-y, -x)
+    # intensity map is symmetric under (x, y) -> (-y, -x); T keeps the point
+    # group by construction for a film table as for the analytic film
     s = SetupParams.paper_defaults()
+    if film == "table":
+        s = SetupParams.paper_defaults(film=default_film_table(1.2e-3, (796.0, 798.0), n_q=41))
     fmap = field_map(linear_pol(np.deg2rad(-45.0)), GridSpec(n=9), s, n_grid=101)
     flipped = fmap.intensity[::-1, ::-1].T
-    assert np.allclose(fmap.intensity, flipped, rtol=1e-9)
+    # intensities are about 1e-15, so the default atol would accept anything
+    assert np.allclose(fmap.intensity, flipped, rtol=1e-9, atol=0.0)
 
 
 def test_field_map_deterministic(setup):

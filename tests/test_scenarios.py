@@ -7,15 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import config_refusal
+from oracles import config_refusal, default_film_table
 from plasmon_biphoton import jones, optics, scenarios
-from plasmon_biphoton.film import (
-    TabulatedGrid,
-    default_film,
-    film_matrix_grid,
-    save_tabulated,
-    transmittance,
-)
+from plasmon_biphoton.film import default_film, save_tabulated, transmittance
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import power_form, visibility
 from plasmon_biphoton.scenarios import (
@@ -46,12 +40,7 @@ def small_cfg(**overrides):
 
 def write_film_table(path, q_max, lams, n_q=9):
     """Save the default film sampled on an n_q x n_q grid over |qx|, |qy| <= q_max."""
-    film = default_film()
-    qs = np.linspace(-q_max, q_max, n_q)
-    lam, qx, qy = np.meshgrid(lams, qs, qs, indexing="ij")
-    mats = np.stack(film_matrix_grid(film, qx, qy, lam), axis=-1).reshape(qx.shape + (2, 2))
-    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float), matrices=mats)
-    save_tabulated(film.with_tabulated(grid), path)
+    save_tabulated(default_film_table(q_max, lams, n_q), path)
     return str(path)
 
 
