@@ -8,13 +8,7 @@ matrices, output polarization maps, and coincidence fringe visibilities.
 
 from .jones import linear_pol, polarizer, rotation
 from .film import FilmModel, ResonanceFamily, film_matrix, resonance_wavelength, transmittance
-from .optics import (
-    FieldMap,
-    GridSpec,
-    SetupParams,
-    field_map,
-    telescope_matrix,
-)
+from .optics import SetupParams, q3_axis, transfer
 from .quantum import (
     PostselectedState,
     VisibilityResult,
@@ -38,11 +32,9 @@ __all__ = [
     "film_matrix",
     "resonance_wavelength",
     "transmittance",
-    "FieldMap",
-    "GridSpec",
     "SetupParams",
-    "field_map",
-    "telescope_matrix",
+    "q3_axis",
+    "transfer",
     "PostselectedState",
     "VisibilityResult",
     "coincidence_rate",

@@ -9,8 +9,10 @@ Option names are matched in full, not by prefix.
 
 Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
-output file that cannot be made or written), 2 numerical failure (a
-computed table holds NaN or +-inf; no file of the run is written).  A usage
+output file that cannot be made or written, grids too large to allocate;
+the runners compute before anything is written, so a run that runs out of
+memory makes no ``--out`` directory), 2 numerical failure (a computed table
+holds NaN or +-inf; no file of the run is written).  A usage
 error prints the usage and one ``pbsim: error: ...`` line to stderr.
 ``--config paper_defaults`` uses the built-in defaults for the chosen
 subcommand.
@@ -23,7 +25,7 @@ import sys
 from types import SimpleNamespace
 
 from .film import TableRangeError, film_matrix
-from .optics import telescope_matrix
+from .optics import transfer
 from .scenarios import (
     ConfigError,
     NonFiniteOutputError,
@@ -143,7 +145,7 @@ def _validate_film(args) -> int:
     checks = [(f"F(0, {lam:g} nm)", film_matrix(film, (0.0, 0.0), lam), 1e-12)
               for lam in cfg.lambdas_nm]
     checks += [(f"T(0, 0, {lam:g} nm)",
-                telescope_matrix((0.0, 0.0), cfg.setup(film, lam), n_grid=101), 1e-8)
+                transfer(cfg.setup(film, lam), [0.0], [0.0], 101)[0, 0], 1e-8)
                for lam in cfg.lambdas_nm]
     for name, m, _ in checks:
         cfg.require_transmission(m, f"in {name}")
@@ -177,6 +179,10 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, TableRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"config error: out of memory ({str(exc) or 'allocation failed'}); "
+              "lower quad_points or the grid sizes", file=sys.stderr)
         return 1
     except NonFiniteOutputError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -27,7 +27,11 @@ nothing here refines it or estimates its error.
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
 
-This module computes maps and opens no files; ``scenarios`` writes them.
+``transfer`` is the one entry point: T on a tensor grid of q3, a single
+point being the 1 x 1 grid, with ``q3_axis`` for a symmetric square window.
+Every observable (output fields and their ellipses, the coincidence form of
+the visibility) is a contraction of T that its caller makes.  This module
+opens no files.
 
 Units: nm, nm^-1, radians.
 """
@@ -39,18 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .film import FilmModel, default_film, film_matrix_grid
-from .jones import ellipse_arrays
 
-__all__ = [
-    "SetupParams",
-    "GridSpec",
-    "FieldMap",
-    "telescope_matrix",
-    "transfer_map",
-    "field_map",
-]
+__all__ = ["SetupParams", "transfer", "q3_axis"]
 
-DEFAULT_QUAD_POINTS = 201
 PARAXIAL_LIMIT_RAD = 0.3
 
 
@@ -103,6 +98,11 @@ class SetupParams:
         """Aperture disc radius k sin(theta_ap) in nm^-1."""
         return self.k * np.sin(self.theta_ap)
 
+    @property
+    def theta3_max(self) -> float:
+        """Half-angle theta_ap / mag of the aperture mapped to the output, in radians."""
+        return self.theta_ap / self.magnification
+
     @staticmethod
     def paper_defaults(lam: float = 797.0, theta_ap_deg: float = 8.0,
                        film: FilmModel | None = None) -> "SetupParams":
@@ -114,38 +114,10 @@ class SetupParams:
         )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Output q3 grid: n x n points, half-extent theta3_max_deg (None = mapped aperture)."""
-
-    n: int = 41
-    theta3_max_deg: float | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("grid size must be at least 1")
-
-
-@dataclass(frozen=True)
-class FieldMap:
-    """Output Jones field on a square q3 grid with derived polarization data.
-
-    fields[i, j] is the Jones vector at (q3x_axis[i], q3y_axis[j]).  The
-    relative phases between grid points are carried along but are not
-    physically meaningful for coincidence observables.
-    """
-
-    q3x_axis: np.ndarray
-    q3y_axis: np.ndarray
-    fields: np.ndarray
-    intensity: np.ndarray
-    psi: np.ndarray
-    axis_ratio: np.ndarray
-    theta3_max_deg: float
-
-
-def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
+def transfer(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     """T(q3) on the tensor grid q3x x q3y; returns shape (Mx, My, 2, 2).
+
+    One point is the 1 x 1 grid: ``transfer(setup, [x], [y], n_grid)[0, 0]``.
 
     The film is sampled at the midpoints of an n_grid x n_grid square masked
     to the aperture disc, a point set symmetric under the square-lattice
@@ -179,8 +151,8 @@ def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
     fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
 
-    def folded(q3_axis):
-        centers = setup.magnification * np.asarray(q3_axis, dtype=float)
+    def folded(q3):
+        centers = setup.magnification * np.asarray(q3, dtype=float)
         plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
                        for q2 in (half, -half))
         even, odd = plus + minus, plus - minus
@@ -199,42 +171,7 @@ def _transfer_grid(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     return out.reshape(xe.shape[0], ye.shape[0], 2, 2) * (h * h)
 
 
-def telescope_matrix(q3, setup: SetupParams, n_grid: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
-    """Telescope-plus-film transfer matrix T(q3, 0) by aperture quadrature."""
-    return _transfer_grid(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
-
-
-def _q3_axis(grid_spec: GridSpec, setup: SetupParams) -> tuple[np.ndarray, float]:
-    """Symmetric q3 axis of ``grid_spec`` and its half-extent theta3_max in radians."""
-    if grid_spec.theta3_max_deg is None:
-        theta3_max = setup.theta_ap / setup.magnification
-    else:
-        theta3_max = np.deg2rad(grid_spec.theta3_max_deg)
+def q3_axis(setup: SetupParams, n: int, theta3_max: float) -> np.ndarray:
+    """n points from -q3_max to q3_max, q3_max = k sin(theta3_max); one point is q3 = 0."""
     q3_max = setup.k * np.sin(theta3_max)
-    axis = np.linspace(-q3_max, q3_max, grid_spec.n) if grid_spec.n > 1 \
-        else np.zeros(1)
-    return axis, theta3_max
-
-
-def transfer_map(grid_spec: GridSpec, setup: SetupParams,
-                 n_grid: int = DEFAULT_QUAD_POINTS) -> np.ndarray:
-    """T(q3) over the symmetric square q3 grid of ``grid_spec``; shape (n, n, 2, 2)."""
-    axis, _ = _q3_axis(grid_spec, setup)
-    return _transfer_grid(setup, axis, axis, n_grid)
-
-
-def field_map(input_pol: np.ndarray, grid_spec: GridSpec, setup: SetupParams,
-              n_grid: int = DEFAULT_QUAD_POINTS) -> FieldMap:
-    """Output field T(q3) input_pol over a symmetric square q3 grid, with its ellipses."""
-    input_pol = np.asarray(input_pol, dtype=complex)
-    norm = np.sqrt(np.real(np.vdot(input_pol, input_pol)))
-    if not np.isclose(norm, 1.0, atol=1e-9):
-        raise ValueError("input polarization must be normalized")
-    axis, theta3_max = _q3_axis(grid_spec, setup)
-    fields = _transfer_grid(setup, axis, axis, n_grid) @ input_pol
-    intensity, psi, ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
-    return FieldMap(
-        q3x_axis=axis, q3y_axis=axis.copy(), fields=fields,
-        intensity=intensity, psi=psi, axis_ratio=ratio,
-        theta3_max_deg=float(np.rad2deg(theta3_max)),
-    )
+    return np.linspace(-q3_max, q3_max, n) if n > 1 else np.zeros(1)

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .film import FilmModel, default_film, film_matrix, film_matrix_grid, load_tabulated
-from .jones import linear_pol
-from .optics import PARAXIAL_LIMIT_RAD, GridSpec, SetupParams, field_map, transfer_map
+from .jones import ellipse_arrays, linear_pol
+from .optics import PARAXIAL_LIMIT_RAD, SetupParams, q3_axis, transfer
 from .quantum import (
     concurrence,
     gram_allones,
@@ -147,7 +147,8 @@ class ScenarioConfig:
         for name in ("quad_points", "map_points", "polmap_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
+        for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
+                     "theta3_max_deg"):
             if not 0.0 <= math.radians(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
@@ -465,8 +466,9 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
 
     Zero semiaperture is the monomode limit: the channel reduces to the
     normal-incidence film matrix with coherence-preserving solid states.  A
-    nonzero aperture builds T once on the ``map_points``^2 grid; each beta2
-    reduces T e to its 2x2 ``power_form``, so no field map is built.  A
+    nonzero aperture builds T once with ``transfer`` on the ``map_points``^2
+    grid over the mapped aperture (``SetupParams.theta3_max``); each beta2
+    reduces T e to its 2x2 ``power_form``, and no ellipse is extracted.  A
     cell into which the film transmits nothing is a ConfigError.
     """
     apertures = np.arange(
@@ -489,9 +491,9 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
                 cfg.require_transmission(f0, f"at normal incidence at {lam:g} nm")
                 state = postselect_channel(f0, gram_allones())
             else:
-                t = transfer_map(GridSpec(n=cfg.map_points),
-                                 cfg.setup(film, lam, semiaperture_deg=ap),
-                                 n_grid=cfg.quad_points)
+                setup = cfg.setup(film, lam, semiaperture_deg=ap)
+                axis = q3_axis(setup, cfg.map_points, setup.theta3_max)
+                t = transfer(setup, axis, axis, cfg.quad_points)
                 cfg.require_transmission(
                     t, f"through a {ap:g} deg semiaperture at {lam:g} nm")
             for b2_deg in cfg.beta2_deg:
@@ -507,6 +509,10 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
 def run_polmap(cfg: ScenarioConfig) -> dict:
     """Intensity and polarization maps of the output modes for one input.
 
+    The output fields T(q3) e over a ``polmap_points``^2 grid whose
+    half-angle is ``theta3_max_deg``, or the mapped aperture when that is 0,
+    and their ellipses (``jones.ellipse_arrays``); the result holds
+    ``fields``, ``intensity``, ``psi`` and ``axis_ratio`` indexed [q3x, q3y].
     ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
     fastest.  The intensity image scales [0, max] to the full grey range
     0...65535; the axis-ratio image maps [-1, 1] to 0...65534, so linear
@@ -515,34 +521,37 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     """
     lam = cfg.lambdas_nm[0]
     setup = cfg.setup(cfg.film(), lam)
-    theta3 = cfg.theta3_max_deg if cfg.theta3_max_deg > 0 else None
-    fmap = field_map(linear_pol(np.deg2rad(cfg.input_pol_deg)),
-                     GridSpec(n=cfg.polmap_points, theta3_max_deg=theta3),
-                     setup, n_grid=cfg.quad_points)
-    q3 = np.meshgrid(fmap.q3x_axis, fmap.q3y_axis, indexing="ij")
+    theta3_max = np.deg2rad(cfg.theta3_max_deg) if cfg.theta3_max_deg > 0 \
+        else setup.theta3_max
+    axis = q3_axis(setup, cfg.polmap_points, theta3_max)
+    fields = transfer(setup, axis, axis, cfg.quad_points) \
+        @ linear_pol(np.deg2rad(cfg.input_pol_deg))
+    intensity, psi, axis_ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
+    q3 = np.meshgrid(axis, axis, indexing="ij")
     theta3_deg = np.rad2deg(np.arcsin(np.stack(q3) / setup.k))
-    table = np.column_stack([c.ravel() for c in (
-        *q3, *theta3_deg, fmap.intensity, fmap.psi, fmap.axis_ratio)])
-    top = fmap.intensity.max()
+    table = np.column_stack([c.ravel() for c in (*q3, *theta3_deg, intensity, psi, axis_ratio)])
+    top = intensity.max()
+    theta3_max_deg = np.rad2deg(theta3_max)
     cfg.require_transmission(
         top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
     files = {
         "polmap.csv": (POLMAP_HEADER, table),
-        "polmap_intensity.pgm": _encode_pgm(fmap.intensity / top),
+        "polmap_intensity.pgm": _encode_pgm(intensity / top),
         # linear polarization, axis ratio 0 up to rounding noise, is grey 32767
         # exactly; with 65535 it would sit on the rounding midpoint 32767.5
-        "polmap_axis_ratio.pgm": _encode_pgm((fmap.axis_ratio + 1.0) / 2.0, top_grey=65534),
+        "polmap_axis_ratio.pgm": _encode_pgm((axis_ratio + 1.0) / 2.0, top_grey=65534),
         "polmap_meta.txt": ("\n".join([
             f"lambda_nm = {FMT % lam}",
             f"input_pol_deg = {FMT % cfg.input_pol_deg}",
             f"semiaperture_deg = {FMT % cfg.semiaperture_deg}",
-            f"theta3_max_deg = {FMT % fmap.theta3_max_deg}",
-            f"mapped_theta2_max_deg = {FMT % (fmap.theta3_max_deg * setup.magnification)}",
+            f"theta3_max_deg = {FMT % theta3_max_deg}",
+            f"mapped_theta2_max_deg = {FMT % (theta3_max_deg * setup.magnification)}",
             f"grid_points = {cfg.polmap_points}",
         ]) + "\n").encode(),
     }
-    return {"files": files, "field_map": fmap, "table": table}
+    return {"files": files, "fields": fields, "intensity": intensity, "psi": psi,
+            "axis_ratio": axis_ratio, "table": table}
 
 
 def run_channel(cfg: ScenarioConfig) -> dict:

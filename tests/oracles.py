@@ -38,12 +38,12 @@ def transfer_direct(setup, q3_points, n_grid):
     return np.array(out).reshape(-1, 2, 2) * (h * h)
 
 
-def telescope_matrix_sp(q3, setup, margin: float = 0.05) -> np.ndarray:
+def transfer_sp(q3, setup, margin: float = 0.05) -> np.ndarray:
     """Stationary-phase approximation of the telescope matrix.
 
     The Gaussian prefactor i pi / a times F_lab at the stationary point
     q2* = mag q3, which makes the result constant-factor-comparable to
-    ``telescope_matrix``.  Valid only when q2* lies inside the aperture disc
+    ``optics.transfer``.  Valid only when q2* lies inside the aperture disc
     by the relative ``margin``; raises ValueError otherwise.
     """
     q3 = np.asarray(q3, dtype=float)
@@ -197,7 +197,8 @@ def config_refusal(**values):
     for name in ("quad_points", "map_points", "polmap_points"):
         if cfg[name] < 1:
             return f"{name} must be at least 1"
-    for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
+    for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
+                 "theta3_max_deg"):
         if not 0.0 <= np.deg2rad(cfg[name]) <= PARAXIAL_LIMIT_RAD:
             return (f"{name} must lie in the paraxial range "
                     f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")

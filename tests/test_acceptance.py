@@ -10,13 +10,8 @@ import numpy as np
 import pytest
 
 from plasmon_biphoton.film import default_film, film_matrix, resonance_wavelength
-from plasmon_biphoton.jones import linear_pol
-from plasmon_biphoton.optics import (
-    GridSpec,
-    SetupParams,
-    field_map,
-    telescope_matrix,
-)
+from plasmon_biphoton.jones import ellipse_arrays, linear_pol
+from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
     concurrence,
     gram_allones,
@@ -33,9 +28,15 @@ from oracles import visibility_brute
 def _vis(lam, beta2_deg, n=41, n_grid=201, theta_ap_deg=8.0):
     setup = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg)
     beta2 = np.deg2rad(beta2_deg)
-    fmap = field_map(linear_pol(beta2 + np.pi / 2.0), GridSpec(n=n), setup,
-                     n_grid=n_grid)
-    return visibility(beta2, power_form(fmap.fields)).visibility
+    axis = q3_axis(setup, n, setup.theta3_max)
+    fields = transfer(setup, axis, axis, n_grid) @ linear_pol(beta2 + np.pi / 2.0)
+    return visibility(beta2, power_form(fields)).visibility
+
+
+def _ellipses(setup, input_pol, axis, n_grid):
+    """(intensity, psi, axis_ratio) of T(q3) input_pol on the grid axis x axis."""
+    fields = transfer(setup, axis, axis, n_grid) @ input_pol
+    return ellipse_arrays(fields[..., 0], fields[..., 1])
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ def test_criterion_01_identity_symmetry():
     worst_t = 0.0
     for lam in (728.0, 797.0, 813.0):
         setup = SetupParams.paper_defaults(lam=lam)
-        t = telescope_matrix((0.0, 0.0), setup, n_grid=201)
+        t = transfer(setup, [0.0], [0.0], 201)[0, 0]
         scale = 0.5 * (abs(t[0, 0]) + abs(t[1, 1]))
         worst_t = max(worst_t, max(abs(t[0, 1]), abs(t[1, 0]),
                                    abs(t[0, 0] - t[1, 1])) / scale)
@@ -108,13 +109,12 @@ def test_criterion_05_stationary_phase_mapping():
     flat = FilmModel(period=700.0, direct_amplitude=0.01 + 0j, families=())
     s = SetupParams(lam=797.0, f=15e6, n=1.52, delta=0.5e6,
                     theta_ap=0.25, film=flat)
-    theta3 = np.rad2deg(1.4 * s.theta_ap / s.magnification)
-    fmap = field_map(linear_pol(0.0), GridSpec(n=121, theta3_max_deg=theta3),
-                     s, n_grid=301)
-    qx, qy = np.meshgrid(fmap.q3x_axis, fmap.q3y_axis, indexing="ij")
+    axis = q3_axis(s, 121, 1.4 * s.theta3_max)
+    intensity, _, _ = _ellipses(s, linear_pol(0.0), axis, 301)
+    qx, qy = np.meshgrid(axis, axis, indexing="ij")
     r = np.hypot(qx, qy).ravel()
     order = np.argsort(r)
-    cum = np.cumsum(fmap.intensity.ravel()[order])
+    cum = np.cumsum(intensity.ravel()[order])
     r50 = np.interp(0.5 * cum[-1], cum, r[order])
     mag_measured = s.q2_max / (np.sqrt(2.0) * r50)
     print(f"\ncriterion 5: magnification {setup.magnification:.1f} "
@@ -167,7 +167,7 @@ def test_criterion_08_spectrum_reproduction():
 
     # tilt 0: polarizations identical, calibrated peaks
     perp0, par0 = table[:, 1], table[:, 2]
-    assert np.allclose(perp0, par0, rtol=1e-12)
+    assert np.allclose(perp0, par0, rtol=1e-12, atol=0.0)
     hi, lo = lams > 770.0, lams < 750.0
     peak_hi = lams[hi][np.argmax(par0[hi])]
     peak_lo = lams[lo][np.argmax(par0[lo])]
@@ -250,25 +250,22 @@ def test_criterion_08_spectrum_reproduction():
 
 def test_criterion_09_polarization_maps():
     setup = SetupParams.paper_defaults()
-    grid = GridSpec(n=81)
-    m_in = field_map(linear_pol(np.deg2rad(-45.0)), grid, setup, n_grid=201)
-    m_90 = field_map(linear_pol(np.deg2rad(90.0)), grid, setup, n_grid=201)
+    ax = q3_axis(setup, 81, setup.theta3_max)
+    w, psi_in, ratio_in = _ellipses(setup, linear_pol(np.deg2rad(-45.0)), ax, 201)
+    w2, psi_90, ratio_90 = _ellipses(setup, linear_pol(np.deg2rad(90.0)), ax, 201)
 
-    w = m_in.intensity
-    dpsi = np.abs((np.rad2deg(m_in.psi) + 45.0 + 90.0) % 180.0 - 90.0)
-    clean = (dpsi <= 10.0) & (np.abs(m_in.axis_ratio) < 0.2)
+    dpsi = np.abs((np.rad2deg(psi_in) + 45.0 + 90.0) % 180.0 - 90.0)
+    clean = (dpsi <= 10.0) & (np.abs(ratio_in) < 0.2)
     lin_frac = float(np.sum(w * clean) / np.sum(w))
 
-    w2 = m_90.intensity
-    ell_frac = float(np.sum(w2 * (np.abs(m_90.axis_ratio) > 0.3)) / np.sum(w2))
+    ell_frac = float(np.sum(w2 * (np.abs(ratio_90) > 0.3)) / np.sum(w2))
 
-    ax = m_in.q3x_axis
     r = np.hypot(*np.meshgrid(ax, ax, indexing="ij"))
     center = r <= 0.1 * ax.max()
-    dpsi90 = np.abs((np.rad2deg(m_90.psi) - 90.0 + 90.0) % 180.0 - 90.0)
+    dpsi90 = np.abs((np.rad2deg(psi_90) - 90.0 + 90.0) % 180.0 - 90.0)
     center_dev = max(float(np.max(dpsi[center])), float(np.max(dpsi90[center])))
-    center_ratio = max(float(np.max(np.abs(m_in.axis_ratio[center]))),
-                       float(np.max(np.abs(m_90.axis_ratio[center]))))
+    center_ratio = max(float(np.max(np.abs(ratio_in[center]))),
+                       float(np.max(np.abs(ratio_90[center]))))
 
     print(f"\ncriterion 9: -45 deg map clean fraction {lin_frac:.3f} (>= 0.9), "
           f"90 deg elliptical fraction {ell_frac:.3f} (> 0), central region "

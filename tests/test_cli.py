@@ -102,9 +102,11 @@ def test_bad_config_value_is_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["quad_points = 0", "polmap_points = 0",
-                                  "semiaperture_deg = 20.0", "semiaperture_deg = 0"],
+                                  "semiaperture_deg = 20.0", "semiaperture_deg = 0",
+                                  "theta3_max_deg = -1", "theta3_max_deg = 400"],
                          ids=["quad_points", "polmap_points", "semiaperture_deg",
-                              "zero_semiaperture"])
+                              "zero_semiaperture", "negative_theta3_max",
+                              "non_paraxial_theta3_max"])
 def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = polmap\n{line}\n")
@@ -112,6 +114,18 @@ def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_too_large_for_memory_is_config_error(tmp_path, capsys):
+    # the quadrature asks for a 5e6 x 5e6 float64 array, 182 TiB: more than
+    # any 47-bit address space, so the allocation fails at once on any host
+    path = tmp_path / "cfg.txt"
+    path.write_text("kind = polmap\nquad_points = 10000000\npolmap_points = 1\n")
+    code = main(["polmap", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: out of memory") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

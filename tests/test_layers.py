@@ -1,12 +1,14 @@
 """Layering guards: the package modules import each other along one fixed
-graph, only four functions touch files, and ``optics`` cannot tell a film
-table from an analytic film.
+graph, only four functions touch files, ``optics`` cannot tell a film table
+from an analytic film, and no module keeps a stale name: an import it never
+reads, or an ``__all__`` entry it does not define.
 
 A new import between modules has to edit ``LAYERS`` on purpose, and a new
 file read or write has to edit ``FILE_IO_OWNERS``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import plasmon_biphoton
@@ -15,7 +17,7 @@ import plasmon_biphoton
 LAYERS = {
     "jones": set(),
     "film": set(),
-    "optics": {"film", "jones"},
+    "optics": {"film"},
     "quantum": {"jones"},
     "scenarios": {"film", "jones", "optics", "quantum"},
     "cli": {"film", "optics", "scenarios"},
@@ -72,3 +74,38 @@ def test_optics_does_not_know_the_film_kind():
     path = Path(plasmon_biphoton.__file__).parent / "optics.py"
     assert not [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Attribute) and node.attr == "tabulated"]
+
+
+def package_modules():
+    """(path, imported module) of every module of the package, ``__init__`` included."""
+    src = Path(plasmon_biphoton.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        name = "" if path.stem == "__init__" else f".{path.stem}"
+        yield path, importlib.import_module(f"plasmon_biphoton{name}")
+
+
+def unread_imports(path):
+    """Names the module at ``path`` binds by an import and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_import_is_read_or_exported():
+    # an API deletion that leaves its import behind fails here
+    stale = {path.stem: sorted(unread_imports(path) - set(getattr(module, "__all__", ())))
+             for path, module in package_modules()}
+    assert {stem: names for stem, names in stale.items() if names} == {}
+
+
+def test_every_export_resolves():
+    missing = {path.stem: [name for name in getattr(module, "__all__", ())
+                           if not hasattr(module, name)]
+               for path, module in package_modules()}
+    assert {stem: names for stem, names in missing.items() if names} == {}

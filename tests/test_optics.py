@@ -9,26 +9,25 @@ from plasmon_biphoton.film import (
     film_matrix,
 )
 from plasmon_biphoton import optics
-from plasmon_biphoton.jones import linear_pol
-from plasmon_biphoton.optics import (
-    GridSpec,
-    SetupParams,
-    _transfer_grid,
-    field_map,
-    telescope_matrix,
-)
+from plasmon_biphoton.jones import ellipse_arrays, linear_pol
+from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 
 from oracles import (
     default_film_table,
     symmetric_random_grid,
-    telescope_matrix_sp,
     transfer_direct,
+    transfer_sp,
 )
 
 
 @pytest.fixture(scope="module")
 def setup():
     return SetupParams.paper_defaults()
+
+
+def t_at(q3, setup, n_grid):
+    """T at the one point q3, the 1 x 1 grid of ``transfer``."""
+    return transfer(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
 
 
 def flat_film(t=0.01):
@@ -77,7 +76,7 @@ def test_setup_validation():
 @pytest.mark.parametrize("lam", [728.0, 797.0, 813.0])
 def test_on_axis_matrix_proportional_to_identity(lam):
     s = SetupParams.paper_defaults(lam=lam)
-    t = telescope_matrix((0.0, 0.0), s, n_grid=101)
+    t = t_at((0.0, 0.0), s, 101)
     scale = np.max(np.abs(t))
     assert abs(t[0, 1]) <= 1e-8 * scale
     assert abs(t[1, 0]) <= 1e-8 * scale
@@ -87,11 +86,11 @@ def test_on_axis_matrix_proportional_to_identity(lam):
 def test_point_group_equivariance():
     s = SetupParams.paper_defaults()
     q3 = np.array([1.7e-6, 0.6e-6])
-    base = telescope_matrix(q3, s, n_grid=101)
+    base = t_at(q3, s, 101)
     for g in [np.array([[0.0, -1.0], [1.0, 0.0]]),   # quarter turn
               np.array([[1.0, 0.0], [0.0, -1.0]]),   # x-axis mirror
               np.array([[0.0, 1.0], [1.0, 0.0]])]:   # diagonal mirror
-        lhs = telescope_matrix(g @ q3, s, n_grid=101)
+        lhs = t_at(g @ q3, s, 101)
         assert np.allclose(lhs, g @ base @ g.T, atol=1e-10 * np.max(np.abs(base)))
 
 
@@ -99,7 +98,7 @@ def test_tiny_aperture_limit():
     # as the aperture shrinks, T(0) approaches a scalar times F(0)
     film = default_film()
     s = SetupParams.paper_defaults(theta_ap_deg=0.05, film=film)
-    t = telescope_matrix((0.0, 0.0), s, n_grid=51)
+    t = t_at((0.0, 0.0), s, 51)
     f0 = film_matrix(film, (0.0, 0.0), s.lam)
     ratio = t[0, 0] / f0[0, 0]
     assert np.allclose(t, ratio * f0, atol=1e-10 * abs(t[0, 0]))
@@ -111,7 +110,7 @@ def test_flat_film_matches_truncated_fresnel_integral():
     # frozen oracle: direct-only film gives T(0) = t pi (e^{i a R^2} - 1)/(i a) I;
     # midpoint rule on the disc at n_grid = 401 reproduces it to 3.5e-3
     s = SetupParams.paper_defaults(film=flat_film())
-    t = telescope_matrix((0.0, 0.0), s, n_grid=401)
+    t = t_at((0.0, 0.0), s, 401)
     r = s.q2_max
     analytic = 0.01 * np.pi * (np.exp(1j * s.alpha * r * r) - 1.0) / (1j * s.alpha)
     assert t[0, 1] == 0.0 and t[1, 0] == 0.0
@@ -124,15 +123,15 @@ def test_flat_film_matches_truncated_fresnel_integral():
 def test_stationary_point_outside_aperture_raises(setup):
     q3_limit = setup.q2_max / setup.magnification
     with pytest.raises(ValueError):
-        telescope_matrix_sp((1.01 * q3_limit, 0.0), setup)
+        transfer_sp((1.01 * q3_limit, 0.0), setup)
     # inside with margin: fine
-    telescope_matrix_sp((0.5 * q3_limit, 0.0), setup)
+    transfer_sp((0.5 * q3_limit, 0.0), setup)
 
 
 def test_stationary_phase_tracks_film_at_magnified_point():
     s = SetupParams.paper_defaults(film=smooth_film())
     q3 = np.array([3e-6, -1e-6])
-    sp = telescope_matrix_sp(q3, s)
+    sp = transfer_sp(q3, s)
     f = film_matrix(s.film, s.magnification * q3, s.lam)
     assert np.allclose(sp, (1j * np.pi / s.alpha) * f, atol=1e-18)
 
@@ -144,8 +143,8 @@ def test_stationary_phase_approximates_full_integral(q3):
     # better than 7% in Frobenius norm, with the scalar within [0.8, 1.3];
     # the residual comes from aperture-boundary truncation of the Fresnel tail
     s = SetupParams.paper_defaults(film=smooth_film())
-    full = telescope_matrix(q3, s, n_grid=401)
-    sp = telescope_matrix_sp(q3, s)
+    full = t_at(q3, s, 401)
+    sp = transfer_sp(q3, s)
     c = np.vdot(sp, full) / np.vdot(sp, sp)
     resid = np.linalg.norm(full - c * sp) / np.linalg.norm(full)
     assert resid < 0.07
@@ -162,8 +161,8 @@ def test_theta3_to_theta2_mapping_arithmetic(setup):
 def refinement_change(setup):
     """Largest change of an entry of T(2e-6, 1e-6) from n_grid 201 to 402,
     relative to the largest entry of the 402-point matrix."""
-    coarse = telescope_matrix((2e-6, 1e-6), setup, n_grid=201)
-    fine = telescope_matrix((2e-6, 1e-6), setup, n_grid=402)
+    coarse = t_at((2e-6, 1e-6), setup, 201)
+    fine = t_at((2e-6, 1e-6), setup, 402)
     return np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))
 
 
@@ -201,8 +200,8 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
     ref = ref.reshape(3, 2, 2, 2)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
-    single = telescope_matrix((xs[2], ys[1]), s, n_grid=n_grid)
+    assert np.max(np.abs(transfer(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
+    single = t_at((xs[2], ys[1]), s, n_grid)
     assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
 
 
@@ -231,7 +230,7 @@ def test_transform_matches_direct_sum_property(n_grid, theta_ap_deg, lam, xs, ys
     ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
     ref = ref.reshape(xs.size, ys.size, 2, 2)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(_transfer_grid(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
+    assert np.max(np.abs(transfer(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
@@ -246,7 +245,7 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
         return original(model, qx, qy, lam)
 
     monkeypatch.setattr(optics, "film_matrix_grid", counting)
-    _transfer_grid(SetupParams.paper_defaults(film=film), [0.0], [0.0], n_grid)
+    transfer(SetupParams.paper_defaults(film=film), [0.0], [0.0], n_grid)
     # midpoints (2i + 1 - n) h / 2 of the square inside the disc of radius n h / 2
     odd = 2 * np.arange(n_grid) + 1 - n_grid
     masked = np.count_nonzero(odd[:, None] ** 2 + odd[None, :] ** 2 <= n_grid ** 2)
@@ -254,19 +253,30 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
     assert points[0] <= masked / 7
 
 
-# --- field maps and export --------------------------------------------------
+# --- output fields over a q3 window ------------------------------------------
 
-def test_field_map_requires_normalized_input(setup):
-    with pytest.raises(ValueError):
-        field_map(np.array([1.0, 1.0]), GridSpec(n=3), setup, n_grid=51)
+def fields_on(setup, input_pol, n, n_grid):
+    """T(q3) input_pol on the n x n grid over the mapped aperture."""
+    axis = q3_axis(setup, n, setup.theta3_max)
+    return transfer(setup, axis, axis, n_grid) @ input_pol
+
+
+def test_q3_axis_spans_the_mapped_aperture(setup):
+    assert setup.theta3_max == setup.theta_ap / setup.magnification
+    axis = q3_axis(setup, 5, setup.theta3_max)
+    q3_max = setup.k * np.sin(setup.theta3_max)
+    assert axis.shape == (5,)
+    assert axis[0] == -q3_max and axis[-1] == q3_max and axis[2] == 0.0
+    # linspace is symmetric about 0 up to rounding, not bit for bit
+    assert np.allclose(axis, -axis[::-1], rtol=0.0, atol=1e-15 * q3_max)
 
 
 def test_field_map_single_point_is_on_axis(setup):
-    fmap = field_map(linear_pol(0.0), GridSpec(n=1), setup, n_grid=51)
-    assert fmap.fields.shape == (1, 1, 2)
-    assert fmap.q3x_axis[0] == 0.0
+    assert np.array_equal(q3_axis(setup, 1, setup.theta3_max), [0.0])
+    fields = fields_on(setup, linear_pol(0.0), 1, 51)
+    assert fields.shape == (1, 1, 2)
     # on-axis output keeps the input polarization
-    assert abs(fmap.fields[0, 0, 1]) <= 1e-8 * abs(fmap.fields[0, 0, 0])
+    assert abs(fields[0, 0, 1]) <= 1e-8 * abs(fields[0, 0, 0])
 
 
 @pytest.mark.parametrize("film", ["analytic", "table"])
@@ -277,13 +287,14 @@ def test_field_map_mirror_symmetry(film):
     s = SetupParams.paper_defaults()
     if film == "table":
         s = SetupParams.paper_defaults(film=default_film_table(1.2e-3, (796.0, 798.0), n_q=41))
-    fmap = field_map(linear_pol(np.deg2rad(-45.0)), GridSpec(n=9), s, n_grid=101)
-    flipped = fmap.intensity[::-1, ::-1].T
+    fields = fields_on(s, linear_pol(np.deg2rad(-45.0)), 9, 101)
+    intensity, _, _ = ellipse_arrays(fields[..., 0], fields[..., 1])
+    flipped = intensity[::-1, ::-1].T
     # intensities are about 1e-15, so the default atol would accept anything
-    assert np.allclose(fmap.intensity, flipped, rtol=1e-9, atol=0.0)
+    assert np.allclose(intensity, flipped, rtol=1e-9, atol=0.0)
 
 
 def test_field_map_deterministic(setup):
-    a = field_map(linear_pol(0.3), GridSpec(n=3), setup, n_grid=51)
-    b = field_map(linear_pol(0.3), GridSpec(n=3), setup, n_grid=51)
-    assert np.array_equal(a.fields, b.fields)
+    a = fields_on(setup, linear_pol(0.3), 3, 51)
+    b = fields_on(setup, linear_pol(0.3), 3, 51)
+    assert np.array_equal(a, b)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plasmon_biphoton.jones import linear_pol, rotation
-from plasmon_biphoton.optics import GridSpec, SetupParams, field_map
+from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
     coincidence_rate,
     concurrence,
@@ -163,14 +163,16 @@ def test_case_ii_visibility_is_one_everywhere():
 
 def test_field_map_is_not_a_coincidence_source():
     # the multimode source is the 2x2 power form of the map's fields
-    fmap = field_map(linear_pol(np.pi / 2), GridSpec(n=3), SetupParams.paper_defaults(),
-                     n_grid=21)
-    for source in (fmap, fmap.fields, np.eye(3)):
+    setup = SetupParams.paper_defaults()
+    axis = q3_axis(setup, 3, setup.theta3_max)
+    t = transfer(setup, axis, axis, 21)
+    fields = t @ linear_pol(np.pi / 2)
+    for source in (t, fields, np.eye(3)):
         with pytest.raises(TypeError):
             visibility(0.0, source)
         with pytest.raises(TypeError):
             coincidence_rate(source, 0.1, 0.0)
-    assert visibility(0.0, power_form(fmap.fields)).visibility > 0.0
+    assert visibility(0.0, power_form(fields)).visibility > 0.0
 
 
 # --- visibility: eigenvalue route vs brute-force scan ----------------------

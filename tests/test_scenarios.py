@@ -149,7 +149,7 @@ def test_spectrum_peaks_at_calibrated_wavelengths(tmp_path):
     table = result["table"]
     perp, par = table[:, 1], table[:, 2]
     # normal incidence: both polarizations identical, peaks at 797 and 728
-    assert np.allclose(perp, par, rtol=1e-12)
+    assert np.allclose(perp, par, rtol=1e-12, atol=0.0)
     upper = lams > 770.0
     lower = lams < 750.0
     assert abs(lams[upper][np.argmax(par[upper])] - 797.0) <= 0.5
@@ -350,11 +350,11 @@ def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
         cells = iter(result["table"][row, 1:])
         for lam in cfg.lambdas_nm:
             setup = cfg.setup(film, lam, semiaperture_deg=ap)
+            axis = optics.q3_axis(setup, cfg.map_points, setup.theta3_max)
+            t = optics.transfer(setup, axis, axis, cfg.quad_points)
             for b2 in np.deg2rad(cfg.beta2_deg):
-                fmap = optics.field_map(linear_pol(b2 + np.pi / 2.0),
-                                        optics.GridSpec(n=cfg.map_points), setup,
-                                        n_grid=cfg.quad_points)
-                assert next(cells) == visibility(b2, power_form(fmap.fields)).visibility
+                fields = t @ linear_pol(b2 + np.pi / 2.0)
+                assert next(cells) == visibility(b2, power_form(fields)).visibility
 
 
 class EllipseExtracted(Exception):
@@ -365,7 +365,7 @@ def test_visibility_sweep_extracts_no_ellipse(monkeypatch):
     def refuse(*args, **kwargs):
         raise EllipseExtracted
 
-    monkeypatch.setattr(optics, "ellipse_arrays", refuse)
+    monkeypatch.setattr(scenarios, "ellipse_arrays", refuse)
     monkeypatch.setattr(jones, "ellipse_arrays", refuse)
     result = run_visibility_sweep(small_cfg(kind="visibility_sweep"))
     assert np.all(np.isfinite(result["table"]))
@@ -382,25 +382,26 @@ def test_polmap_outputs(tmp_path):
     assert names == ["polmap.csv", "polmap_axis_ratio.pgm",
                      "polmap_intensity.pgm", "polmap_meta.txt"]
     assert all(p.exists() for p in result["paths"])
-    fmap = result["field_map"]
-    assert fmap.fields.shape == (7, 7, 2)
+    assert result["fields"].shape == (7, 7, 2)
     meta = (tmp_path / "polmap_meta.txt").read_text()
     assert "mapped_theta2_max_deg" in meta
 
 
 def test_polmap_csv_layout(tmp_path):
     cfg = small_cfg(kind="polmap", polmap_points=3)
-    fmap = run_scenario(cfg, tmp_path)["field_map"]
+    result = run_scenario(cfg, tmp_path)
     lines = (tmp_path / "polmap.csv").read_text().splitlines()
     assert lines[0] == "q3x,q3y,theta3x_deg,theta3y_deg,intensity,psi_rad,axis_ratio"
     table = np.loadtxt(lines[1:], delimiter=",")
     assert table.shape == (9, 7)
     # one row per (q3x, q3y), q3y varying fastest
-    qx, qy = np.repeat(fmap.q3x_axis, 3), np.tile(fmap.q3y_axis, 3)
+    setup = cfg.setup(cfg.film(), cfg.lambdas_nm[0])
+    axis = optics.q3_axis(setup, 3, setup.theta3_max)
+    qx, qy = np.repeat(axis, 3), np.tile(axis, 3)
     k = 2.0 * np.pi / cfg.lambdas_nm[0]
     expected = np.column_stack([
         qx, qy, np.rad2deg(np.arcsin(qx / k)), np.rad2deg(np.arcsin(qy / k)),
-        fmap.intensity.ravel(), fmap.psi.ravel(), fmap.axis_ratio.ravel()])
+        result["intensity"].ravel(), result["psi"].ravel(), result["axis_ratio"].ravel()])
     assert np.allclose(table, expected, rtol=1e-8, atol=0.0)
 
 
@@ -408,10 +409,11 @@ def test_polmap_pgm_format_and_orientation(tmp_path):
     # a 30 deg input breaks the map's y -> -y and x <-> y symmetries, so a
     # flipped or transposed image does not match
     cfg = small_cfg(kind="polmap", polmap_points=4, input_pol_deg=30.0)
-    fmap = run_scenario(cfg, tmp_path)["field_map"]
+    result = run_scenario(cfg, tmp_path)
+    intensity = result["intensity"]
     header = b"P5\n4 4\n65535\n"
-    for name, grey in (("polmap_intensity.pgm", fmap.intensity / fmap.intensity.max() * 65535),
-                       ("polmap_axis_ratio.pgm", (fmap.axis_ratio + 1.0) / 2.0 * 65534)):
+    for name, grey in (("polmap_intensity.pgm", intensity / intensity.max() * 65535),
+                       ("polmap_axis_ratio.pgm", (result["axis_ratio"] + 1.0) / 2.0 * 65534)):
         blob = (tmp_path / name).read_bytes()
         assert blob.startswith(header)
         assert len(blob) == len(header) + 4 * 4 * 2
@@ -428,11 +430,11 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
                        [-1e-15, 0.0, 1e-15],
                        [1e-15, 1.0, -1.0]])
 
-    def fake_field_map(*args, **kwargs):
-        fmap = optics.field_map(*args, **kwargs)
-        return dataclasses.replace(fmap, axis_ratio=ratios)
+    def fake_ellipses(ex, ey):
+        intensity, psi, _ = jones.ellipse_arrays(ex, ey)
+        return intensity, psi, ratios
 
-    monkeypatch.setattr(scenarios, "field_map", fake_field_map)
+    monkeypatch.setattr(scenarios, "ellipse_arrays", fake_ellipses)
     run_scenario(small_cfg(kind="polmap", polmap_points=3), tmp_path)
     blob = (tmp_path / "polmap_axis_ratio.pgm").read_bytes()
     header = b"P5\n3 3\n65535\n"
@@ -445,10 +447,10 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
 
 def test_polmap_center_keeps_input_polarization():
     cfg = small_cfg(kind="polmap", input_pol_deg=-45.0)
-    fmap = run_polmap(cfg)["field_map"]
+    result = run_polmap(cfg)
     c = cfg.polmap_points // 2
-    assert abs(np.rad2deg(fmap.psi[c, c]) + 45.0) < 1.0
-    assert abs(fmap.axis_ratio[c, c]) < 0.05
+    assert abs(np.rad2deg(result["psi"][c, c]) + 45.0) < 1.0
+    assert abs(result["axis_ratio"][c, c]) < 0.05
 
 
 # --- channel ----------------------------------------------------------------
