@@ -11,11 +11,12 @@ Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
 output file that cannot be made or written, grids too large to allocate;
 the runners compute before anything is written, so a run that runs out of
-memory makes no ``--out`` directory), 2 numerical failure (a computed table
-holds NaN or +-inf; no file of the run is written).  A usage
-error prints the usage and one ``pbsim: error: ...`` line to stderr.
-``--config paper_defaults`` uses the built-in defaults for the chosen
-subcommand.
+memory makes no ``--out`` directory; a grid of 2**31 points or more, from
+the config or after ``--refine``, is refused before anything is computed),
+2 numerical failure (a computed table holds NaN or +-inf; no file of the
+run is written).  A usage error prints the usage and one
+``pbsim: error: ...`` line to stderr.  ``--config paper_defaults`` uses the
+built-in defaults for the chosen subcommand.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from types import SimpleNamespace
 from .film import TableRangeError, film_matrix
 from .optics import transfer
 from .scenarios import (
+    MAX_GRID_POINTS,
     ConfigError,
     NonFiniteOutputError,
     ScenarioConfig,
@@ -132,7 +134,12 @@ def _load_config(args, kind: str) -> ScenarioConfig:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand ({kind})")
     if args.refine:
-        cfg = dataclasses.replace(cfg, quad_points=cfg.quad_points * 2 ** args.refine)
+        # the exponent is checked first, so a huge N builds no huge integer
+        if args.refine >= MAX_GRID_POINTS.bit_length() or \
+                cfg.quad_points << args.refine >= MAX_GRID_POINTS:
+            raise ConfigError(f"--refine {args.refine}: quad_points = {cfg.quad_points} "
+                              f"times 2**{args.refine} is not below 2**31")
+        cfg = dataclasses.replace(cfg, quad_points=cfg.quad_points << args.refine)
     return cfg
 
 

@@ -26,6 +26,7 @@ Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,27 +189,46 @@ def resonance_wavelength(family: ResonanceFamily, order, q, period: float) -> fl
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
                           lam: np.ndarray):
-    """Vectorized analytic F_lab over broadcast arrays of (q, lambda)."""
+    """Vectorized analytic F_lab over broadcast arrays of (q, lambda).
+
+    With u = q + G and d = lambda - 2 pi n_eff / |u|, order G adds the
+    Lorentzian A i w / (d + i w) times the projector u u^T / |u|^2, in real
+    arithmetic A w (w + i d) / ((d^2 + w^2) |u|^2) times the dyad (ux^2,
+    uy^2, ux uy), with |u|^2 = ux^2 + uy^2.  Where max |q| + max |G| reaches
+    2^511, q and G are first scaled by the power of two that brings it
+    below, so |u|^2 cannot overflow; the scaling is exact and the dyad over
+    |u|^2 does not see it.  As q is only scaled down, and only that far, |u|
+    keeps a range of 2^1022: a q = 0 sample beside |q| = 1e300 keeps |G|^2.
+    """
     shape = np.broadcast_shapes(qx.shape, qy.shape, lam.shape)
     fxx = np.full(shape, model.direct_amplitude, dtype=complex)
     fyy = fxx.copy()
     fxy = np.zeros(shape, dtype=complex)
-    for fam in model.families:
-        for (m1, m2) in sorted(fam.orders):
-            gx = 2.0 * np.pi * m1 / model.period
-            gy = 2.0 * np.pi * m2 / model.period
-            ux = qx + gx
-            uy = qy + gy
-            norm = np.hypot(ux, uy)
-            if np.any(norm == 0.0):
-                raise ValueError(f"order {(m1, m2)} singular inside the requested q range")
-            ux = ux / norm
-            uy = uy / norm
-            lam_res = 2.0 * np.pi * fam.n_eff / norm
-            lor = fam.amplitude * (1j * fam.width) / (lam - lam_res + 1j * fam.width)
-            fxx += lor * ux * ux
-            fyy += lor * uy * uy
-            fxy += lor * ux * uy
+    orders = [(fam, m1, m2) for fam in model.families for (m1, m2) in sorted(fam.orders)]
+    top = 2.0 * np.pi * max([max(abs(m1), abs(m2)) for _, m1, m2 in orders], default=0) \
+        / model.period + max(np.max(np.abs(qx), initial=0.0), np.max(np.abs(qy), initial=0.0))
+    scale = math.ldexp(1.0, min(0, 511 - math.frexp(top)[1]))
+    qx, qy = qx * scale, qy * scale
+    term = np.empty(shape, dtype=complex)
+    for fam, m1, m2 in orders:
+        ux = qx + 2.0 * np.pi * m1 / model.period * scale
+        uy = qy + 2.0 * np.pi * m2 / model.period * scale
+        xx, yy, xy = ux * ux, uy * uy, ux * uy
+        u2 = xx + yy
+        if not u2.all():
+            raise ValueError(f"order {(m1, m2)} singular inside the requested q range")
+        d = lam - 2.0 * np.pi * fam.n_eff * scale / np.sqrt(u2)
+        w = fam.width
+        # |u|^2 may be near 2^1022, so it divides on its own; past |d| = 1e154
+        # the term is below 1e-154 A, and d^2 overflows to make it 0
+        with np.errstate(over="ignore"):
+            c = w / (d * d + w * w) / u2
+        np.multiply(c, w, out=term.real)
+        np.multiply(c, d, out=term.imag)
+        term *= fam.amplitude
+        fxx += term * xx
+        fyy += term * yy
+        fxy += term * xy
     # every dyad u u^T is symmetric; the copy keeps the four arrays independent
     return fxx, fxy, fxy.copy(), fyy
 

@@ -20,9 +20,11 @@ so T on a tensor grid of q3 is two matrix products per Jones component (the
 matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
 Every film is point-group symmetric (``film`` refuses a table that is not),
 so it is sampled once per point-group orbit and T is contracted on one
-quadrant with parity-folded kernels: T keeps the point group exactly up to
-floating point.  The grid density is the caller's choice (``n_grid``);
-nothing here refines it or estimates its error.
+quadrant with parity-folded kernels: T keeps the point group up to rounding
+in the matrix products, and its diagonal mirror exactly on a square q3 grid,
+where T_yy and T_yx are the transposes of the two contractions T_xx and
+T_xy.  The grid density is the caller's choice (``n_grid``); nothing here
+refines it or estimates its error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
@@ -133,12 +135,15 @@ def transfer(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     sampled once per point-group orbit: on the wedge 0 <= q2y <= q2x of the
     disc, on the axis (i - (n_grid - 1) / 2) h, which is exactly
     antisymmetric.  The diagonal mirror fills the rest of the qx, qy >= 0
-    quadrant (xx <-> yy, xy <-> yx).  The axis mirrors make G_xx and G_yy
-    even in each axis and G_xy and G_yx odd, so each component is contracted
-    on the quadrant alone with the folded kernels k(+q) + k(-q) and
-    k(+q) - k(-q); the q = 0 column of an odd n_grid is counted once.  The
-    symmetry of T thus holds by construction, up to rounding in the matrix
-    products.
+    quadrant (xx <-> yy, xy <-> yx), which makes G_yy = G_xx^T and
+    G_yx = G_xy^T.  The axis mirrors make G_xx even in each axis and G_xy
+    odd, so each is contracted on the quadrant alone with the folded kernels
+    k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of an odd n_grid is
+    counted once.  Only G_xx and G_xy are filled and contracted:
+    T_yy = (ky @ G_xx @ kx.T).T and T_yx = (ky @ G_xy @ kx.T).T.  When q3y
+    equals q3x, as it does for every caller, the kernels are built once and
+    those are T_xx.T and T_xy.T, so the diagonal mirror of T holds bit for
+    bit; the axis mirrors hold up to rounding in the matrix products.
     """
     r = setup.q2_max
     if r <= 0.0:
@@ -152,7 +157,7 @@ def transfer(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
     fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
 
     def folded(q3):
-        centers = setup.magnification * np.asarray(q3, dtype=float)
+        centers = setup.magnification * q3
         plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
                        for q2 in (half, -half))
         even, odd = plus + minus, plus - minus
@@ -160,18 +165,26 @@ def transfer(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
             even[:, 0] = plus[:, 0]
         return even, odd
 
-    (xe, xo), (ye, yo) = folded(q3x), folded(q3y)
-    out = np.empty((xe.shape[0], ye.shape[0], 4), dtype=complex)
+    q3x, q3y = np.asarray(q3x, dtype=float), np.asarray(q3y, dtype=float)
+    square = np.array_equal(q3x, q3y)
+    xe, xo = folded(q3x)
+    ye, yo = (xe, xo) if square else folded(q3y)
+    out = np.empty((xe.shape[0], ye.shape[0], 2, 2), dtype=complex)
     g = np.zeros((half.size, half.size), dtype=complex)
-    for c, (values, mirrored, kx, ky) in enumerate([
-            (fxx, fyy, xe, ye), (fxy, fyx, xo, yo), (fyx, fxy, xo, yo), (fyy, fxx, xe, ye)]):
+    for c, values, mirrored, kx, ky in ((0, fxx, fyy, xe, ye), (1, fxy, fyx, xo, yo)):
         g[b, a] = mirrored
         g[a, b] = values
-        out[..., c] = kx @ g @ ky.T
-    return out.reshape(xe.shape[0], ye.shape[0], 2, 2) * (h * h)
+        out[..., 0, c] = kx @ g @ ky.T
+        out[..., 1, 1 - c] = out[..., 0, c].T if square else (ky @ g @ kx.T).T
+    return out * (h * h)
 
 
 def q3_axis(setup: SetupParams, n: int, theta3_max: float) -> np.ndarray:
-    """n points from -q3_max to q3_max, q3_max = k sin(theta3_max); one point is q3 = 0."""
+    """n points from -q3_max to q3_max, q3_max = k sin(theta3_max); one point is q3 = 0.
+
+    The half with q3 >= 0 is a linspace, mirrored, so the axis is exactly
+    antisymmetric and an odd n holds 0 exactly.
+    """
     q3_max = setup.k * np.sin(theta3_max)
-    return np.linspace(-q3_max, q3_max, n) if n > 1 else np.zeros(1)
+    half = np.linspace(q3_max / (n - 1) if n % 2 == 0 else 0.0, q3_max, (n + 1) // 2)
+    return np.concatenate([-half[n % 2:][::-1], half])

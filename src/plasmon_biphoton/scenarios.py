@@ -62,6 +62,11 @@ POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_r
 
 KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
 
+# quad_points, map_points and polmap_points stay below this.  A grid that
+# large is far beyond memory, and far larger ones fail in NumPy's size
+# checks (ValueError, OverflowError) before any allocation is tried.
+MAX_GRID_POINTS = 2 ** 31
+
 
 def _values(value) -> tuple:
     """A tuple field's values, or a scalar field's one value."""
@@ -147,6 +152,8 @@ class ScenarioConfig:
         for name in ("quad_points", "map_points", "polmap_points"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
+            if getattr(self, name) >= MAX_GRID_POINTS:
+                raise ConfigError(f"{name} must be below 2**31")
         for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
                      "theta3_max_deg"):
             if not 0.0 <= math.radians(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:

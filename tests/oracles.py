@@ -11,10 +11,36 @@ from plasmon_biphoton.film import (
     default_film,
     film_matrix,
     film_matrix_grid,
+    resonance_wavelength,
 )
 from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD
 from plasmon_biphoton.quantum import PostselectedState, VisibilityResult
 from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
+
+
+def film_matrix_direct(model, qx, qy, lam):
+    """Analytic F_lab at each point of broadcast (qx, qy, lambda), one order at a time.
+
+    The formula of the ``film`` docstring in complex arithmetic: the direct
+    amplitude times the identity, plus for each order G the Lorentzian
+    A i w / (lambda - lambda_G + i w), lambda_G from ``resonance_wavelength``,
+    times the projector onto (q + G) / |q + G|.  Returns shape (..., 2, 2).
+    """
+    qx, qy, lam = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (qx, qy, lam)))
+    out = np.empty(qx.shape + (2, 2), dtype=complex)
+    for idx in np.ndindex(qx.shape):
+        q = (float(qx[idx]), float(qy[idx]))
+        f = model.direct_amplitude * np.eye(2, dtype=complex)
+        for fam in model.families:
+            for m1, m2 in sorted(fam.orders):
+                u = np.array([q[0] + 2.0 * np.pi * m1 / model.period,
+                              q[1] + 2.0 * np.pi * m2 / model.period])
+                u /= np.hypot(u[0], u[1])
+                lam_res = resonance_wavelength(fam, (m1, m2), q, model.period)
+                f += (fam.amplitude * 1j * fam.width / (lam[idx] - lam_res + 1j * fam.width)
+                      * np.outer(u, u))
+        out[idx] = f
+    return out
 
 
 def transfer_direct(setup, q3_points, n_grid):
@@ -197,6 +223,8 @@ def config_refusal(**values):
     for name in ("quad_points", "map_points", "polmap_points"):
         if cfg[name] < 1:
             return f"{name} must be at least 1"
+        if cfg[name] >= 2 ** 31:
+            return f"{name} must be below 2**31"
     for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
                  "theta3_max_deg"):
         if not 0.0 <= np.deg2rad(cfg[name]) <= PARAXIAL_LIMIT_RAD:

@@ -129,6 +129,37 @@ def test_grid_too_large_for_memory_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["--refine", "60"], ["--refine", "2000"],
+                                  ["--refine=1000000000"], ["--config", "huge_grid"]],
+                         ids=["refine_60", "refine_2000", "refine_1e9", "quad_points_2**63"])
+def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, argv):
+    # --refine 60 ended in "ValueError: Maximum allowed size exceeded" and
+    # --refine 2000 in an OverflowError; 1e9 must not build a 2**1e9 integer
+    if argv[-1] == "huge_grid":
+        path = tmp_path / "cfg.txt"
+        path.write_text("kind = polmap\nquad_points = 9223372036854775808\n")
+        argv = ["--config", str(path)]
+    code = main(["polmap", *argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "2**31" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_at_a_wavelength_whose_wavevector_squared_overflows(tmp_path, capsys):
+    # k sin(2 deg) is about 2e159 nm^-1 here, and its square overflows
+    cfg = write_cfg(tmp_path, kind="spectrum", lambda_min_nm=1e-160, lambda_max_nm=1e-159,
+                    lambda_step_nm=1e-160, tilts_deg=(0.0, 2.0))
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    table = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
+    assert table.shape == (10, 5)
+    assert np.all(np.isfinite(table)) and np.all(table[:, 1:] > 0)
+
+
 @pytest.mark.parametrize("line", ["lambda_min_nm = -5", "lambda_min_nm = nan",
                                   "tilts_deg = 0, nan", "lambdas_nm = 797, -728",
                                   "direct_amplitude = nan"],

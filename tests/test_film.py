@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import interpolate_tabulated_point, symmetric_random_grid
+from oracles import film_matrix_direct, interpolate_tabulated_point, symmetric_random_grid
 from plasmon_biphoton.film import (
     TABULATED_HEADER,
     FilmModel,
@@ -59,6 +59,8 @@ def test_singular_order_raises(film):
     g = 2.0 * np.pi / film.period
     with pytest.raises(ValueError):
         resonance_wavelength(fam, (1, 0), (-g, 0.0), film.period)
+    with pytest.raises(ValueError, match=r"^order \(1, 0\) singular inside the requested q range$"):
+        film_matrix_grid(film, [0.0, -g], [0.0, 0.0], 797.0)
 
 
 def test_resonance_split_slope_matches_finite_differences(film):
@@ -128,6 +130,42 @@ def test_energy_bound(film):
                 m = film_matrix(film, (qx, qy), lam)
                 worst = max(worst, np.linalg.svd(m, compute_uv=False)[0])
     assert worst <= 1.0
+
+
+# --- against the per-point oracle ------------------------------------------
+
+def assert_matches_direct(film, qx, qy, lam):
+    got = np.stack(film_matrix_grid(film, qx, qy, lam), axis=-1)
+    ref = film_matrix_direct(film, qx, qy, lam)
+    ref = ref.reshape(ref.shape[:-2] + (4,))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_flat_q_array_matches_direct_oracle(film):
+    rng = np.random.default_rng(7)
+    qx, qy = rng.uniform(-1.2e-3, 1.2e-3, size=(2, 400))
+    qx[:3], qy[:3] = 0.0, [0.0, 5e-4, -5e-4]
+    for lam in (728.0, 797.0):
+        assert_matches_direct(film, qx, qy, lam)
+
+
+def test_spectrum_arrays_match_direct_oracle(film):
+    # the tilts of a spectrum along axis 0, the wavelengths along axis 1
+    lams = np.arange(700.0, 850.0, 0.5)
+    kt = 2.0 * np.pi / lams * np.sin(np.deg2rad([0.0, 2.0, 4.0, 6.0]))[:, None]
+    assert_matches_direct(film, kt / np.sqrt(2.0), kt / np.sqrt(2.0), lams)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [797.0, 1e-160, 1e200])
+def test_extreme_q_and_lambda_match_direct_oracle(film, lam):
+    # one call holds |q| from 0 to 1e300: |q|^2 overflows past 1e154, and a
+    # scaling that brought 1e300 near 1 would underflow |G|^2 at q = 0
+    rng = np.random.default_rng(11)
+    radius = np.concatenate([[0.0, 1e-3], np.logspace(-6, 300, 60)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, radius.size)
+    assert_matches_direct(film, radius * np.cos(angle), radius * np.sin(angle), lam)
 
 
 # --- transmittance ---------------------------------------------------------

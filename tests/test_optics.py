@@ -205,6 +205,20 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [1, 9, 21])
+@pytest.mark.parametrize("n_grid", [50, 51])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_square_grid_transform_keeps_the_diagonal_mirror_exactly(n, n_grid, tabulated):
+    # F(q) mirrored in the diagonal is F with x and y swapped, so on a square
+    # q3 grid T_yy(x, y) = T_xx(y, x) and T_yx(x, y) = T_xy(y, x), bit for bit
+    film = random_table_film(797.0, np.random.default_rng(n)) if tabulated else default_film()
+    s = SetupParams.paper_defaults(film=film)
+    axis = q3_axis(s, n, 1.5 * s.theta3_max)
+    t = transfer(s, axis, axis, n_grid)
+    assert np.array_equal(t[..., 1, 1], t[..., 0, 0].T)
+    assert np.array_equal(t[..., 1, 0], t[..., 0, 1].T)
+
+
 @given(n_grid=st.integers(min_value=3, max_value=24),
        theta_ap_deg=st.floats(min_value=1.0, max_value=8.0),
        lam=st.floats(min_value=793.0, max_value=801.0),
@@ -263,12 +277,15 @@ def fields_on(setup, input_pol, n, n_grid):
 
 def test_q3_axis_spans_the_mapped_aperture(setup):
     assert setup.theta3_max == setup.theta_ap / setup.magnification
-    axis = q3_axis(setup, 5, setup.theta3_max)
     q3_max = setup.k * np.sin(setup.theta3_max)
-    assert axis.shape == (5,)
-    assert axis[0] == -q3_max and axis[-1] == q3_max and axis[2] == 0.0
-    # linspace is symmetric about 0 up to rounding, not bit for bit
-    assert np.allclose(axis, -axis[::-1], rtol=0.0, atol=1e-15 * q3_max)
+    for n in [2, 3, 4, 5, 6, 7, 8, 9, 81]:
+        axis = q3_axis(setup, n, setup.theta3_max)
+        assert axis.shape == (n,)
+        assert axis[0] == -q3_max and axis[-1] == q3_max
+        assert np.array_equal(axis, -axis[::-1]), n
+        assert np.allclose(np.diff(axis), 2 * q3_max / (n - 1), rtol=1e-12, atol=0.0)
+        if n % 2:
+            assert axis[n // 2] == 0.0
 
 
 def test_field_map_single_point_is_on_axis(setup):

@@ -53,7 +53,7 @@ def test_serialize_parse_round_trip():
 
 
 _NUMBER_FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)
-                  if f.type in ("float", "complex", "tuple")}
+                  if f.type in ("int", "float", "complex", "tuple")}
 
 
 def _real(default: float):
@@ -65,6 +65,10 @@ def _real(default: float):
 
 def _field_value(name: str):
     f = _NUMBER_FIELDS[name]
+    if f.type == "int":
+        # a grid size: the default, either side of 1 and of 2**31, or any up to 2**64
+        return st.one_of(st.just(f.default), st.integers(-1, 2),
+                         st.integers(2 ** 31 - 2, 2 ** 31 + 1), st.integers(0, 2 ** 64))
     if f.type == "tuple":
         return st.integers(0, 3).flatmap(
             lambda n: st.lists(_real(f.default[0]), min_size=n, max_size=n)).map(tuple)
@@ -85,6 +89,7 @@ _CONFIG_VALUES = st.tuples(
 @example(("visibility_sweep", {"lambdas_nm": (797.0, -728.0)}))
 @example(("channel", {"t_xy": complex(0.0, math.inf)}))
 @example(("polmap", {"semiaperture_deg": math.degrees(optics.PARAXIAL_LIMIT_RAD)}))
+@example(("polmap", {"quad_points": 2 ** 31 - 1, "map_points": 2 ** 31}))
 def test_number_fields_are_accepted_as_by_the_numpy_checks(kind_values):
     # every draw ends in a config or a ConfigError; the field checks refuse
     # exactly what the NumPy predicate in oracles refuses, with its message
