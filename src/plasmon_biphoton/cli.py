@@ -12,7 +12,8 @@ error (a ``--config`` file that cannot be read, an ``--out`` directory or
 output file that cannot be made or written, grids too large to allocate;
 the runners compute before anything is written, so a run that runs out of
 memory makes no ``--out`` directory; a grid of 2**31 points or more, from
-the config or after ``--refine``, is refused before anything is computed),
+the config or after ``--refine``, or a wavelength or semiaperture range of
+2**31 steps or more, is refused before anything is computed),
 2 numerical failure (a computed table holds NaN or +-inf; no file of the
 run is written).  A usage error prints the usage and one
 ``pbsim: error: ...`` line to stderr.  ``--config paper_defaults`` uses the
@@ -152,7 +153,7 @@ def _validate_film(args) -> int:
     checks = [(f"F(0, {lam:g} nm)", film_matrix(film, (0.0, 0.0), lam), 1e-12)
               for lam in cfg.lambdas_nm]
     checks += [(f"T(0, 0, {lam:g} nm)",
-                transfer(cfg.setup(film, lam), [0.0], [0.0], 101)[0, 0], 1e-8)
+                transfer(cfg.setup(film, lam), [0.0], 101)[0, 0], 1e-8)
                for lam in cfg.lambdas_nm]
     for name, m, _ in checks:
         cfg.require_transmission(m, f"in {name}")

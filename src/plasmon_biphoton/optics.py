@@ -14,23 +14,23 @@ lab basis throughout.
 
 with a = (n - 1) Delta / (2 n k) and angular magnification
 mag = n f / ((n - 1) Delta).  The integral is evaluated by a midpoint rule on
-a square grid masked to the aperture disc.  On that tensor grid the phase
-factor separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2),
-so T on a tensor grid of q3 is two matrix products per Jones component (the
+a square grid masked to the aperture disc.  On that grid the phase factor
+separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2), so T on
+the square q3 grid q3 x q3 is two matrix products per Jones component (the
 matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
 Every film is point-group symmetric (``film`` refuses a table that is not),
 so it is sampled once per point-group orbit and T is contracted on one
 quadrant with parity-folded kernels: T keeps the point group up to rounding
-in the matrix products, and its diagonal mirror exactly on a square q3 grid,
-where T_yy and T_yx are the transposes of the two contractions T_xx and
-T_xy.  The grid density is the caller's choice (``n_grid``); nothing here
-refines it or estimates its error.
+in the matrix products, and its diagonal mirror exactly, T_yy and T_yx being
+the transposes of the two contractions T_xx and T_xy.  The grid density is
+the caller's choice (``n_grid``); nothing here refines it or estimates its
+error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
 
-``transfer`` is the one entry point: T on a tensor grid of q3, a single
-point being the 1 x 1 grid, with ``q3_axis`` for a symmetric square window.
+``transfer`` is the one entry point: T on the square grid over one q3 axis,
+with ``q3_axis`` for a symmetric window.
 Every observable (output fields and their ellipses, the coincidence form of
 the visibility) is a contraction of T that its caller makes.  This module
 opens no files.
@@ -116,66 +116,58 @@ class SetupParams:
         )
 
 
-def transfer(setup: SetupParams, q3x, q3y, n_grid: int) -> np.ndarray:
-    """T(q3) on the tensor grid q3x x q3y; returns shape (Mx, My, 2, 2).
+def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
+    """T(q3) on the square grid q3 x q3; returns shape (M, M, 2, 2).
 
-    One point is the 1 x 1 grid: ``transfer(setup, [x], [y], n_grid)[0, 0]``.
+    ``T[i, j]`` is T at (q3[i], q3[j]).  One point (x, y) is
+    ``transfer(setup, [x, y], n_grid)[0, 1]``, and q3 = 0 the 1 x 1 grid.
 
     The film is sampled at the midpoints of an n_grid x n_grid square masked
     to the aperture disc, a point set symmetric under the square-lattice
     point group for any n_grid.  The phase factor separates by axis,
 
-        exp(i a |q2 - mag q3|^2) = kx[i, u] ky[j, v],
+        exp(i a |q2 - mag q3|^2) = k[i, u] k[j, v],
 
     so each Jones component G, with zeros outside the disc, becomes
-    kx @ G @ ky.T.  Components are transformed one at a time, so memory
+    k @ G @ k.T.  Components are transformed one at a time, so memory
     stays O(n_grid^2).
 
     The film obeys F(R q) = R F(q) R^T for the whole point group, so it is
     sampled once per point-group orbit: on the wedge 0 <= q2y <= q2x of the
-    disc, on the axis (i - (n_grid - 1) / 2) h, which is exactly
-    antisymmetric.  The diagonal mirror fills the rest of the qx, qy >= 0
-    quadrant (xx <-> yy, xy <-> yx), which makes G_yy = G_xx^T and
-    G_yx = G_xy^T.  The axis mirrors make G_xx even in each axis and G_xy
-    odd, so each is contracted on the quadrant alone with the folded kernels
-    k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of an odd n_grid is
-    counted once.  Only G_xx and G_xy are filled and contracted:
-    T_yy = (ky @ G_xx @ kx.T).T and T_yx = (ky @ G_xy @ kx.T).T.  When q3y
-    equals q3x, as it does for every caller, the kernels are built once and
-    those are T_xx.T and T_xy.T, so the diagonal mirror of T holds bit for
-    bit; the axis mirrors hold up to rounding in the matrix products.
+    disc, on the q >= 0 half of the midpoint axis (i - (n_grid - 1) / 2) h,
+    whose other half is exactly its mirror image.  The diagonal mirror fills
+    the rest of the qx, qy >= 0 quadrant (xx <-> yy, xy <-> yx), which makes
+    G_yy = G_xx^T and G_yx = G_xy^T.  The axis mirrors make G_xx even in
+    each axis and G_xy odd, so each is contracted on the quadrant alone with
+    the folded kernels k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of
+    an odd n_grid is counted once.  Only G_xx and G_xy are filled and
+    contracted; T_yy = T_xx.T and T_yx = T_xy.T, so the diagonal mirror of
+    T holds bit for bit, and the axis mirrors up to rounding in the matrix
+    products.
     """
     r = setup.q2_max
     if r <= 0.0:
         raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
 
-    # exactly antisymmetric, so -half is the mirror image of the q >= 0 half
-    axis = (np.arange(n_grid) - 0.5 * (n_grid - 1)) * h
-    half = axis[n_grid // 2:]
+    # the largest array comes first, so a grid too large for memory fails at once
+    g = np.zeros((n_grid - n_grid // 2,) * 2, dtype=complex)
+    half = (np.arange(n_grid // 2, n_grid) - 0.5 * (n_grid - 1)) * h
     a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
     fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
 
-    def folded(q3):
-        centers = setup.magnification * q3
-        plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
-                       for q2 in (half, -half))
-        even, odd = plus + minus, plus - minus
-        if n_grid % 2:
-            even[:, 0] = plus[:, 0]
-        return even, odd
-
-    q3x, q3y = np.asarray(q3x, dtype=float), np.asarray(q3y, dtype=float)
-    square = np.array_equal(q3x, q3y)
-    xe, xo = folded(q3x)
-    ye, yo = (xe, xo) if square else folded(q3y)
-    out = np.empty((xe.shape[0], ye.shape[0], 2, 2), dtype=complex)
-    g = np.zeros((half.size, half.size), dtype=complex)
-    for c, values, mirrored, kx, ky in ((0, fxx, fyy, xe, ye), (1, fxy, fyx, xo, yo)):
+    centers = setup.magnification * np.asarray(q3, dtype=float)
+    plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
+                   for q2 in (half, -half))
+    even, odd = plus + minus, plus - minus
+    if n_grid % 2:
+        even[:, 0] = plus[:, 0]
+    out = np.empty((centers.size, centers.size, 2, 2), dtype=complex)
+    for c, values, mirrored, k in ((0, fxx, fyy, even), (1, fxy, fyx, odd)):
         g[b, a] = mirrored
         g[a, b] = values
-        out[..., 0, c] = kx @ g @ ky.T
-        out[..., 1, 1 - c] = out[..., 0, c].T if square else (ky @ g @ kx.T).T
+        out[..., 0, c] = k @ g @ k.T
+        out[..., 1, 1 - c] = out[..., 0, c].T
     return out * (h * h)
 
 

@@ -62,9 +62,10 @@ POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_r
 
 KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
 
-# quad_points, map_points and polmap_points stay below this.  A grid that
-# large is far beyond memory, and far larger ones fail in NumPy's size
-# checks (ValueError, OverflowError) before any allocation is tried.
+# quad_points, map_points, polmap_points and the step counts of the
+# wavelength and semiaperture ranges stay below this.  A grid that large is
+# far beyond memory, and far larger ones fail in NumPy's size checks
+# (ValueError, OverflowError) before any allocation is tried.
 MAX_GRID_POINTS = 2 ** 31
 
 
@@ -160,6 +161,12 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
                     f"[0, {math.degrees(PARAXIAL_LIMIT_RAD):.4g}] deg")
+        if (self.lambda_max_nm - self.lambda_min_nm) / self.lambda_step_nm >= MAX_GRID_POINTS:
+            raise ConfigError("lambda_step_nm splits the wavelength range into 2**31 steps or more")
+        if (self.semiaperture_max_deg - self.semiaperture_min_deg) / self.semiaperture_step_deg \
+                >= MAX_GRID_POINTS:
+            raise ConfigError(
+                "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more")
         if self.kind == "polmap" and self.semiaperture_deg == 0.0:
             raise ConfigError("semiaperture_deg must be positive for a polarization map")
         # the film, telescope and channel constructors state the remaining rules
@@ -471,12 +478,13 @@ def run_spectrum(cfg: ScenarioConfig) -> dict:
 def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     """Fringe visibility vs semiaperture for each (wavelength, beta2).
 
-    Zero semiaperture is the monomode limit: the channel reduces to the
-    normal-incidence film matrix with coherence-preserving solid states.  A
-    nonzero aperture builds T once with ``transfer`` on the ``map_points``^2
-    grid over the mapped aperture (``SetupParams.theta3_max``); each beta2
-    reduces T e to its 2x2 ``power_form``, and no ellipse is extracted.  A
-    cell into which the film transmits nothing is a ConfigError.
+    Every cell is the coincidence sum over the detected output modes: T e,
+    for the input e at beta2 + 90 deg, reduced to its 2x2 ``power_form``; no
+    ellipse is extracted.  A nonzero aperture builds T once with
+    ``transfer`` on the ``map_points``^2 grid over the mapped aperture
+    (``SetupParams.theta3_max``).  Zero semiaperture is the monomode limit,
+    the sum over the one mode q3 = 0, where T is the normal-incidence film
+    matrix.  A cell into which the film transmits nothing is a ConfigError.
     """
     apertures = np.arange(
         cfg.semiaperture_min_deg,
@@ -494,19 +502,17 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
         row = [ap]
         for lam in cfg.lambdas_nm:
             if ap == 0.0:
-                f0 = film_matrix(film, (0.0, 0.0), lam)
-                cfg.require_transmission(f0, f"at normal incidence at {lam:g} nm")
-                state = postselect_channel(f0, gram_allones())
+                t = film_matrix(film, (0.0, 0.0), lam)
+                where = f"at normal incidence at {lam:g} nm"
             else:
                 setup = cfg.setup(film, lam, semiaperture_deg=ap)
-                axis = q3_axis(setup, cfg.map_points, setup.theta3_max)
-                t = transfer(setup, axis, axis, cfg.quad_points)
-                cfg.require_transmission(
-                    t, f"through a {ap:g} deg semiaperture at {lam:g} nm")
+                t = transfer(setup, q3_axis(setup, cfg.map_points, setup.theta3_max),
+                             cfg.quad_points)
+                where = f"through a {ap:g} deg semiaperture at {lam:g} nm"
+            cfg.require_transmission(t, where)
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                source = state if ap == 0.0 else power_form(t @ linear_pol(b2 + np.pi / 2.0))
-                row.append(visibility(b2, source).visibility)
+                row.append(visibility(b2, power_form(t @ linear_pol(b2 + np.pi / 2.0))).visibility)
         rows.append(row)
     table = np.array(rows)
     return {"files": {"visibility.csv": (header, table)}, "semiaperture_deg": apertures,
@@ -531,8 +537,7 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     theta3_max = np.deg2rad(cfg.theta3_max_deg) if cfg.theta3_max_deg > 0 \
         else setup.theta3_max
     axis = q3_axis(setup, cfg.polmap_points, theta3_max)
-    fields = transfer(setup, axis, axis, cfg.quad_points) \
-        @ linear_pol(np.deg2rad(cfg.input_pol_deg))
+    fields = transfer(setup, axis, cfg.quad_points) @ linear_pol(np.deg2rad(cfg.input_pol_deg))
     intensity, psi, axis_ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
     q3 = np.meshgrid(axis, axis, indexing="ij")
     theta3_deg = np.rad2deg(np.arcsin(np.stack(q3) / setup.k))

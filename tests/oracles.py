@@ -230,6 +230,13 @@ def config_refusal(**values):
         if not 0.0 <= np.deg2rad(cfg[name]) <= PARAXIAL_LIMIT_RAD:
             return (f"{name} must lie in the paraxial range "
                     f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")
+    with np.errstate(over="ignore"):
+        if np.divide(np.subtract(cfg["lambda_max_nm"], cfg["lambda_min_nm"]),
+                     cfg["lambda_step_nm"]) >= 2 ** 31:
+            return "lambda_step_nm splits the wavelength range into 2**31 steps or more"
+        if np.divide(np.subtract(cfg["semiaperture_max_deg"], cfg["semiaperture_min_deg"]),
+                     cfg["semiaperture_step_deg"]) >= 2 ** 31:
+            return "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more"
     if cfg["kind"] == "polmap" and cfg["semiaperture_deg"] == 0.0:
         return "semiaperture_deg must be positive for a polarization map"
     return None

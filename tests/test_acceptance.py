@@ -29,13 +29,13 @@ def _vis(lam, beta2_deg, n=41, n_grid=201, theta_ap_deg=8.0):
     setup = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg)
     beta2 = np.deg2rad(beta2_deg)
     axis = q3_axis(setup, n, setup.theta3_max)
-    fields = transfer(setup, axis, axis, n_grid) @ linear_pol(beta2 + np.pi / 2.0)
+    fields = transfer(setup, axis, n_grid) @ linear_pol(beta2 + np.pi / 2.0)
     return visibility(beta2, power_form(fields)).visibility
 
 
 def _ellipses(setup, input_pol, axis, n_grid):
     """(intensity, psi, axis_ratio) of T(q3) input_pol on the grid axis x axis."""
-    fields = transfer(setup, axis, axis, n_grid) @ input_pol
+    fields = transfer(setup, axis, n_grid) @ input_pol
     return ellipse_arrays(fields[..., 0], fields[..., 1])
 
 
@@ -60,7 +60,7 @@ def test_criterion_01_identity_symmetry():
     worst_t = 0.0
     for lam in (728.0, 797.0, 813.0):
         setup = SetupParams.paper_defaults(lam=lam)
-        t = transfer(setup, [0.0], [0.0], 201)[0, 0]
+        t = transfer(setup, [0.0], 201)[0, 0]
         scale = 0.5 * (abs(t[0, 0]) + abs(t[1, 1]))
         worst_t = max(worst_t, max(abs(t[0, 1]), abs(t[1, 0]),
                                    abs(t[0, 0] - t[1, 1])) / scale)

@@ -129,21 +129,28 @@ def test_grid_too_large_for_memory_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["--refine", "60"], ["--refine", "2000"],
-                                  ["--refine=1000000000"], ["--config", "huge_grid"]],
-                         ids=["refine_60", "refine_2000", "refine_1e9", "quad_points_2**63"])
-def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, argv):
-    # --refine 60 ended in "ValueError: Maximum allowed size exceeded" and
-    # --refine 2000 in an OverflowError; 1e9 must not build a 2**1e9 integer
-    if argv[-1] == "huge_grid":
+@pytest.mark.parametrize("command,argv", [
+    ("polmap", ["--refine", "60"]), ("polmap", ["--refine", "2000"]),
+    ("polmap", ["--refine=1000000000"]), ("polmap", "quad_points = 9223372036854775808"),
+    ("spectrum", "lambda_step_nm = 1e-300"), ("visibility", "semiaperture_step_deg = 1e-300"),
+], ids=["refine_60", "refine_2000", "refine_1e9", "quad_points_2**63", "lambda_step_1e-300",
+        "semiaperture_step_1e-300"])
+def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, command, argv):
+    # --refine 60 and both 1e-300 steps ended in "ValueError: Maximum allowed
+    # size exceeded", and --refine 2000 in an OverflowError; 1e9 must not
+    # build a 2**1e9 integer
+    key = "--refine"
+    if isinstance(argv, str):
+        kind = "visibility_sweep" if command == "visibility" else command
+        key = argv.split(" = ")[0]
         path = tmp_path / "cfg.txt"
-        path.write_text("kind = polmap\nquad_points = 9223372036854775808\n")
+        path.write_text(f"kind = {kind}\n{argv}\n")
         argv = ["--config", str(path)]
-    code = main(["polmap", *argv, "--out", str(tmp_path / "out")])
+    code = main([command, *argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "2**31" in err
+    assert "2**31" in err and key in err
     assert not (tmp_path / "out").exists()
 
 

@@ -26,8 +26,8 @@ def setup():
 
 
 def t_at(q3, setup, n_grid):
-    """T at the one point q3, the 1 x 1 grid of ``transfer``."""
-    return transfer(setup, [q3[0]], [q3[1]], n_grid)[0, 0]
+    """T at the one point q3, entry (0, 1) of ``transfer`` on the axis [x, y]."""
+    return transfer(setup, [q3[0], q3[1]], n_grid)[0, 1]
 
 
 def flat_film(t=0.01):
@@ -194,15 +194,14 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     film = random_table_film(797.0, rng) if tabulated else default_film()
     s = SetupParams.paper_defaults(film=film)
     q3_limit = 1.5 * s.q2_max / s.magnification
-    xs = rng.uniform(-q3_limit, q3_limit, 3)
-    ys = rng.uniform(-q3_limit, q3_limit, 2)
-    qx, qy = np.meshgrid(xs, ys, indexing="ij")
+    axis = rng.uniform(-q3_limit, q3_limit, 5)
+    qx, qy = np.meshgrid(axis, axis, indexing="ij")
     ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
-    ref = ref.reshape(3, 2, 2, 2)
+    ref = ref.reshape(5, 5, 2, 2)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(transfer(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
-    single = t_at((xs[2], ys[1]), s, n_grid)
-    assert np.max(np.abs(single - ref[2, 1])) <= 1e-12 * scale
+    assert np.max(np.abs(transfer(s, axis, n_grid) - ref)) <= 1e-12 * scale
+    single = t_at((axis[2], axis[4]), s, n_grid)
+    assert np.max(np.abs(single - ref[2, 4])) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [1, 9, 21])
@@ -214,7 +213,7 @@ def test_square_grid_transform_keeps_the_diagonal_mirror_exactly(n, n_grid, tabu
     film = random_table_film(797.0, np.random.default_rng(n)) if tabulated else default_film()
     s = SetupParams.paper_defaults(film=film)
     axis = q3_axis(s, n, 1.5 * s.theta3_max)
-    t = transfer(s, axis, axis, n_grid)
+    t = transfer(s, axis, n_grid)
     assert np.array_equal(t[..., 1, 1], t[..., 0, 0].T)
     assert np.array_equal(t[..., 1, 0], t[..., 0, 1].T)
 
@@ -222,29 +221,31 @@ def test_square_grid_transform_keeps_the_diagonal_mirror_exactly(n, n_grid, tabu
 @given(n_grid=st.integers(min_value=3, max_value=24),
        theta_ap_deg=st.floats(min_value=1.0, max_value=8.0),
        lam=st.floats(min_value=793.0, max_value=801.0),
-       xs=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=3),
-       ys=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=3),
+       xs=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=4),
        gammas=st.tuples(st.floats(min_value=1.0, max_value=60.0),
                         st.floats(min_value=1.0, max_value=60.0)),
        table_seed=st.none() | st.integers(min_value=0, max_value=2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_transform_matches_direct_sum_property(n_grid, theta_ap_deg, lam, xs, ys, gammas,
+def test_transform_matches_direct_sum_property(n_grid, theta_ap_deg, lam, xs, gammas,
                                                table_seed):
-    # q3 in units of the mapped aperture q2_max / mag, so |x| > 1 lies
-    # outside it; a drawn table seed selects a random film table, else the
-    # analytic film with drawn resonance widths
+    # q3 on one unsorted axis, repeats allowed, in units of the mapped
+    # aperture q2_max / mag, so |x| > 1 lies outside it; a drawn table seed
+    # selects a random film table, else the analytic film with drawn
+    # resonance widths
     if table_seed is None:
         film = default_film(gamma_diagonal_nm=gammas[0], gamma_axis_nm=gammas[1])
     else:
         film = random_table_film(797.0, np.random.default_rng(table_seed))
     s = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg, film=film)
     unit = s.q2_max / s.magnification
-    xs, ys = unit * np.array(xs), unit * np.array(ys)
-    qx, qy = np.meshgrid(xs, ys, indexing="ij")
+    xs = unit * np.array(xs)
+    qx, qy = np.meshgrid(xs, xs, indexing="ij")
     ref = transfer_direct(s, np.column_stack([qx.ravel(), qy.ravel()]), n_grid)
-    ref = ref.reshape(xs.size, ys.size, 2, 2)
+    ref = ref.reshape(xs.size, xs.size, 2, 2)
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(transfer(s, xs, ys, n_grid) - ref)) <= 1e-12 * scale
+    t = transfer(s, xs, n_grid)
+    assert np.max(np.abs(t - ref)) <= 1e-12 * scale
+    assert np.array_equal(t[..., 1, 1], t[..., 0, 0].T)
 
 
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
@@ -259,7 +260,7 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
         return original(model, qx, qy, lam)
 
     monkeypatch.setattr(optics, "film_matrix_grid", counting)
-    transfer(SetupParams.paper_defaults(film=film), [0.0], [0.0], n_grid)
+    transfer(SetupParams.paper_defaults(film=film), [0.0], n_grid)
     # midpoints (2i + 1 - n) h / 2 of the square inside the disc of radius n h / 2
     odd = 2 * np.arange(n_grid) + 1 - n_grid
     masked = np.count_nonzero(odd[:, None] ** 2 + odd[None, :] ** 2 <= n_grid ** 2)
@@ -267,12 +268,20 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
     assert points[0] <= masked / 7
 
 
+def test_grid_too_large_for_memory_fails_at_once(setup):
+    # the 421527552^2 quadrant array (2.47 EiB) must be asked for before the
+    # GiB-sized O(n_grid) axis, which overcommit grants and whose pages,
+    # once touched, can get the process killed without a message
+    with pytest.raises(MemoryError):
+        transfer(setup, [0.0], 201 << 22)
+
+
 # --- output fields over a q3 window ------------------------------------------
 
 def fields_on(setup, input_pol, n, n_grid):
     """T(q3) input_pol on the n x n grid over the mapped aperture."""
     axis = q3_axis(setup, n, setup.theta3_max)
-    return transfer(setup, axis, axis, n_grid) @ input_pol
+    return transfer(setup, axis, n_grid) @ input_pol
 
 
 def test_q3_axis_spans_the_mapped_aperture(setup):

@@ -165,7 +165,7 @@ def test_field_map_is_not_a_coincidence_source():
     # the multimode source is the 2x2 power form of the map's fields
     setup = SetupParams.paper_defaults()
     axis = q3_axis(setup, 3, setup.theta3_max)
-    t = transfer(setup, axis, axis, 21)
+    t = transfer(setup, axis, 21)
     fields = t @ linear_pol(np.pi / 2)
     for source in (t, fields, np.eye(3)):
         with pytest.raises(TypeError):
@@ -192,6 +192,9 @@ def test_visibility_matches_brute_force(seed):
     state = postselect_channel(t, gram_allones())
     assert visibility(b2, state).visibility == pytest.approx(
         visibility_brute(b2, state).visibility, abs=1e-6)
+    # ... which is the one-mode coincidence sum the sweep's zero-aperture row reduces
+    assert visibility(b2, state).visibility == pytest.approx(
+        visibility(b2, power_form(t @ linear_pol(b2 + np.pi / 2.0))).visibility, abs=1e-12)
 
 
 def test_visibility_invariant_under_global_map_phase():
