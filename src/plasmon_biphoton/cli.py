@@ -33,16 +33,17 @@ from .scenarios import (
     ConfigError,
     NonFiniteOutputError,
     ScenarioConfig,
-    paper_default_config,
     parse_config_file,
     run_scenario,
 )
 
+# the config kind each command runs; validate-film reads a config of any kind
 _SCENARIO_OF_COMMAND = {
     "spectrum": "spectrum",
     "visibility": "visibility_sweep",
     "polmap": "polmap",
     "channel": "channel",
+    "validate-film": None,
 }
 
 _COMMANDS = {
@@ -126,12 +127,13 @@ def _parse_args(argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, **opts)
 
 
-def _load_config(args, kind: str) -> ScenarioConfig:
+def _load_config(args, kind: str | None) -> ScenarioConfig:
+    """The config of ``--config`` after ``--refine``; of any kind if ``kind`` is None."""
     if args.config == "paper_defaults":
-        cfg = paper_default_config(kind)
+        cfg = ScenarioConfig() if kind is None else ScenarioConfig(kind=kind)
     else:
         cfg = parse_config_file(args.config)
-        if cfg.kind != kind:
+        if kind not in (None, cfg.kind):
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand ({kind})")
     if args.refine:
@@ -144,16 +146,14 @@ def _load_config(args, kind: str) -> ScenarioConfig:
     return cfg
 
 
-def _validate_film(args) -> int:
-    cfg = paper_default_config("spectrum") if args.config == "paper_defaults" \
-        else parse_config_file(args.config)
+def _validate_film(cfg: ScenarioConfig) -> int:
     if cfg.semiaperture_deg == 0.0:
         raise ConfigError("semiaperture_deg must be positive to check T(0, 0)")
     film = cfg.film()
     checks = [(f"F(0, {lam:g} nm)", film_matrix(film, (0.0, 0.0), lam), 1e-12)
               for lam in cfg.lambdas_nm]
     checks += [(f"T(0, 0, {lam:g} nm)",
-                transfer(cfg.setup(film, lam), [0.0], 101)[0, 0], 1e-8)
+                transfer(cfg.setup(film, lam), [0.0], cfg.quad_points)[0, 0], 1e-8)
                for lam in cfg.lambdas_nm]
     for name, m, _ in checks:
         cfg.require_transmission(m, f"in {name}")
@@ -173,10 +173,10 @@ def main(argv=None) -> int:
     try:
         if args.refine < 0:
             raise ConfigError("--refine must not be negative")
-        if args.command == "validate-film":
-            return _validate_film(args)
         kind = _SCENARIO_OF_COMMAND[args.command]
         cfg = _load_config(args, kind)
+        if kind is None:
+            return _validate_film(cfg)
         if args.verbose:
             print(f"running {kind} -> {args.out} "
                   f"(quadrature {cfg.quad_points}x{cfg.quad_points})")

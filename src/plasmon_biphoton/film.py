@@ -9,9 +9,11 @@ lambda_G(q) = 2 pi n_eff / |q + G|.
 
 Everything is expressed in the lab (x, y) frame, so the returned matrix obeys
 F_lab(q) = R(phi_q)^-1 F_rot(q) R(phi_q) with respect to any rotated-frame
-formulation.  Alternatively a tabulated grid of matrices (from an external
-rigorous solver) can be loaded; it is interpolated bilinearly and never
-extrapolated; it must be point-group symmetric, as an analytic film is.
+formulation.  ``FilmModel`` is that analytic film.  A film table (from an
+external rigorous solver) is its own kind of film: ``load_tabulated`` reads
+it into a ``TabulatedGrid``, which holds the whole film matrix, direct term
+included, and is interpolated bilinearly and never extrapolated; it must be
+point-group symmetric, as an analytic film is.
 
 ``film_matrix_grid`` is the one evaluator for both kinds of film: qx, qy and
 lambda may be scalars or arrays of any shapes that broadcast together, and
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +39,9 @@ __all__ = [
     "TableRangeError",
     "TabulatedGrid",
     "default_film",
-    "resonance_wavelength",
     "film_matrix",
     "film_matrix_grid",
-    "transmittance",
     "load_tabulated",
-    "save_tabulated",
 ]
 
 # point group of the square lattice, 4 rotations x 2 reflections, each an
@@ -53,7 +52,7 @@ _POINT_GROUP = ([((c, -s), (s, c)) for c, s in _QUARTER_TURNS]
 
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
 
-SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of save_tabulated's "%.8e"
+SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 digits
 
 
 class TableRangeError(ValueError):
@@ -125,15 +124,11 @@ class TabulatedGrid:
 
 @dataclass(frozen=True)
 class FilmModel:
-    """Hole-array film: lattice period, direct amplitude and resonance families.
-
-    A film with a ``tabulated`` grid is interpolated from it instead.
-    """
+    """Analytic hole-array film: lattice period, direct amplitude and resonance families."""
 
     period: float
     direct_amplitude: complex
     families: tuple
-    tabulated: TabulatedGrid | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.period <= 0:
@@ -171,20 +166,6 @@ def default_film(
                                     amp * axis_amplitude_scale, period)
     return FilmModel(period=period, direct_amplitude=complex(direct_amplitude),
                      families=(fam_diag, fam_axis))
-
-
-def resonance_wavelength(family: ResonanceFamily, order, q, period: float) -> float:
-    """Momentum-matching wavelength of one order at transverse wavevector q.
-
-    Solves |q + G| = 2 pi n_eff / lambda with G = (2 pi / period)(m1, m2).
-    """
-    m1, m2 = order
-    gx = 2.0 * np.pi * m1 / period
-    gy = 2.0 * np.pi * m2 / period
-    norm = np.hypot(q[0] + gx, q[1] + gy)
-    if norm == 0.0:
-        raise ValueError(f"order {order} is singular at q = {tuple(q)}")
-    return 2.0 * np.pi * family.n_eff / norm
 
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
@@ -233,7 +214,7 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
     return fxx, fxy, fxy.copy(), fyy
 
 
-def film_matrix_grid(model: FilmModel, qx, qy, lam):
+def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
     """F_lab component arrays (fxx, fxy, fyx, fyy) over broadcast (q, lambda).
 
     qx, qy (nm^-1) and lam (nm) are scalars or arrays whose shapes broadcast
@@ -248,21 +229,15 @@ def film_matrix_grid(model: FilmModel, qx, qy, lam):
     lam = np.asarray(lam, dtype=float)
     if not np.all(lam > 0):
         raise ValueError("wavelength must be positive")
-    if model.tabulated is not None:
-        return _interpolate_tabulated(model.tabulated, qx, qy, lam)
+    if isinstance(model, TabulatedGrid):
+        return _interpolate_tabulated(model, qx, qy, lam)
     return _analytic_matrix_grid(model, qx, qy, lam)
 
 
-def film_matrix(model: FilmModel, q, lam: float) -> np.ndarray:
+def film_matrix(model: FilmModel | TabulatedGrid, q, lam: float) -> np.ndarray:
     """Lab-frame film transfer matrix F_lab(q, lambda) as a 2x2 complex array."""
     fxx, fxy, fyx, fyy = film_matrix_grid(model, q[0], q[1], lam)
     return np.array([[fxx, fxy], [fyx, fyy]], dtype=complex)
-
-
-def transmittance(model: FilmModel, q, lam: float, pol: np.ndarray) -> float:
-    """Transmitted intensity fraction |F_lab(q, lambda) pol|^2 for unit pol."""
-    out = film_matrix(model, q, lam) @ np.asarray(pol, dtype=complex)
-    return float(np.real(np.vdot(out, out)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +305,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return s[np.append(True, s[1:] != s[:-1])]
 
 
-def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0) -> FilmModel:
+def load_tabulated(path) -> TabulatedGrid:
     """Load a tabulated film-matrix grid from CSV (see TABULATED_HEADER).
 
     The rows must list each point of a nonempty rectangular (qx, qy, lambda)
@@ -365,19 +340,4 @@ def load_tabulated(path, period: float = 700.0, direct_amplitude: complex = 0.0)
 
     # columns re_xx, im_xx, re_xy, ... : xx, xy, yx, yy in row-major 2x2 order
     mats = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(*shape, 2, 2)
-    grid = TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats)
-    return FilmModel(period=period, direct_amplitude=complex(direct_amplitude),
-                     families=(), tabulated=grid)
-
-
-def save_tabulated(model: FilmModel, path) -> None:
-    """Write the tabulated grid of ``model`` back to CSV (round-trips load)."""
-    if model.tabulated is None:
-        raise ValueError("film model has no tabulated grid to save")
-    g = model.tabulated
-    lam, qx, qy = np.meshgrid(g.lam, g.qx, g.qy, indexing="ij")
-    m = g.matrices.reshape(-1, 4)
-    table = np.column_stack([qx.ravel(), qy.ravel(), lam.ravel(),
-                             np.stack([m.real, m.imag], axis=-1).reshape(-1, 8)])
-    np.savetxt(path, table, fmt="%.8e", delimiter=",", header=TABULATED_HEADER,
-               comments="")
+    return TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats)

@@ -1,10 +1,10 @@
 """Jones calculus in the fixed lab (x, y) transverse basis.
 
 Jones vectors are complex ndarrays of shape (2,) and Jones matrices complex
-ndarrays of shape (2, 2).  The p/s bases of oblique modes never appear
-explicitly; they enter only through conjugation with ``rotation(phi)``.
-Polarization ellipses are extracted for whole arrays of field components by
-``ellipse_arrays``; a single Jones vector is the one-point case.
+ndarrays of shape (2, 2).  The p/s bases of oblique modes never appear:
+everything stays in the lab frame.  Polarization ellipses are extracted for
+whole arrays of field components by ``ellipse_arrays``; a single Jones
+vector is the one-point case.
 
 Handedness convention
 ---------------------
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "rotation",
     "polarizer",
     "linear_pol",
     "ellipse_arrays",
@@ -26,12 +25,6 @@ __all__ = [
 
 # |axis_ratio| above this is treated as circular (psi degenerate, reported 0)
 _CIRCULAR_EPS = 1e-14
-
-
-def rotation(phi: float) -> np.ndarray:
-    """Rotation matrix by angle ``phi`` (counterclockwise, radians)."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def polarizer(beta: float) -> np.ndarray:

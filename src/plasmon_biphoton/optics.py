@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .film import FilmModel, default_film, film_matrix_grid
+from .film import FilmModel, TabulatedGrid, film_matrix_grid
 
 __all__ = ["SetupParams", "transfer", "q3_axis"]
 
@@ -60,7 +60,7 @@ class SetupParams:
     n : substrate refractive index
     delta : substrate thickness in nm
     theta_ap : telescope semiaperture in radians, measured at the film (on q2)
-    film : hole-array film model
+    film : the film, analytic or a table
     """
 
     lam: float
@@ -68,7 +68,7 @@ class SetupParams:
     n: float
     delta: float
     theta_ap: float
-    film: FilmModel
+    film: FilmModel | TabulatedGrid
 
     def __post_init__(self):
         for name in ("lam", "f", "delta"):
@@ -104,16 +104,6 @@ class SetupParams:
     def theta3_max(self) -> float:
         """Half-angle theta_ap / mag of the aperture mapped to the output, in radians."""
         return self.theta_ap / self.magnification
-
-    @staticmethod
-    def paper_defaults(lam: float = 797.0, theta_ap_deg: float = 8.0,
-                       film: FilmModel | None = None) -> "SetupParams":
-        """f = 15 mm, n = 1.52, Delta = 0.5 mm, default calibrated film."""
-        return SetupParams(
-            lam=lam, f=15e6, n=1.52, delta=0.5e6,
-            theta_ap=np.deg2rad(theta_ap_deg),
-            film=film if film is not None else default_film(),
-        )
 
 
 def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:

@@ -13,8 +13,9 @@ Two pictures are supported, mirroring the two regimes of the experiment:
   bucket-detector weights).  That sum depends on the fields only through
   the real 2x2 form sum Re(E E^H), which ``power_form`` builds.
 
-``coincidence_rate`` and ``visibility`` take either picture as their source:
-a ``PostselectedState`` or a real 2x2 form.
+Both pictures reduce photon 1 to one real symmetric 2x2 coincidence form A,
+with C(beta1) = e(beta1)^T A e(beta1): ``reduced_form`` of a post-selected
+state, ``power_form`` of the output fields.  ``visibility`` takes that form.
 
 Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 """
@@ -28,16 +29,13 @@ import numpy as np
 from .jones import polarizer
 
 __all__ = [
-    "GRAM_LABELS",
     "PostselectedState",
-    "VisibilityResult",
-    "singlet",
     "gram_identity",
     "gram_allones",
     "postselect_channel",
     "concurrence",
     "power_form",
-    "coincidence_rate",
+    "reduced_form",
     "visibility",
 ]
 
@@ -67,23 +65,6 @@ class PostselectedState:
 
     rho: np.ndarray
     success_weight: float
-
-
-@dataclass(frozen=True)
-class VisibilityResult:
-    """Fringe visibility of the coincidence rate as polarizer 1 rotates."""
-
-    beta2: float
-    visibility: float
-    beta1_max: float
-    beta1_min: float
-    c_max: float
-    c_min: float
-
-
-def singlet() -> np.ndarray:
-    """Polarization singlet (|XY> - |YX>)/sqrt(2) as a 4-amplitude vector."""
-    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 
 
 def gram_identity() -> np.ndarray:
@@ -133,9 +114,9 @@ def postselect_channel(t: np.ndarray, gram: np.ndarray) -> PostselectedState:
     return PostselectedState(rho=rho / weight, success_weight=weight / strength)
 
 
-def concurrence(state: PostselectedState | np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
-    rho = state.rho if isinstance(state, PostselectedState) else np.asarray(state, dtype=complex)
+def concurrence(state: PostselectedState) -> float:
+    """Wootters concurrence of the two-qubit density matrix of ``state``."""
+    rho = state.rho
     rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
     eig = np.linalg.eigvals(rho @ rho_tilde)
     lam = np.sqrt(np.clip(eig.real, 0.0, None))
@@ -158,47 +139,19 @@ def power_form(fields: np.ndarray) -> np.ndarray:
     return a.real
 
 
-def _coincidence_form(source, beta2: float) -> np.ndarray:
-    """Real symmetric 2x2 form A with C(beta1) = e(beta1)^T A e(beta1)."""
-    if isinstance(source, np.ndarray) and source.shape == (2, 2):
-        return source
-    if isinstance(source, PostselectedState):
-        rho4 = source.rho
-        p2 = polarizer(beta2)
-        # reduced photon-1 operator Tr_2[rho (I x P2)]
-        rho_r = rho4.reshape(2, 2, 2, 2)
-        reduced = np.einsum("iajb,ba->ij", rho_r, p2)
-        return reduced.real
-    raise TypeError(f"unsupported coincidence source {type(source).__name__}")
+def reduced_form(state: PostselectedState, beta2: float) -> np.ndarray:
+    """Coincidence form Re Tr_2[rho (I x P(beta2))] of photon 1, polarizer 2 at beta2."""
+    rho_r = state.rho.reshape(2, 2, 2, 2)
+    return np.einsum("iajb,ba->ij", rho_r, polarizer(beta2)).real
 
 
-def coincidence_rate(source, beta1: float, beta2: float) -> float:
-    """Coincidence rate for polarizer angles (beta1, beta2), arbitrary scale.
+def visibility(form: np.ndarray) -> float:
+    """Fringe visibility over beta1 of C(beta1) = e(beta1)^T A e(beta1).
 
-    ``source`` is a PostselectedState (monomode) or (multimode) the
-    ``power_form`` of photon 1's output fields for input polarization
-    beta2 + 90 deg.
+    The extrema of the quadratic form over beta1 are the eigenvalues of the
+    real symmetric 2x2 form A.
     """
-    a = _coincidence_form(source, beta2)
-    e1 = np.array([np.cos(beta1), np.sin(beta1)])
-    return float(e1 @ a @ e1)
-
-
-def visibility(beta2: float, source) -> VisibilityResult:
-    """Fringe visibility over beta1 at fixed beta2, by eigendecomposition.
-
-    The coincidence rate is a quadratic form in (cos beta1, sin beta1); its
-    extrema over beta1 are the eigenvalues of the real symmetric form.
-    """
-    a = _coincidence_form(source, beta2)
-    evals, evecs = np.linalg.eigh(a)
-    c_min, c_max = float(max(evals[0], 0.0)), float(max(evals[1], 0.0))
-    if c_max + c_min <= 0.0 or c_max == 0.0:
+    c_min, c_max = (max(float(c), 0.0) for c in np.linalg.eigvalsh(form))
+    if c_max == 0.0:
         raise ValueError("coincidence rate vanishes identically: visibility undefined")
-    beta1_min = float(np.arctan2(evecs[1, 0], evecs[0, 0]))
-    beta1_max = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
-    v = (c_max - c_min) / (c_max + c_min)
-    return VisibilityResult(beta2=beta2, visibility=v,
-                            beta1_max=beta1_max, beta1_min=beta1_min,
-                            c_max=c_max, c_min=c_min)
-
+    return (c_max - c_min) / (c_max + c_min)

@@ -29,7 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .film import FilmModel, default_film, film_matrix, film_matrix_grid, load_tabulated
+from .film import (
+    FilmModel,
+    TabulatedGrid,
+    default_film,
+    film_matrix,
+    film_matrix_grid,
+    load_tabulated,
+)
 from .jones import ellipse_arrays, linear_pol
 from .optics import PARAXIAL_LIMIT_RAD, SetupParams, q3_axis, transfer
 from .quantum import (
@@ -38,6 +45,7 @@ from .quantum import (
     gram_identity,
     postselect_channel,
     power_form,
+    reduced_form,
     visibility,
 )
 
@@ -48,7 +56,6 @@ __all__ = [
     "parse_config",
     "parse_config_file",
     "serialize_config",
-    "paper_default_config",
     "run_scenario",
     "run_spectrum",
     "run_visibility_sweep",
@@ -61,6 +68,9 @@ POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_r
                  "axis_ratio"]
 
 KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
+
+# the polarizer-2 angles, in degrees, of the channel report's V_0 and V_45
+CHANNEL_BETA2_DEG = (0.0, 45.0)
 
 # quad_points, map_points, polmap_points and the step counts of the
 # wavelength and semiaperture ranges stay below this.  A grid that large is
@@ -181,14 +191,20 @@ class ScenarioConfig:
         """Build what the constructors check; raises the first ValueError.
 
         A finite value so large that building overflows is one too.  Only
-        the channel report reads t; its check calls LAPACK, which would add
-        about 1 MB to the peak memory of every other kind.
+        the channel report reads t, and it needs both V_0 and V_45 defined;
+        its check calls LAPACK, which would add about 1 MB to the peak
+        memory of every other kind.
         """
         try:
             with np.errstate(over="raise"):
                 self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
                 if self.kind == "channel":
-                    postselect_channel(self.channel_matrix(), self.gram_matrix())
+                    state = postselect_channel(self.channel_matrix(), self.gram_matrix())
+                    for b2 in CHANNEL_BETA2_DEG:
+                        try:
+                            visibility(reduced_form(state, np.deg2rad(b2)))
+                        except ValueError as exc:
+                            raise ValueError(f"V_{b2:g}: {exc}") from None
         except ArithmeticError as exc:
             raise ValueError("building the film, telescope or channel overflows") from exc
 
@@ -223,11 +239,11 @@ class ScenarioConfig:
 
     # -- derived builders ---------------------------------------------------
 
-    def film(self) -> FilmModel:
+    def film(self) -> FilmModel | TabulatedGrid:
+        """The analytic film of the film keys, or the table ``film_table``, which ignores them."""
         if self.film_table:
             try:
-                return load_tabulated(self.film_table, period=self.period_nm,
-                                      direct_amplitude=self.direct_amplitude)
+                return load_tabulated(self.film_table)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"film table {self.film_table}: {exc}") from exc
         return default_film(
@@ -241,7 +257,7 @@ class ScenarioConfig:
             lambda_axis=self.lambda_axis_nm,
         )
 
-    def setup(self, film: FilmModel, lam_nm: float,
+    def setup(self, film: FilmModel | TabulatedGrid, lam_nm: float,
               semiaperture_deg: float | None = None) -> SetupParams:
         """Telescope geometry around ``film``, which a run builds once with ``film()``."""
         theta = self.semiaperture_deg if semiaperture_deg is None else semiaperture_deg
@@ -261,11 +277,6 @@ class ScenarioConfig:
             return gram_identity()
         g = self.gram_coherence
         return (1.0 - g) * gram_identity() + g * gram_allones()
-
-
-def paper_default_config(kind: str) -> ScenarioConfig:
-    """Built-in config with every field at the experiment's default."""
-    return ScenarioConfig(kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +523,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
             cfg.require_transmission(t, where)
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                row.append(visibility(b2, power_form(t @ linear_pol(b2 + np.pi / 2.0))).visibility)
+                row.append(visibility(power_form(t @ linear_pol(b2 + np.pi / 2.0))))
         rows.append(row)
     table = np.array(rows)
     return {"files": {"visibility.csv": (header, table)}, "semiaperture_deg": apertures,
@@ -570,8 +581,7 @@ def run_channel(cfg: ScenarioConfig) -> dict:
     """Monomode post-selection channel report for explicit t and Gram matrix."""
     state = postselect_channel(cfg.channel_matrix(), cfg.gram_matrix())
     conc = concurrence(state)
-    v0 = visibility(0.0, state).visibility
-    v45 = visibility(np.deg2rad(45.0), state).visibility
+    v0, v45 = (visibility(reduced_form(state, np.deg2rad(b2))) for b2 in CHANNEL_BETA2_DEG)
 
     lines = [f"gram = {cfg.gram}", f"gram_coherence = {FMT % cfg.gram_coherence}"]
     for name, val in (("t_xx", cfg.t_xx), ("t_xy", cfg.t_xy),

@@ -1,21 +1,68 @@
 """Slow reference implementations that tests compare the library against,
-and the film tables they compare it on."""
+the film tables they compare it on, and the helpers only tests need: the
+film-table writer, the paper's setup, rotations and the singlet."""
 
 import dataclasses
 
 import numpy as np
 
 from plasmon_biphoton.film import (
-    FilmModel,
+    TABULATED_HEADER,
     TabulatedGrid,
     default_film,
     film_matrix,
     film_matrix_grid,
-    resonance_wavelength,
 )
-from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD
-from plasmon_biphoton.quantum import PostselectedState, VisibilityResult
+from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD, SetupParams
+from plasmon_biphoton.quantum import PostselectedState
 from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
+
+
+def paper_setup(lam: float = 797.0, theta_ap_deg: float = 8.0, film=None) -> SetupParams:
+    """f = 15 mm, n = 1.52, Delta = 0.5 mm, default calibrated film."""
+    return SetupParams(lam=lam, f=15e6, n=1.52, delta=0.5e6, theta_ap=np.deg2rad(theta_ap_deg),
+                       film=film if film is not None else default_film())
+
+
+def rotation(phi: float) -> np.ndarray:
+    """Rotation matrix by angle ``phi`` (counterclockwise, radians)."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def singlet() -> np.ndarray:
+    """Polarization singlet (|XY> - |YX>)/sqrt(2) as a 4-amplitude vector."""
+    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
+def resonance_wavelength(family, order, q, period: float) -> float:
+    """Momentum-matching wavelength of one order at transverse wavevector q.
+
+    Solves |q + G| = 2 pi n_eff / lambda with G = (2 pi / period)(m1, m2).
+    """
+    m1, m2 = order
+    gx = 2.0 * np.pi * m1 / period
+    gy = 2.0 * np.pi * m2 / period
+    norm = np.hypot(q[0] + gx, q[1] + gy)
+    if norm == 0.0:
+        raise ValueError(f"order {order} is singular at q = {tuple(q)}")
+    return 2.0 * np.pi * family.n_eff / norm
+
+
+def transmittance(model, q, lam: float, pol: np.ndarray) -> float:
+    """Transmitted intensity fraction |F_lab(q, lambda) pol|^2 for unit pol."""
+    out = film_matrix(model, q, lam) @ np.asarray(pol, dtype=complex)
+    return float(np.real(np.vdot(out, out)))
+
+
+def save_tabulated(grid: TabulatedGrid, path) -> None:
+    """Write a film table as the CSV ``film.load_tabulated`` reads, each value "%.8e"."""
+    lam, qx, qy = np.meshgrid(grid.lam, grid.qx, grid.qy, indexing="ij")
+    m = grid.matrices.reshape(-1, 4)
+    table = np.column_stack([qx.ravel(), qy.ravel(), lam.ravel(),
+                             np.stack([m.real, m.imag], axis=-1).reshape(-1, 8)])
+    np.savetxt(path, table, fmt="%.8e", delimiter=",", header=TABULATED_HEADER,
+               comments="")
 
 
 def film_matrix_direct(model, qx, qy, lam):
@@ -113,14 +160,13 @@ def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
     return (1 - tl) * plane(il0) + tl * plane(il1)
 
 
-def default_film_table(q_max, lams, n_q=9) -> FilmModel:
+def default_film_table(q_max, lams, n_q=9) -> TabulatedGrid:
     """The default film sampled on an n_q x n_q grid over |qx|, |qy| <= q_max."""
     qs = np.linspace(-q_max, q_max, n_q)
     lam, qx, qy = np.meshgrid(lams, qs, qs, indexing="ij")
     mats = np.stack(film_matrix_grid(default_film(), qx, qy, lam), axis=-1)
-    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float),
+    return TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float),
                          matrices=mats.reshape(qx.shape + (2, 2)))
-    return FilmModel(period=700.0, direct_amplitude=0j, families=(), tabulated=grid)
 
 
 def symmetric_random_grid(rng, q, lam) -> TabulatedGrid:
@@ -145,7 +191,7 @@ def symmetric_random_grid(rng, q, lam) -> TabulatedGrid:
                          matrices=total / 8)
 
 
-def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityResult:
+def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> float:
     """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.
 
     Independent cross-check of ``quantum.visibility``: the rate is computed
@@ -172,23 +218,20 @@ def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> VisibilityR
     rates = np.array([rate(b) for b in angles])
 
     def refine(idx):
+        """The rate at the vertex of the parabola through the scan's extremum and its neighbours."""
         h = np.deg2rad(step_deg)
         b0 = angles[idx]
         y0, y1, y2 = rate(b0 - h), rates[idx], rate(b0 + h)
         denom = y0 - 2.0 * y1 + y2
         shift = 0.0 if denom == 0.0 else 0.5 * h * (y0 - y2) / denom
-        b = b0 + np.clip(shift, -h, h)
-        return b, rate(b)
+        return rate(b0 + np.clip(shift, -h, h))
 
-    beta1_max, c_max = refine(int(np.argmax(rates)))
-    beta1_min, c_min = refine(int(np.argmin(rates)))
+    c_max = refine(int(np.argmax(rates)))
+    c_min = refine(int(np.argmin(rates)))
     c_min = max(c_min, 0.0)
     if c_max + c_min <= 0.0 or c_max == 0.0:
         raise ValueError("coincidence rate vanishes identically: visibility undefined")
-    v = (c_max - c_min) / (c_max + c_min)
-    return VisibilityResult(beta2=beta2, visibility=v,
-                            beta1_max=float(beta1_max), beta1_min=float(beta1_min),
-                            c_max=c_max, c_min=c_min)
+    return (c_max - c_min) / (c_max + c_min)
 
 
 def config_refusal(**values):

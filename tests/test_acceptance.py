@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from plasmon_biphoton.film import default_film, film_matrix, resonance_wavelength
+from plasmon_biphoton.film import default_film, film_matrix
 from plasmon_biphoton.jones import ellipse_arrays, linear_pol
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
@@ -18,19 +18,20 @@ from plasmon_biphoton.quantum import (
     gram_identity,
     postselect_channel,
     power_form,
+    reduced_form,
     visibility,
 )
 from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario, run_spectrum
 
-from oracles import visibility_brute
+from oracles import paper_setup, resonance_wavelength, visibility_brute
 
 
 def _vis(lam, beta2_deg, n=41, n_grid=201, theta_ap_deg=8.0):
-    setup = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg)
+    setup = paper_setup(lam=lam, theta_ap_deg=theta_ap_deg)
     beta2 = np.deg2rad(beta2_deg)
     axis = q3_axis(setup, n, setup.theta3_max)
     fields = transfer(setup, axis, n_grid) @ linear_pol(beta2 + np.pi / 2.0)
-    return visibility(beta2, power_form(fields)).visibility
+    return visibility(power_form(fields))
 
 
 def _ellipses(setup, input_pol, axis, n_grid):
@@ -59,7 +60,7 @@ def test_criterion_01_identity_symmetry():
                                    abs(m[0, 0] - m[1, 1])) / scale)
     worst_t = 0.0
     for lam in (728.0, 797.0, 813.0):
-        setup = SetupParams.paper_defaults(lam=lam)
+        setup = paper_setup(lam=lam)
         t = transfer(setup, [0.0], 201)[0, 0]
         scale = 0.5 * (abs(t[0, 0]) + abs(t[1, 1]))
         worst_t = max(worst_t, max(abs(t[0, 1]), abs(t[1, 0]),
@@ -75,8 +76,7 @@ def test_criterion_01_identity_symmetry():
 def test_criterion_02_monomode_preservation():
     film = default_film()
     state = postselect_channel(film_matrix(film, (0.0, 0.0), 797.0), gram_allones())
-    vs = [visibility(np.deg2rad(b2), state).visibility
-          for b2 in (0.0, 22.5, 45.0, 67.5)]
+    vs = [visibility(reduced_form(state, np.deg2rad(b2))) for b2 in (0.0, 22.5, 45.0, 67.5)]
     print(f"\ncriterion 2: monomode V = {['%.6f' % v for v in vs]} (tol 1e-3)")
     assert all(abs(v - 1.0) <= 1e-3 for v in vs)
 
@@ -101,7 +101,7 @@ def test_criterion_04_role_exchange_728(focused_visibilities):
 def test_criterion_05_stationary_phase_mapping():
     from plasmon_biphoton.film import FilmModel
 
-    setup = SetupParams.paper_defaults()
+    setup = paper_setup()
     theta2 = 0.1 * setup.magnification
     # imaged aperture disc: half-energy radius maps back to the aperture
     # radius through the angular magnification (probed at 0.25 rad where
@@ -130,11 +130,11 @@ def test_criterion_06_channel_extremes():
     mixed = postselect_channel(np.eye(2), gram_identity())
     checks = {
         "C(coherent)": (concurrence(coherent), 1.0),
-        "V_0(coherent)": (visibility(0.0, coherent).visibility, 1.0),
-        "V_45(coherent)": (visibility(np.pi / 4, coherent).visibility, 1.0),
+        "V_0(coherent)": (visibility(reduced_form(coherent, 0.0)), 1.0),
+        "V_45(coherent)": (visibility(reduced_form(coherent, np.pi / 4)), 1.0),
         "C(mixed)": (concurrence(mixed), 0.0),
-        "V_0(mixed)": (visibility(0.0, mixed).visibility, 1.0),
-        "V_45(mixed)": (visibility(np.pi / 4, mixed).visibility, 0.0),
+        "V_0(mixed)": (visibility(reduced_form(mixed, 0.0)), 1.0),
+        "V_45(mixed)": (visibility(reduced_form(mixed, np.pi / 4)), 0.0),
     }
     worst = max(abs(got - want) for got, want in checks.values())
     print(f"\ncriterion 6: channel extremes, worst deviation {worst:.2e} (tol 1e-9)")
@@ -148,8 +148,8 @@ def test_criterion_07_visibility_oracle_equivalence():
         beta2 = rng.uniform(0.0, np.pi)
         n = rng.integers(2, 6)
         fields = (rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2)))
-        fast = visibility(beta2, power_form(fields)).visibility
-        slow = visibility_brute(beta2, fields).visibility
+        fast = visibility(power_form(fields))
+        slow = visibility_brute(beta2, fields)
         worst = max(worst, abs(fast - slow))
     print(f"\ncriterion 7: eigen vs brute force on 100 maps, "
           f"worst |dV| = {worst:.2e} (tol 1e-6)")
@@ -249,7 +249,7 @@ def test_criterion_08_spectrum_reproduction():
 
 
 def test_criterion_09_polarization_maps():
-    setup = SetupParams.paper_defaults()
+    setup = paper_setup()
     ax = q3_axis(setup, 81, setup.theta3_max)
     w, psi_in, ratio_in = _ellipses(setup, linear_pol(np.deg2rad(-45.0)), ax, 201)
     w2, psi_90, ratio_90 = _ellipses(setup, linear_pol(np.deg2rad(90.0)), ax, 201)

@@ -8,8 +8,10 @@ import pytest
 
 from plasmon_biphoton import optics, scenarios
 from plasmon_biphoton.cli import main
-from plasmon_biphoton.film import TABULATED_HEADER, FilmModel, TabulatedGrid, save_tabulated
+from plasmon_biphoton.film import TABULATED_HEADER, TabulatedGrid
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
+
+from oracles import save_tabulated
 
 
 def write_cfg(tmp_path, **overrides):
@@ -31,8 +33,7 @@ def write_table(tmp_path, matrix, lams=(790.0, 800.0)):
     grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array(lams),
                          matrices=np.broadcast_to(matrix, (len(lams), 5, 5, 2, 2)))
     path = tmp_path / "film.csv"
-    save_tabulated(FilmModel(period=700.0, direct_amplitude=0.0, families=(),
-                             tabulated=grid), path)
+    save_tabulated(grid, path)
     return path
 
 
@@ -133,12 +134,13 @@ def test_grid_too_large_for_memory_is_config_error(tmp_path, capsys):
     ("polmap", ["--refine", "60"]), ("polmap", ["--refine", "2000"]),
     ("polmap", ["--refine=1000000000"]), ("polmap", "quad_points = 9223372036854775808"),
     ("spectrum", "lambda_step_nm = 1e-300"), ("visibility", "semiaperture_step_deg = 1e-300"),
+    ("validate-film", ["--refine", "60"]),
 ], ids=["refine_60", "refine_2000", "refine_1e9", "quad_points_2**63", "lambda_step_1e-300",
-        "semiaperture_step_1e-300"])
+        "semiaperture_step_1e-300", "validate_film_refine_60"])
 def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, command, argv):
     # --refine 60 and both 1e-300 steps ended in "ValueError: Maximum allowed
     # size exceeded", and --refine 2000 in an OverflowError; 1e9 must not
-    # build a 2**1e9 integer
+    # build a 2**1e9 integer; validate-film ignored --refine and exited 0
     key = "--refine"
     if isinstance(argv, str):
         kind = "visibility_sweep" if command == "visibility" else command
@@ -186,18 +188,20 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     ("polmap", "f_mm = -1"), ("visibility", "n_substrate = 1.0"),
     ("spectrum", "period_nm = 0"), ("spectrum", "gamma_axis_nm = 0"),
     ("spectrum", "peak_transmittance = 0.0001"), ("spectrum", "peak_transmittance = -1"),
-    ("channel", "t_xx = 0\nt_yy = 0"),
+    ("channel", "t_xx = 0\nt_yy = 0"), ("channel", "t_yy = 0"), ("channel", "t_xy = 1\nt_yy = 0"),
     ("spectrum", "direct_amplitude = 1e200"), ("channel", "t_xy = 1e160j"),
     ("visibility", "f_mm = 1e305"), ("visibility", "delta_mm = 1e305"),
 ], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
-        "peak_below_direct", "negative_peak", "zero_channel", "overflowing_direct_amplitude",
-        "overflowing_channel", "overflowing_focal_length", "overflowing_thickness"])
+        "peak_below_direct", "negative_peak", "zero_channel", "undefined_v0", "undefined_v45",
+        "overflowing_direct_amplitude", "overflowing_channel", "overflowing_focal_length",
+        "overflowing_thickness"])
 def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
     # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
-    # FilmModel, default_film or postselect_channel, or (negative peak) in NaN
-    # output; a finite value whose square overflows, in an OverflowError
-    # traceback or an overflow warning; a focal length or thickness that
-    # overflows to inf in nm, in a warning and a numerical error
+    # FilmModel, default_film, postselect_channel or (a channel whose V_0 or
+    # V_45 is undefined) visibility, or (negative peak) in NaN output; a
+    # finite value whose square overflows, in an OverflowError traceback or
+    # an overflow warning; a focal length or thickness that overflows to inf
+    # in nm, in a warning and a numerical error
     kind = "visibility_sweep" if command == "visibility" else command
     path = tmp_path / "cfg.txt"
     # two valid keys off their defaults, which the message must not blame
@@ -252,8 +256,7 @@ def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
     grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array([790.0, 800.0]),
                          matrices=np.broadcast_to(0.1 * np.eye(2), (2, 2, 2, 2, 2)))
     table = tmp_path / "film.csv"
-    save_tabulated(FilmModel(period=700.0, direct_amplitude=0.0, families=(),
-                             tabulated=grid), table)
+    save_tabulated(grid, table)
     cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
     code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -3,7 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from oracles import film_matrix_direct, interpolate_tabulated_point, symmetric_random_grid
+from oracles import (
+    film_matrix_direct,
+    interpolate_tabulated_point,
+    resonance_wavelength,
+    rotation,
+    save_tabulated,
+    symmetric_random_grid,
+    transmittance,
+)
 from plasmon_biphoton.film import (
     TABULATED_HEADER,
     FilmModel,
@@ -14,11 +22,8 @@ from plasmon_biphoton.film import (
     film_matrix,
     film_matrix_grid,
     load_tabulated,
-    resonance_wavelength,
-    save_tabulated,
-    transmittance,
 )
-from plasmon_biphoton.jones import linear_pol, rotation
+from plasmon_biphoton.jones import linear_pol
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +214,8 @@ def sample_tabulated(tmp_path):
 
 def test_tabulated_round_trip(tmp_path):
     path = sample_tabulated(tmp_path)
-    model = load_tabulated(path)
     out = tmp_path / "roundtrip.csv"
-    save_tabulated(model, out)
+    save_tabulated(load_tabulated(path), out)
     assert out.read_text() == path.read_text()
 
 
@@ -223,7 +227,7 @@ def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
         path = tmp_path / "random.csv"
         save_tabulated(random_table(np.random.default_rng(7), 3), path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    g = load_tabulated(path).tabulated
+    g = load_tabulated(path)
     for axis, column in ((g.qx, 0), (g.qy, 1), (g.lam, 2)):
         expected = np.unique(data[:, column])
         assert axis.dtype == expected.dtype and axis.tobytes() == expected.tobytes()
@@ -232,18 +236,16 @@ def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
 
 
 def test_tabulated_interpolation_midpoint(tmp_path):
-    model = load_tabulated(sample_tabulated(tmp_path))
-    g = model.tabulated
+    g = load_tabulated(sample_tabulated(tmp_path))
     lam_mid = 0.5 * (g.lam[0] + g.lam[1])
-    got = film_matrix(model, (g.qx[1], g.qy[2]), lam_mid)
+    got = film_matrix(g, (g.qx[1], g.qy[2]), lam_mid)
     expected = 0.5 * (g.matrices[0, 1, 2] + g.matrices[1, 1, 2])
     assert np.allclose(got, expected, atol=1e-15)
 
 
 def test_tabulated_matches_grid_nodes(tmp_path):
-    model = load_tabulated(sample_tabulated(tmp_path))
-    g = model.tabulated
-    got = film_matrix(model, (g.qx[3], g.qy[0]), g.lam[2])
+    g = load_tabulated(sample_tabulated(tmp_path))
+    got = film_matrix(g, (g.qx[3], g.qy[0]), g.lam[2])
     assert np.allclose(got, g.matrices[2, 3, 0], atol=1e-14)
 
 
@@ -261,9 +263,8 @@ def random_table(rng, n_lam):
         return start + np.cumsum(rng.uniform(0.2, 1.0, n)) * scale
 
     half = axis(0.0, 3, 2e-4)
-    grid = symmetric_random_grid(rng, np.concatenate([-half[::-1], half]),
+    return symmetric_random_grid(rng, np.concatenate([-half[::-1], half]),
                                  axis(790.0, n_lam, 3.0))
-    return FilmModel(period=700.0, direct_amplitude=0.0, families=(), tabulated=grid)
 
 
 def refused_asymmetry(what, grid_args):
@@ -277,7 +278,7 @@ def refused_asymmetry(what, grid_args):
 
 
 def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
-    g = random_table(np.random.default_rng(3), 3).tabulated
+    g = random_table(np.random.default_rng(3), 3)
     args = dict(qx=g.qx, qy=g.qy, lam=g.lam, matrices=g.matrices)
     scale = np.max(np.abs(g.matrices))
     # one entry, not the largest, moved by a fraction of the largest
@@ -302,8 +303,7 @@ def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
 @pytest.mark.parametrize("n_lam", [3, 1], ids=["three_lambdas", "one_lambda"])
 def test_array_interpolation_matches_per_point_oracle(n_lam):
     rng = np.random.default_rng(11)
-    model = random_table(rng, n_lam)
-    g = model.tabulated
+    g = random_table(rng, n_lam)
     # random in-range points, then every grid node, then the upper edge of
     # each axis with the other two coordinates random
     n = 200
@@ -315,29 +315,28 @@ def test_array_interpolation_matches_per_point_oracle(n_lam):
         pts.append(edge)
     pts = np.concatenate(pts)
     expected = np.array([interpolate_tabulated_point(g, p[:2], p[2]) for p in pts])
-    got = np.stack(film_matrix_grid(model, pts[:, 0], pts[:, 1], pts[:, 2]),
+    got = np.stack(film_matrix_grid(g, pts[:, 0], pts[:, 1], pts[:, 2]),
                    axis=-1).reshape(-1, 2, 2)
     assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
     # one wavelength broadcast against a flat q sample (the aperture case)
     lam = pts[0, 2]
     expected = np.array([interpolate_tabulated_point(g, p[:2], lam) for p in pts[:n]])
-    got = np.stack(film_matrix_grid(model, pts[:n, 0], pts[:n, 1], lam),
+    got = np.stack(film_matrix_grid(g, pts[:n, 0], pts[:n, 1], lam),
                    axis=-1).reshape(-1, 2, 2)
     assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
 
 
 def test_out_of_range_array_names_first_bad_value():
-    model = random_table(np.random.default_rng(5), 3)
-    g = model.tabulated
+    g = random_table(np.random.default_rng(5), 3)
     qx_inside = np.array([g.qx[1], g.qx[2], g.qx[3]])
     qx = np.array([g.qx[2], g.qx[-1] + 1e-4, g.qx[0] - 3e-4])
     with pytest.raises(TableRangeError, match=re.escape(f"qx = {qx[1]:g} outside")):
-        film_matrix_grid(model, qx, np.full(3, g.qy[1]), g.lam[1])
+        film_matrix_grid(g, qx, np.full(3, g.qy[1]), g.lam[1])
     lam = np.array([g.lam[0], g.lam[-1], g.lam[-1] + 2.0, g.lam[0] - 5.0])
     with pytest.raises(TableRangeError, match=re.escape(f"lambda = {lam[2]:g} outside")):
-        film_matrix_grid(model, g.qx[1], g.qy[1], lam)
+        film_matrix_grid(g, g.qx[1], g.qy[1], lam)
     with pytest.raises(TableRangeError, match="qy = nan outside"):
-        film_matrix_grid(model, qx_inside, np.array([g.qy[1], np.nan, g.qy[2]]), g.lam[1])
+        film_matrix_grid(g, qx_inside, np.array([g.qy[1], np.nan, g.qy[2]]), g.lam[1])
 
 
 @pytest.mark.parametrize("kind", ["analytic", "tabulated"])

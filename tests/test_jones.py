@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plasmon_biphoton.jones import ellipse_arrays, linear_pol, polarizer, rotation
+from plasmon_biphoton.jones import ellipse_arrays, linear_pol, polarizer
+
+from oracles import rotation
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 

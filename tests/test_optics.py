@@ -14,6 +14,7 @@ from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 
 from oracles import (
     default_film_table,
+    paper_setup,
     symmetric_random_grid,
     transfer_direct,
     transfer_sp,
@@ -22,7 +23,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def setup():
-    return SetupParams.paper_defaults()
+    return paper_setup()
 
 
 def t_at(q3, setup, n_grid):
@@ -62,7 +63,7 @@ def test_aperture_radius(setup):
 
 def test_setup_validation():
     with pytest.raises(ValueError):
-        SetupParams.paper_defaults(theta_ap_deg=30.0)  # beyond paraxial range
+        paper_setup(theta_ap_deg=30.0)  # beyond paraxial range
     with pytest.raises(ValueError):
         SetupParams(lam=797.0, f=15e6, n=0.9, delta=0.5e6,
                     theta_ap=0.1, film=default_film())
@@ -75,7 +76,7 @@ def test_setup_validation():
 
 @pytest.mark.parametrize("lam", [728.0, 797.0, 813.0])
 def test_on_axis_matrix_proportional_to_identity(lam):
-    s = SetupParams.paper_defaults(lam=lam)
+    s = paper_setup(lam=lam)
     t = t_at((0.0, 0.0), s, 101)
     scale = np.max(np.abs(t))
     assert abs(t[0, 1]) <= 1e-8 * scale
@@ -84,7 +85,7 @@ def test_on_axis_matrix_proportional_to_identity(lam):
 
 
 def test_point_group_equivariance():
-    s = SetupParams.paper_defaults()
+    s = paper_setup()
     q3 = np.array([1.7e-6, 0.6e-6])
     base = t_at(q3, s, 101)
     for g in [np.array([[0.0, -1.0], [1.0, 0.0]]),   # quarter turn
@@ -97,7 +98,7 @@ def test_point_group_equivariance():
 def test_tiny_aperture_limit():
     # as the aperture shrinks, T(0) approaches a scalar times F(0)
     film = default_film()
-    s = SetupParams.paper_defaults(theta_ap_deg=0.05, film=film)
+    s = paper_setup(theta_ap_deg=0.05, film=film)
     t = t_at((0.0, 0.0), s, 51)
     f0 = film_matrix(film, (0.0, 0.0), s.lam)
     ratio = t[0, 0] / f0[0, 0]
@@ -109,7 +110,7 @@ def test_tiny_aperture_limit():
 def test_flat_film_matches_truncated_fresnel_integral():
     # frozen oracle: direct-only film gives T(0) = t pi (e^{i a R^2} - 1)/(i a) I;
     # midpoint rule on the disc at n_grid = 401 reproduces it to 3.5e-3
-    s = SetupParams.paper_defaults(film=flat_film())
+    s = paper_setup(film=flat_film())
     t = t_at((0.0, 0.0), s, 401)
     r = s.q2_max
     analytic = 0.01 * np.pi * (np.exp(1j * s.alpha * r * r) - 1.0) / (1j * s.alpha)
@@ -129,7 +130,7 @@ def test_stationary_point_outside_aperture_raises(setup):
 
 
 def test_stationary_phase_tracks_film_at_magnified_point():
-    s = SetupParams.paper_defaults(film=smooth_film())
+    s = paper_setup(film=smooth_film())
     q3 = np.array([3e-6, -1e-6])
     sp = transfer_sp(q3, s)
     f = film_matrix(s.film, s.magnification * q3, s.lam)
@@ -142,7 +143,7 @@ def test_stationary_phase_approximates_full_integral(q3):
     # quadrature equals a single scalar times the stationary-phase matrix to
     # better than 7% in Frobenius norm, with the scalar within [0.8, 1.3];
     # the residual comes from aperture-boundary truncation of the Fresnel tail
-    s = SetupParams.paper_defaults(film=smooth_film())
+    s = paper_setup(film=smooth_film())
     full = t_at(q3, s, 401)
     sp = transfer_sp(q3, s)
     c = np.vdot(sp, full) / np.vdot(sp, sp)
@@ -167,22 +168,21 @@ def refinement_change(setup):
 
 
 def test_convergence_check_passes_for_smooth_film():
-    assert refinement_change(SetupParams.paper_defaults(film=smooth_film())) <= 5e-3
+    assert refinement_change(paper_setup(film=smooth_film())) <= 5e-3
 
 
 @pytest.mark.xfail(reason="default narrow resonances (5 nm) need far more than "
                           "one refinement at 1e-4 per-entry tolerance",
                    strict=True)
 def test_convergence_check_default_film_at_spec_tolerance():
-    assert refinement_change(SetupParams.paper_defaults()) <= 1e-4
+    assert refinement_change(paper_setup()) <= 1e-4
 
 
 # --- separable transform against the direct-sum oracle ----------------------
 
 def random_table_film(lam, rng):
     """A seeded random point-group symmetric film table over the 8 deg aperture."""
-    grid = symmetric_random_grid(rng, np.linspace(-1.2e-3, 1.2e-3, 9), [lam - 5.0, lam + 5.0])
-    return FilmModel(period=700.0, direct_amplitude=0j, families=(), tabulated=grid)
+    return symmetric_random_grid(rng, np.linspace(-1.2e-3, 1.2e-3, 9), [lam - 5.0, lam + 5.0])
 
 
 @pytest.mark.parametrize("n_grid", [50, 51, 201])
@@ -192,7 +192,7 @@ def test_separable_transform_matches_direct_sum(n_grid, tabulated):
     # quadrant; the oracle sums over the whole disc
     rng = np.random.default_rng(n_grid)
     film = random_table_film(797.0, rng) if tabulated else default_film()
-    s = SetupParams.paper_defaults(film=film)
+    s = paper_setup(film=film)
     q3_limit = 1.5 * s.q2_max / s.magnification
     axis = rng.uniform(-q3_limit, q3_limit, 5)
     qx, qy = np.meshgrid(axis, axis, indexing="ij")
@@ -211,7 +211,7 @@ def test_square_grid_transform_keeps_the_diagonal_mirror_exactly(n, n_grid, tabu
     # F(q) mirrored in the diagonal is F with x and y swapped, so on a square
     # q3 grid T_yy(x, y) = T_xx(y, x) and T_yx(x, y) = T_xy(y, x), bit for bit
     film = random_table_film(797.0, np.random.default_rng(n)) if tabulated else default_film()
-    s = SetupParams.paper_defaults(film=film)
+    s = paper_setup(film=film)
     axis = q3_axis(s, n, 1.5 * s.theta3_max)
     t = transfer(s, axis, n_grid)
     assert np.array_equal(t[..., 1, 1], t[..., 0, 0].T)
@@ -236,7 +236,7 @@ def test_transform_matches_direct_sum_property(n_grid, theta_ap_deg, lam, xs, ga
         film = default_film(gamma_diagonal_nm=gammas[0], gamma_axis_nm=gammas[1])
     else:
         film = random_table_film(797.0, np.random.default_rng(table_seed))
-    s = SetupParams.paper_defaults(lam=lam, theta_ap_deg=theta_ap_deg, film=film)
+    s = paper_setup(lam=lam, theta_ap_deg=theta_ap_deg, film=film)
     unit = s.q2_max / s.magnification
     xs = unit * np.array(xs)
     qx, qy = np.meshgrid(xs, xs, indexing="ij")
@@ -260,7 +260,7 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
         return original(model, qx, qy, lam)
 
     monkeypatch.setattr(optics, "film_matrix_grid", counting)
-    transfer(SetupParams.paper_defaults(film=film), [0.0], n_grid)
+    transfer(paper_setup(film=film), [0.0], n_grid)
     # midpoints (2i + 1 - n) h / 2 of the square inside the disc of radius n h / 2
     odd = 2 * np.arange(n_grid) + 1 - n_grid
     masked = np.count_nonzero(odd[:, None] ** 2 + odd[None, :] ** 2 <= n_grid ** 2)
@@ -310,9 +310,9 @@ def test_field_map_mirror_symmetry(film):
     # -45 deg input is an eigenstate of the anti-diagonal mirror, so the
     # intensity map is symmetric under (x, y) -> (-y, -x); T keeps the point
     # group by construction for a film table as for the analytic film
-    s = SetupParams.paper_defaults()
+    s = paper_setup()
     if film == "table":
-        s = SetupParams.paper_defaults(film=default_film_table(1.2e-3, (796.0, 798.0), n_q=41))
+        s = paper_setup(film=default_film_table(1.2e-3, (796.0, 798.0), n_q=41))
     fields = fields_on(s, linear_pol(np.deg2rad(-45.0)), 9, 101)
     intensity, _, _ = ellipse_arrays(fields[..., 0], fields[..., 1])
     flipped = intensity[::-1, ::-1].T

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmon_biphoton.jones import linear_pol, rotation
-from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
+from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
-    coincidence_rate,
     concurrence,
     gram_allones,
     gram_identity,
     postselect_channel,
     power_form,
-    singlet,
+    reduced_form,
     visibility,
 )
 
-from oracles import visibility_brute
+from oracles import rotation, singlet, visibility_brute
+
+
+def rate(form, beta1):
+    """Coincidence rate e(beta1)^T A e(beta1) of a 2x2 coincidence form A."""
+    e1 = np.array([np.cos(beta1), np.sin(beta1)])
+    return float(e1 @ form @ e1)
 
 
 def uniform_fields(pol_angle, n=5):
@@ -107,8 +111,8 @@ def test_postselected_state_is_density_matrix(inputs):
 
 def test_visibility_scale_invariance_of_channel():
     t = np.array([[0.8, 0.1], [0.0, 0.5j]])
-    v1 = visibility(0.3, postselect_channel(t, gram_allones())).visibility
-    v2 = visibility(0.3, postselect_channel(3.7j * t, gram_allones())).visibility
+    v1 = visibility(reduced_form(postselect_channel(t, gram_allones()), 0.3))
+    v2 = visibility(reduced_form(postselect_channel(3.7j * t, gram_allones()), 0.3))
     assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -129,16 +133,16 @@ def test_concurrence_separable_mixture():
 def test_monomode_singlet_malus_law():
     state = postselect_channel(np.eye(2), gram_allones())
     for b1, b2 in [(0.2, 0.9), (1.1, 0.3), (0.0, np.pi / 4)]:
-        c = coincidence_rate(state, b1, b2)
+        c = rate(reduced_form(state, b2), b1)
         assert c == pytest.approx(0.5 * np.sin(b1 - b2) ** 2, abs=1e-12)
 
 
 def test_multimode_identity_transfer_malus_law():
     b2 = 0.4
     form = power_form(uniform_fields(b2 + np.pi / 2))
-    c_ref = coincidence_rate(form, b2 + np.pi / 2, b2)
+    c_ref = rate(form, b2 + np.pi / 2)
     for b1 in (0.0, 0.7, 2.0):
-        c = coincidence_rate(form, b1, b2)
+        c = rate(form, b1)
         assert c == pytest.approx(c_ref * np.sin(b1 - b2) ** 2, abs=1e-9 * c_ref)
 
 
@@ -148,31 +152,17 @@ def test_case_i_visibilities_by_closed_form():
     # closed form: rho = (|XY><XY| + |YX><YX|)/2, so
     # C(b1, 0) = sin^2(b1)/2 and C(b1, 45 deg) = 1/4 for all b1
     for b1 in (0.0, 0.5, 1.2):
-        assert coincidence_rate(state, b1, 0.0) == pytest.approx(
+        assert rate(reduced_form(state, 0.0), b1) == pytest.approx(
             0.5 * np.sin(b1) ** 2, abs=1e-12)
-        assert coincidence_rate(state, b1, np.pi / 4) == pytest.approx(0.25, abs=1e-12)
-    assert visibility(0.0, state).visibility == pytest.approx(1.0, abs=1e-12)
-    assert visibility(np.pi / 4, state).visibility == pytest.approx(0.0, abs=1e-12)
+        assert rate(reduced_form(state, np.pi / 4), b1) == pytest.approx(0.25, abs=1e-12)
+    assert visibility(reduced_form(state, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert visibility(reduced_form(state, np.pi / 4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_case_ii_visibility_is_one_everywhere():
     state = postselect_channel(np.eye(2), gram_allones())
     for b2 in np.deg2rad([0.0, 22.5, 45.0, 67.5]):
-        assert visibility(b2, state).visibility == pytest.approx(1.0, abs=1e-12)
-
-
-def test_field_map_is_not_a_coincidence_source():
-    # the multimode source is the 2x2 power form of the map's fields
-    setup = SetupParams.paper_defaults()
-    axis = q3_axis(setup, 3, setup.theta3_max)
-    t = transfer(setup, axis, 21)
-    fields = t @ linear_pol(np.pi / 2)
-    for source in (t, fields, np.eye(3)):
-        with pytest.raises(TypeError):
-            visibility(0.0, source)
-        with pytest.raises(TypeError):
-            coincidence_rate(source, 0.1, 0.0)
-    assert visibility(0.0, power_form(fields)).visibility > 0.0
+        assert visibility(reduced_form(state, b2)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- visibility: eigenvalue route vs brute-force scan ----------------------
@@ -184,23 +174,19 @@ def test_visibility_matches_brute_force(seed):
     b2 = rng.uniform(0.0, np.pi)
     n = 4
     fields = rng.normal(size=(n, n, 2)) + 1j * rng.normal(size=(n, n, 2))
-    fast = visibility(b2, power_form(fields))
-    slow = visibility_brute(b2, fields)
-    assert fast.visibility == pytest.approx(slow.visibility, abs=1e-6)
+    assert visibility(power_form(fields)) == pytest.approx(visibility_brute(b2, fields), abs=1e-6)
     # monomode: a post-selected state of a random channel
     t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     state = postselect_channel(t, gram_allones())
-    assert visibility(b2, state).visibility == pytest.approx(
-        visibility_brute(b2, state).visibility, abs=1e-6)
+    v = visibility(reduced_form(state, b2))
+    assert v == pytest.approx(visibility_brute(b2, state), abs=1e-6)
     # ... which is the one-mode coincidence sum the sweep's zero-aperture row reduces
-    assert visibility(b2, state).visibility == pytest.approx(
-        visibility(b2, power_form(t @ linear_pol(b2 + np.pi / 2.0))).visibility, abs=1e-12)
+    assert v == pytest.approx(visibility(power_form(t @ linear_pol(b2 + np.pi / 2.0))), abs=1e-12)
 
 
 def test_visibility_invariant_under_global_map_phase():
     rng = np.random.default_rng(7)
     fields = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
-    b2 = 0.6
-    v1 = visibility(b2, power_form(fields)).visibility
-    v2 = visibility(b2, power_form(np.exp(0.77j) * fields)).visibility
+    v1 = visibility(power_form(fields))
+    v2 = visibility(power_form(np.exp(0.77j) * fields))
     assert v1 == pytest.approx(v2, abs=1e-12)

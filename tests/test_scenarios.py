@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import config_refusal, default_film_table
+from oracles import config_refusal, default_film_table, save_tabulated, transmittance
 from plasmon_biphoton import jones, optics, scenarios
-from plasmon_biphoton.film import default_film, save_tabulated, transmittance
+from plasmon_biphoton.film import default_film
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import power_form, visibility
 from plasmon_biphoton.scenarios import (
@@ -17,7 +17,6 @@ from plasmon_biphoton.scenarios import (
     ConfigError,
     NonFiniteOutputError,
     ScenarioConfig,
-    paper_default_config,
     parse_config,
     run_channel,
     run_polmap,
@@ -144,7 +143,7 @@ def test_config_validation():
 
 def test_paper_default_config_kinds():
     for kind in ("spectrum", "visibility_sweep", "polmap", "channel"):
-        assert paper_default_config(kind).kind == kind
+        assert ScenarioConfig(kind=kind).kind == kind
 
 
 # --- spectrum ---------------------------------------------------------------
@@ -269,6 +268,22 @@ def test_spectrum_matches_per_point_transmittance(tmp_path, kind):
     assert np.all(np.abs(result["table"] - expected) <= 1e-14 * np.abs(expected))
 
 
+def test_film_table_spectrum_reads_no_analytic_film_key(tmp_path):
+    # a table holds the whole film matrix, direct term included; period_nm = 0
+    # ended in "film table ...: lattice period must be positive", while
+    # gamma_axis_nm = 0 with the same table was accepted and ignored
+    table = write_film_table(tmp_path / "film.csv", 8e-4, (780.0, 790.0, 800.0, 810.0))
+    cfg = small_cfg(kind="spectrum", film_table=table, lambda_min_nm=781.0,
+                    lambda_max_nm=809.0, lambda_step_nm=0.7)
+    analytic = dict(period_nm=0.0, gamma_diagonal_nm=0.0, gamma_axis_nm=0.0,
+                    axis_amplitude_scale=-1.0, peak_transmittance=0.0, direct_amplitude=0.5j,
+                    lambda_diagonal_nm=500.0, lambda_axis_nm=500.0)
+    run_scenario(cfg, tmp_path / "table")
+    run_scenario(dataclasses.replace(cfg, **analytic), tmp_path / "keys")
+    assert (tmp_path / "keys" / "spectrum.csv").read_bytes() == \
+        (tmp_path / "table" / "spectrum.csv").read_bytes()
+
+
 # --- visibility sweep -------------------------------------------------------
 
 def test_visibility_sweep_monomode_row_is_unity(tmp_path):
@@ -361,7 +376,7 @@ def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
             t = optics.transfer(setup, axis, cfg.quad_points)
             for b2 in np.deg2rad(cfg.beta2_deg):
                 fields = t @ linear_pol(b2 + np.pi / 2.0)
-                assert next(cells) == visibility(b2, power_form(fields)).visibility
+                assert next(cells) == visibility(power_form(fields))
 
 
 class EllipseExtracted(Exception):
