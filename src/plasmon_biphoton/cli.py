@@ -9,7 +9,8 @@ Option names are matched in full, not by prefix.
 
 Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
-output file that cannot be made or written, grids too large to allocate;
+output file that cannot be made or written, grids too large to allocate,
+an aperture transform whose predicted peak exceeds the physical memory;
 the runners compute before anything is written, so a run that runs out of
 memory makes no ``--out`` directory; a grid of 2**31 points or more, from
 the config or after ``--refine``, or a wavelength or semiaperture range of

@@ -13,7 +13,11 @@ formulation.  ``FilmModel`` is that analytic film.  A film table (from an
 external rigorous solver) is its own kind of film: ``load_tabulated`` reads
 it into a ``TabulatedGrid``, which holds the whole film matrix, direct term
 included, and is interpolated bilinearly and never extrapolated; it must be
-point-group symmetric, as an analytic film is.
+point-group symmetric, as an analytic film is.  The first load of a table
+parses its CSV and leaves the grid beside it in a binary sidecar keyed by
+the CSV's checksums; a later load of the same bytes reads the sidecar
+instead, checks it as a parse would, and falls back to the CSV on any
+mismatch, so the CSV alone decides what a table holds.
 
 ``film_matrix_grid`` is the one evaluator for both kinds of film: qx, qy and
 lambda may be scalars or arrays of any shapes that broadcast together, and
@@ -27,8 +31,11 @@ Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,7 +318,83 @@ def load_tabulated(path) -> TabulatedGrid:
     The rows must list each point of a nonempty rectangular (qx, qy, lambda)
     grid once, sorted lexicographically by (lambda, qx, qy), with finite
     entries.  Every malformed table raises ValueError with a one-line message.
+
+    The CSV is parsed once per content.  A parsed table is saved beside it,
+    as ``.<name>.pbsim.npy``, under the key of the CSV's bytes
+    (``_table_key``); a later load whose key matches reads that sidecar
+    instead, and the grid must pass the checks a parse makes.  A missing,
+    stale or damaged sidecar is a miss: the CSV is parsed and the sidecar
+    written again.  A sidecar is written only if the CSV's key after the
+    parse is the one taken before it, and never for a table that fails to
+    load; one that cannot be written is skipped without a message.
     """
+    key = _table_key(path)
+    head, name = os.path.split(os.fspath(path))
+    sidecar = os.path.join(head, f".{name}.pbsim.npy")
+    grid = _read_sidecar(sidecar, key)
+    if grid is None:
+        grid = _parse_tabulated(path)
+        if _table_key(path) == key:
+            _write_sidecar(sidecar, key, grid)
+    return grid
+
+
+# format version of a table's sidecar: change it with the sidecar's layout
+SIDECAR_VERSION = 1
+
+
+def _table_key(path) -> tuple:
+    """(SIDECAR_VERSION, crc32, adler32, byte length) of a file, read in 64 KiB chunks.
+
+    ``zlib`` comes loaded with NumPy; ``hashlib`` would load OpenSSL into
+    every run.
+    """
+    crc, adler, size = 0, 1, 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+            size += len(chunk)
+    return (SIDECAR_VERSION, crc, adler, size)
+
+
+def _read_sidecar(sidecar: str, key: tuple) -> TabulatedGrid | None:
+    """The grid in ``sidecar`` if it holds ``key`` and passes a parse's checks, else None.
+
+    Those checks: finite values, strictly increasing axes, matrices of
+    shape (n_lambda, n_qx, n_qy, 2, 2), and ``TabulatedGrid``'s symmetry.
+    """
+    try:
+        with open(sidecar, "rb") as fh:
+            if not np.array_equal(np.load(fh, allow_pickle=False), key):
+                return None
+            qx, qy, lam, m = (np.load(fh, allow_pickle=False) for _ in range(4))
+        if not all(a.dtype == float and a.ndim == 1 and a.size and np.isfinite(a).all()
+                   and (a[1:] > a[:-1]).all() for a in (qx, qy, lam)):
+            return None
+        if m.dtype != complex or m.shape != (lam.size, qx.size, qy.size, 2, 2) \
+                or not np.isfinite(m).all():
+            return None
+        return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=m)
+    except Exception:  # a damaged header fails in tokenize, a huge shape in malloc
+        return None
+
+
+def _write_sidecar(sidecar: str, key: tuple, grid: TabulatedGrid) -> None:
+    """Write ``key`` and ``grid`` to ``sidecar`` through a temporary file; ignore OSError."""
+    temporary = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            for array in (np.array(key, dtype=np.int64), grid.qx, grid.qy, grid.lam,
+                          grid.matrices):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(temporary, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+
+
+def _parse_tabulated(path) -> TabulatedGrid:
+    """The checked grid of the CSV at ``path``, streamed through ``np.loadtxt``."""
     expected = TABULATED_HEADER.split(",")
     with open(path) as fh:
         if fh.readline().strip() != TABULATED_HEADER:

@@ -40,6 +40,7 @@ Units: nm, nm^-1, radians.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,19 +135,28 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     contracted; T_yy = T_xx.T and T_yx = T_xy.T, so the diagonal mirror of
     T holds bit for bit, and the axis mirrors up to rounding in the matrix
     products.
+
+    Before any array is made, the peak memory of the call is predicted
+    (``_peak_bytes``); MemoryError if it exceeds the machine's physical
+    memory.
     """
     r = setup.q2_max
     if r <= 0.0:
         raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
+    centers = setup.magnification * np.asarray(q3, dtype=float)
+    need, have = _peak_bytes(n_grid, centers.size), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"the aperture transform needs about {need / 2 ** 30:.3g} GiB, "
+                          f"more than the {have / 2 ** 30:.3g} GiB of memory")
 
-    # the largest array comes first, so a grid too large for memory fails at once
+    # the largest array comes first, so where sysconf cannot tell the memory
+    # size, a grid far beyond it still fails at once
     g = np.zeros((n_grid - n_grid // 2,) * 2, dtype=complex)
     half = (np.arange(n_grid // 2, n_grid) - 0.5 * (n_grid - 1)) * h
     a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
     fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
 
-    centers = setup.magnification * np.asarray(q3, dtype=float)
     plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
                    for q2 in (half, -half))
     even, odd = plus + minus, plus - minus
@@ -158,7 +168,35 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         g[a, b] = values
         out[..., 0, c] = k @ g @ k.T
         out[..., 1, 1 - c] = out[..., 0, c].T
-    return out * (h * h)
+    out *= h * h
+    return out
+
+
+def _peak_bytes(n_grid: int, m_out: int) -> float:
+    """Bytes ``transfer`` holds at its peak on an n_grid quadrature and m_out q3 points.
+
+    With m = n_grid - n_grid // 2, and at most pi m^2 / 8 + m wedge points,
+    the sum of: the complex quadrant, 16 m^2 B; the mask's float and
+    boolean m x m temporaries, 9 m^2 B; per wedge point, the two index
+    arrays, the four complex film components and the film evaluator's
+    temporaries, 224 B; the four complex kernels and the k @ g temporary,
+    80 m m_out B; the output and one product, 80 m_out^2 B; and 16 KiB of
+    small arrays and Python objects.  The parts are not all alive at once,
+    so the sum is above the peak, and from 51 quadrature points on within a
+    factor of 2 of it.  It needs no array, so a grid of any size is priced
+    at once.
+    """
+    m = n_grid - n_grid // 2
+    wedge = np.pi * m * m / 8 + m
+    return 16384.0 + 25.0 * m * m + 224.0 * wedge + 80.0 * m_out * (m + m_out)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory of the machine, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def q3_axis(setup: SetupParams, n: int, theta3_max: float) -> np.ndarray:

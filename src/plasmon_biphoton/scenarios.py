@@ -321,7 +321,7 @@ def _parse_value(name: str, text: str, field_obj):
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat ``key = value`` text into a ScenarioConfig."""
     fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -332,6 +332,10 @@ def parse_config(text: str) -> ScenarioConfig:
         name = name.strip()
         if name not in fields:
             raise ConfigError(f"line {lineno}: unknown config key {name!r}")
+        if name in first_line:
+            raise ConfigError(f"line {lineno}: duplicate config key {name!r} "
+                              f"(first set on line {first_line[name]})")
+        first_line[name] = lineno
         values[name] = _parse_value(name, value.strip(), fields[name])
     try:
         return ScenarioConfig(**values)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plasmon_biphoton import optics, scenarios
+from plasmon_biphoton import film, optics, scenarios
 from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, TabulatedGrid
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
 
-from oracles import save_tabulated
+from oracles import default_film_table, save_tabulated
 
 
 def write_cfg(tmp_path, **overrides):
@@ -95,6 +95,17 @@ def test_config_that_is_a_directory_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_repeated_config_key_is_config_error(tmp_path, capsys):
+    # the second value silently won: a 31-row spectrum at 5 nm steps, exit 0
+    path = tmp_path / "cfg.txt"
+    path.write_text("kind = spectrum\nlambda_step_nm = 1.0\nlambda_step_nm = 5.0\n")
+    code = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("config error: line 3: duplicate config key "
+                                       "'lambda_step_nm' (first set on line 2)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_value_is_error(tmp_path, capsys):
     path = tmp_path / "cfg.txt"
     path.write_text("kind = spectrum\nquad_points = fast\n")
@@ -119,14 +130,28 @@ def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
 
 
 def test_grid_too_large_for_memory_is_config_error(tmp_path, capsys):
-    # the quadrature asks for a 5e6 x 5e6 float64 array, 182 TiB: more than
-    # any 47-bit address space, so the allocation fails at once on any host
+    # the quadrant alone is a 5e6 x 5e6 complex array, 364 TiB: more than
+    # any 47-bit address space, so it is refused at once on any host
     path = tmp_path / "cfg.txt"
     path.write_text("kind = polmap\nquad_points = 10000000\npolmap_points = 1\n")
     code = main(["polmap", "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error: out of memory") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["polmap", "visibility", "validate-film"])
+def test_transform_larger_than_memory_is_config_error(tmp_path, capsys, monkeypatch, command):
+    # a 51-point transform on a machine of 64 KiB: refused before it is built
+    monkeypatch.setattr(optics, "_physical_memory", lambda: 65536)
+    kind = {"visibility": "visibility_sweep", "validate-film": "spectrum"}.get(command, command)
+    cfg = write_cfg(tmp_path, kind=kind)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("config error: out of memory (the aperture transform needs "
+                                   "about ") and captured.err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -378,13 +403,61 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
             f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "print(sorted({'numpy.ma', 'gzip', 'argparse', 'gettext', 'locale'}"
             " & set(sys.modules)))\n")
+    assert run_python(code) == "[]\n"
+
+
+def run_python(code):
+    """Standard output of ``code`` run by a fresh Python on the package sources."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_tabulated_polmap_imports_no_heavy_module_cold_or_warm(tmp_path):
+    # hashlib loads OpenSSL (about 3.6 MB of peak memory), and logging costs
+    # 8 ms of import: a table's sidecar is keyed with zlib, which NumPy loads
+    table = write_table(tmp_path, 0.1 * np.eye(2))
+    cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
+    code = ("import sys\n"
+            "heavy = {'hashlib', '_hashlib', 'argparse', 'logging', 'gzip', 'numpy.ma'}\n"
+            "from plasmon_biphoton.cli import main\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+            f"assert main(['polmap', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(sorted(heavy & set(sys.modules)))\n")
+    sidecar = tmp_path / ".film.csv.pbsim.npy"
+    assert run_python(code) == "[]\n[]\n"  # cold: parses the CSV, writes the sidecar
+    assert sidecar.is_file()
+    written = sidecar.stat().st_mtime_ns
+    assert run_python(code) == "[]\n[]\n"  # warm: reads the sidecar
+    assert sidecar.stat().st_mtime_ns == written
+
+
+def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
+    table = tmp_path / "film.csv"
+    save_tabulated(default_film_table(1e-3, (790.0, 800.0)), table)
+    cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
+    outputs = []
+    for run in ("cold", "warm"):
+        if run == "warm":
+            monkeypatch.setattr(film, "_parse_tabulated", None)  # a parse would fail
+        assert main(["polmap", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+def test_sidecar_path_taken_by_a_directory_is_ignored(tmp_path, capsys):
+    table = write_table(tmp_path, 0.1 * np.eye(2))
+    (tmp_path / ".film.csv.pbsim.npy").mkdir()
+    cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
+    for _ in range(2):
+        assert main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".film.csv.pbsim.npy", "cfg.txt", "film.csv", "out"]
 
 
 @pytest.mark.parametrize("case", ["existing_file", "under_a_file", "output_is_a_directory"])

@@ -23,6 +23,7 @@ from plasmon_biphoton.film import (
     film_matrix_grid,
     load_tabulated,
 )
+from plasmon_biphoton import film as film_module
 from plasmon_biphoton.jones import linear_pol
 
 
@@ -377,6 +378,80 @@ def test_tabulated_rejects_nan(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(ValueError):
         load_tabulated(path)
+
+
+# --- the parsed table's sidecar ---------------------------------------------
+
+def grid_bytes(grid):
+    return [a.tobytes() for a in (grid.qx, grid.qy, grid.lam, grid.matrices)]
+
+
+def sidecar_of(path):
+    return path.parent / f".{path.name}.pbsim.npy"
+
+
+def test_sidecar_hit_gives_the_parsed_grid_bit_for_bit(tmp_path, monkeypatch):
+    path = tmp_path / "random.csv"
+    save_tabulated(random_table(np.random.default_rng(3), 3), path)
+    parsed = load_tabulated(path)
+    assert sidecar_of(path).is_file()
+    monkeypatch.setattr(film_module, "_parse_tabulated", None)  # a parse would fail
+    cached = load_tabulated(path)
+    assert [a.dtype for a in (cached.qx, cached.qy, cached.lam, cached.matrices)] == \
+        [a.dtype for a in (parsed.qx, parsed.qy, parsed.lam, parsed.matrices)]
+    assert grid_bytes(cached) == grid_bytes(parsed)
+
+
+def test_edited_table_is_parsed_again(tmp_path):
+    path = sample_tabulated(tmp_path)
+    first = load_tabulated(path)
+    lines = path.read_text().splitlines()
+    # a 1.5x larger film, as a new run of the solver would give
+    path.write_text("\n".join([lines[0]] + [
+        ",".join(row.split(",")[:3] + [f"{1.5 * float(v):.8e}" for v in row.split(",")[3:]])
+        for row in lines[1:]]) + "\n")
+    assert np.allclose(load_tabulated(path).matrices, 1.5 * first.matrices, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "asymmetric"])
+def test_damaged_sidecar_falls_back_to_the_csv(tmp_path, damage):
+    path = sample_tabulated(tmp_path)
+    parsed = load_tabulated(path)
+    sidecar = sidecar_of(path)
+    if damage == "truncated":
+        sidecar.write_bytes(sidecar.read_bytes()[:-100])
+    else:
+        # the key of this very CSV, over matrices that break the x mirror
+        m = parsed.matrices.copy()
+        m[:, 0, 1, 0, 1] += 0.1 * np.max(np.abs(m))
+        with open(sidecar, "wb") as fh:
+            for array in (np.array(film_module._table_key(path)), parsed.qx, parsed.qy,
+                          parsed.lam, m):
+                np.save(fh, array)
+    assert grid_bytes(load_tabulated(path)) == grid_bytes(parsed)
+    # and the sidecar holds the parsed grid again
+    cached = film_module._read_sidecar(str(sidecar), film_module._table_key(path))
+    assert grid_bytes(cached) == grid_bytes(parsed)
+
+
+@pytest.mark.parametrize("text", [
+    f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
+    f"{TABULATED_HEADER}\n0,0,797,1,0,1,0,0,0,1,0\n",
+], ids=["ragged_row", "asymmetric"])
+def test_table_that_fails_to_load_leaves_no_sidecar(tmp_path, text):
+    path = tmp_path / "film.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_tabulated(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["film.csv"]
+
+
+def test_table_changed_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch):
+    path = sample_tabulated(tmp_path)
+    keys = iter([(1, 2, 3, 4), (1, 2, 3, 5)])  # before and after the parse
+    monkeypatch.setattr(film_module, "_table_key", lambda p: next(keys))
+    load_tabulated(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["film.csv"]
 
 
 # --- family validation -----------------------------------------------------

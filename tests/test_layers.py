@@ -1,8 +1,9 @@
 """Layering guards: the package modules import each other along one fixed
-graph, only three functions touch files, ``optics`` cannot tell a film table
-from an analytic film, and no module keeps a stale name: an import it never
-reads, an ``__all__`` entry it does not define, or an ``__all__`` entry that
-no module of the program reads (test-only helpers live in ``oracles``).
+graph, only the functions of ``FILE_IO_OWNERS`` touch files, ``optics``
+cannot tell a film table from an analytic film, and no module keeps a stale
+name: an import it never reads, an ``__all__`` entry it does not define, or
+an ``__all__`` entry that no module of the program reads (test-only helpers
+live in ``oracles``).
 
 A new import between modules has to edit ``LAYERS`` on purpose, and a new
 file read or write has to edit ``FILE_IO_OWNERS``.
@@ -45,10 +46,13 @@ def test_module_import_graph():
 
 
 # calls that open, make, read or write a file or directory
-FILE_IO = {"open", "mkdir", "read_text", "write_text", "write_bytes", "loadtxt", "savetxt"}
-# the only functions that make them: runners compute, run_scenario writes
+FILE_IO = {"open", "mkdir", "read_text", "write_text", "write_bytes", "loadtxt", "savetxt",
+           "load", "save"}
+# the only functions that make them: runners compute, run_scenario writes; a
+# film table is keyed and parsed, and its sidecar read and written, in film
 FILE_IO_OWNERS = {"scenarios.run_scenario", "scenarios.parse_config_file",
-                  "film.load_tabulated"}
+                  "film._table_key", "film._parse_tabulated",
+                  "film._read_sidecar", "film._write_sidecar"}
 
 
 def file_io_callers(path):

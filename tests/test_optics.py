@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,12 +270,57 @@ def test_analytic_film_is_sampled_once_per_point_group_orbit(monkeypatch, tabula
     assert points[0] <= masked / 7
 
 
-def test_grid_too_large_for_memory_fails_at_once(setup):
-    # the 421527552^2 quadrant array (2.47 EiB) must be asked for before the
-    # GiB-sized O(n_grid) axis, which overcommit grants and whose pages,
-    # once touched, can get the process killed without a message
+def test_grid_too_large_for_memory_fails_at_once(setup, monkeypatch):
+    # the predicted peak refuses it before any array is made; where sysconf
+    # cannot tell the memory size, the 421527552^2 quadrant array (2.47 EiB)
+    # must be asked for before the GiB-sized O(n_grid) axis, which overcommit
+    # grants and whose pages, once touched, can get the process killed
+    # without a message
+    with pytest.raises(MemoryError, match="aperture transform needs"):
+        transfer(setup, [0.0], 201 << 22)
+    monkeypatch.delattr(optics.os, "sysconf")
     with pytest.raises(MemoryError):
         transfer(setup, [0.0], 201 << 22)
+
+
+def test_transform_that_memory_cannot_hold_is_refused_before_allocating(setup, monkeypatch):
+    # a machine of 256 pages of 4 KiB: the 201-point transform onto 21 x 21
+    # points needs about 1.3 MiB
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(optics.os, "sysconf", pages.__getitem__)
+    q3 = q3_axis(setup, 21, setup.theta3_max)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=r"needs about 0\.0013 GiB, more than "
+                                              r"the 0\.000977 GiB of memory"):
+            transfer(setup, q3, 201)
+        assert tracemalloc.get_traced_memory()[1] < 16384
+    finally:
+        tracemalloc.stop()
+    # where sysconf cannot tell the memory size, nothing is refused
+    monkeypatch.delattr(optics.os, "sysconf")
+    assert transfer(setup, q3, 201).shape == (21, 21, 2, 2)
+
+
+@pytest.mark.parametrize("m_out", [21, 81])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_predicted_peak_is_within_a_factor_of_2_above_the_traced_peak(
+        monkeypatch, m_out, tabulated):
+    film = random_table_film(797.0, np.random.default_rng(0)) if tabulated else default_film()
+    s = paper_setup(film=film)
+    q3 = q3_axis(s, m_out, s.theta3_max)
+    tracemalloc.start()
+    try:
+        transfer(s, q3, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused one byte short of the traced peak, run at twice it
+    monkeypatch.setattr(optics, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(MemoryError):
+        transfer(s, q3, 201)
+    monkeypatch.setattr(optics, "_physical_memory", lambda: 2 * peak)
+    assert transfer(s, q3, 201).shape == (m_out, m_out, 2, 2)
 
 
 # --- output fields over a q3 window ------------------------------------------
