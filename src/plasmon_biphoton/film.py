@@ -118,15 +118,29 @@ class TabulatedGrid:
         qx, qy, m = self.qx, self.qy, self.matrices
         if qx.shape != qy.shape:
             raise ValueError(f"film table is not point-group symmetric: {qx.size} qx, {qy.size} qy")
-        # x mirror: xy and yx change sign; diagonal mirror: xx <-> yy, xy <-> yx
         axes = max(np.max(np.abs(qx + qx[::-1])), np.max(np.abs(qy - qx)))
-        mats = max(np.max(np.abs(m[:, ::-1] - m * np.array([[1, -1], [-1, 1]]))),
-                   np.max(np.abs(m.transpose(0, 2, 1, 3, 4) - m[..., ::-1, ::-1])))
         for what, worst, scale in (("q axes", axes, np.max(np.abs([qx, qy]))),
-                                   ("matrices", mats, np.max(np.abs(m)))):
-            if not worst <= SYMMETRY_TOL * scale:
+                                   ("matrices", _matrix_asymmetry(m), np.max(np.abs(m)))):
+            # an infinite entry is refused even where its mirror image is finite
+            if not worst <= SYMMETRY_TOL * scale < np.inf:
                 raise ValueError(f"film table is not point-group symmetric: {what} asymmetry "
                                  f"{worst / scale:.3g} exceeds the tolerance {SYMMETRY_TOL:g}")
+
+
+def _matrix_asymmetry(m: np.ndarray) -> float:
+    """Largest |F(R q) - R F(q) R^T| on the nodes of m over the x and diagonal mirrors R.
+
+    The x mirror changes the sign of xy and yx, so those entries are sums,
+    bit for bit the differences from the negated entries; the diagonal
+    mirror swaps xx with yy and xy with yx.  One scratch array of m's size
+    holds each difference in turn.
+    """
+    d = np.empty_like(m)
+    for i, j, op in ((0, 0, np.subtract), (1, 1, np.subtract), (0, 1, np.add), (1, 0, np.add)):
+        op(m[:, ::-1, :, i, j], m[..., i, j], out=d[..., i, j])
+    worst = np.max(np.abs(d))
+    np.subtract(m.transpose(0, 2, 1, 3, 4), m[..., ::-1, ::-1], out=d)
+    return max(worst, np.max(np.abs(d)))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,9 @@ __all__ = ["SetupParams", "transfer", "q3_axis"]
 
 PARAXIAL_LIMIT_RAD = 0.3
 
+# wedge points per film sample: a chunk's film temporaries stay in cache
+_FILM_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SetupParams:
@@ -120,8 +123,8 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         exp(i a |q2 - mag q3|^2) = k[i, u] k[j, v],
 
     so each Jones component G, with zeros outside the disc, becomes
-    k @ G @ k.T.  Components are transformed one at a time, so memory
-    stays O(n_grid^2).
+    k @ G @ k.T.  Components are transformed one at a time in one quadrant
+    buffer, so memory stays O(n_grid^2).
 
     The film obeys F(R q) = R F(q) R^T for the whole point group, so it is
     sampled once per point-group orbit: on the wedge 0 <= q2y <= q2x of the
@@ -135,6 +138,14 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     contracted; T_yy = T_xx.T and T_yx = T_xy.T, so the diagonal mirror of
     T holds bit for bit, and the axis mirrors up to rounding in the matrix
     products.
+
+    The film is sampled in chunks of ``_FILM_CHUNK`` wedge points, in the
+    wedge's own order, so the film evaluator's temporaries stay in cache
+    and scale with the chunk, not the wedge.  Each chunk's xx and yy
+    components go straight into the quadrant; its xy and yx components are
+    held until the G_xx contraction is done and then scattered into the
+    same quadrant.  Every entry of G is the value a single film call would
+    give, so T does not depend on the chunk size, bit for bit.
 
     Before any array is made, the peak memory of the call is predicted
     (``_peak_bytes``); MemoryError if it exceeds the machine's physical
@@ -155,7 +166,15 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     g = np.zeros((n_grid - n_grid // 2,) * 2, dtype=complex)
     half = (np.arange(n_grid // 2, n_grid) - 0.5 * (n_grid - 1)) * h
     a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
-    fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[a], half[b], setup.lam)
+    # G_xx goes into the quadrant chunk by chunk; G_xy waits, chunk by chunk,
+    # for the G_xx contraction to free the quadrant
+    off_diagonal = []
+    for start in range(0, a.size, _FILM_CHUNK):
+        i, j = a[start:start + _FILM_CHUNK], b[start:start + _FILM_CHUNK]
+        fxx, fxy, fyx, fyy = film_matrix_grid(setup.film, half[i], half[j], setup.lam)
+        g[j, i] = fyy
+        g[i, j] = fxx
+        off_diagonal.append((i, j, fxy, fyx))
 
     plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
                    for q2 in (half, -half))
@@ -163,11 +182,13 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     if n_grid % 2:
         even[:, 0] = plus[:, 0]
     out = np.empty((centers.size, centers.size, 2, 2), dtype=complex)
-    for c, values, mirrored, k in ((0, fxx, fyy, even), (1, fxy, fyx, odd)):
-        g[b, a] = mirrored
-        g[a, b] = values
-        out[..., 0, c] = k @ g @ k.T
-        out[..., 1, 1 - c] = out[..., 0, c].T
+    out[..., 0, 0] = even @ g @ even.T
+    for i, j, fxy, fyx in off_diagonal:
+        g[j, i] = fyx
+        g[i, j] = fxy
+    out[..., 0, 1] = odd @ g @ odd.T
+    out[..., 1, 1] = out[..., 0, 0].T
+    out[..., 1, 0] = out[..., 0, 1].T
     out *= h * h
     return out
 
@@ -175,20 +196,22 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
 def _peak_bytes(n_grid: int, m_out: int) -> float:
     """Bytes ``transfer`` holds at its peak on an n_grid quadrature and m_out q3 points.
 
-    With m = n_grid - n_grid // 2, and at most pi m^2 / 8 + m wedge points,
-    the sum of: the complex quadrant, 16 m^2 B; the mask's float and
-    boolean m x m temporaries, 9 m^2 B; per wedge point, the two index
-    arrays, the four complex film components and the film evaluator's
-    temporaries, 224 B; the four complex kernels and the k @ g temporary,
-    80 m m_out B; the output and one product, 80 m_out^2 B; and 16 KiB of
-    small arrays and Python objects.  The parts are not all alive at once,
-    so the sum is above the peak, and from 51 quadrature points on within a
-    factor of 2 of it.  It needs no array, so a grid of any size is priced
-    at once.
+    With m = n_grid - n_grid // 2, at most w = pi m^2 / 8 + m wedge points
+    and c = min(w, _FILM_CHUNK) points in a film chunk, the sum of: the
+    complex quadrant, 16 m^2 B; the mask's float and boolean m x m
+    temporaries, 9 m^2 B; per wedge point, the two index arrays and the
+    held complex xy and yx components, 48 B; per chunk point, its two q
+    arrays, its xx and yy components and the film evaluator's temporaries,
+    176 B; the four complex kernels and the k @ g temporary, 80 m m_out B;
+    the output and one product, 80 m_out^2 B; and 16 KiB of small arrays
+    and Python objects.  The parts are not all alive at once, so the sum is
+    above the peak, and from 51 quadrature points on within a factor of 2
+    of it.  It needs no array, so a grid of any size is priced at once.
     """
     m = n_grid - n_grid // 2
     wedge = np.pi * m * m / 8 + m
-    return 16384.0 + 25.0 * m * m + 224.0 * wedge + 80.0 * m_out * (m + m_out)
+    return (16384.0 + 25.0 * m * m + 48.0 * wedge + 176.0 * min(wedge, _FILM_CHUNK)
+            + 80.0 * m_out * (m + m_out))
 
 
 def _physical_memory() -> int | None:

@@ -22,6 +22,7 @@ Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,9 +150,17 @@ def visibility(form: np.ndarray) -> float:
     """Fringe visibility over beta1 of C(beta1) = e(beta1)^T A e(beta1).
 
     The extrema of the quadratic form over beta1 are the eigenvalues of the
-    real symmetric 2x2 form A.
+    real symmetric 2x2 form A = [[a, b], [b, d]], in closed form
+    c+- = (a + d +- hypot(a - d, 2 b)) / 2, each clipped at 0 from below,
+    and V = (c+ - c-) / (c+ + c-).  b is read from the lower triangle, as
+    LAPACK's ``eigvalsh`` reads it.  A form with a non-finite entry gives
+    NaN; ValueError if c+ is 0.
     """
-    c_min, c_max = (max(float(c), 0.0) for c in np.linalg.eigvalsh(form))
+    a, b, d = float(form[0, 0]), float(form[1, 0]), float(form[1, 1])
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
+        return math.nan
+    root = math.hypot(a - d, 2.0 * b)
+    c_max, c_min = max((a + d + root) / 2.0, 0.0), max((a + d - root) / 2.0, 0.0)
     if c_max == 0.0:
         raise ValueError("coincidence rate vanishes identically: visibility undefined")
     return (c_max - c_min) / (c_max + c_min)

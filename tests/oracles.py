@@ -191,6 +191,29 @@ def symmetric_random_grid(rng, q, lam) -> TabulatedGrid:
                          matrices=total / 8)
 
 
+def matrix_asymmetry_direct(m) -> float:
+    """Largest |F(R q) - R F(q) R^T| of a film table's matrices over the x and diagonal mirrors.
+
+    The reference for ``film._matrix_asymmetry``: the x mirror as one
+    product with the sign pattern of xy and yx, the diagonal mirror as one
+    difference, each its own temporary.
+    """
+    return max(np.max(np.abs(m[:, ::-1] - m * np.array([[1, -1], [-1, 1]]))),
+               np.max(np.abs(m.transpose(0, 2, 1, 3, 4) - m[..., ::-1, ::-1])))
+
+
+def visibility_eigvalsh(form) -> float:
+    """Visibility of a real symmetric 2x2 coincidence form from LAPACK's eigenvalues.
+
+    The reference for the closed form in ``quantum.visibility``: the
+    eigenvalues of ``np.linalg.eigvalsh`` (lower triangle), each clipped at 0.
+    """
+    c_min, c_max = (max(float(c), 0.0) for c in np.linalg.eigvalsh(form))
+    if c_max == 0.0:
+        raise ValueError("coincidence rate vanishes identically: visibility undefined")
+    return (c_max - c_min) / (c_max + c_min)
+
+
 def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> float:
     """Visibility by scanning beta1 in 1 deg steps with parabolic refinement.
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     film_matrix_direct,
     interpolate_tabulated_point,
+    matrix_asymmetry_direct,
     resonance_wavelength,
     rotation,
     save_tabulated,
@@ -299,6 +300,32 @@ def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
         pytest.approx(2 * shift / np.max(np.abs(q)), rel=5e-3)
     with pytest.raises(ValueError, match="not point-group symmetric: 6 qx, 5 qy"):
         TabulatedGrid(**dict(args, qy=g.qy[:-1], matrices=g.matrices[:, :, :-1]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_matrix_asymmetry_is_the_direct_expression_bit_for_bit(seed):
+    # random tables, symmetric and not, of odd and even q sizes and one or
+    # more wavelengths: the one-buffer measure reaches the same maximum
+    rng = np.random.default_rng(seed)
+    shape = (1 + seed % 3, 4 + seed, 4 + seed, 2, 2)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    near = random_table(rng, 1 + seed % 3).matrices
+    near[(0,) * near.ndim] += 1e-9 * (1 + 1j)
+    for m in (raw, near, raw[:, ::2, ::2], np.asfortranarray(raw)):
+        assert film_module._matrix_asymmetry(m) == matrix_asymmetry_direct(m)
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf), np.nan])
+def test_table_with_a_non_finite_entry_is_refused(bad):
+    # an infinite entry whose mirror image is finite differs from it by inf,
+    # which an infinite scale would not refuse on its own; the message's
+    # ratio is then inf / inf
+    g = random_table(np.random.default_rng(5), 2)
+    m = g.matrices.copy()
+    m[0, 0, 1, 0, 1] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="matrices asymmetry nan exceeds"):
+        TabulatedGrid(qx=g.qx, qy=g.qy, lam=g.lam, matrices=m)
 
 
 @pytest.mark.parametrize("n_lam", [3, 1], ids=["three_lambdas", "one_lambda"])

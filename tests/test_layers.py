@@ -1,9 +1,9 @@
 """Layering guards: the package modules import each other along one fixed
 graph, only the functions of ``FILE_IO_OWNERS`` touch files, ``optics``
-cannot tell a film table from an analytic film, and no module keeps a stale
-name: an import it never reads, an ``__all__`` entry it does not define, or
-an ``__all__`` entry that no module of the program reads (test-only helpers
-live in ``oracles``).
+cannot tell a film table from an analytic film, only the channel run calls
+``numpy.linalg``, and no module keeps a stale name: an import it never
+reads, an ``__all__`` entry it does not define, or an ``__all__`` entry that
+no module of the program reads (test-only helpers live in ``oracles``).
 
 A new import between modules has to edit ``LAYERS`` on purpose, and a new
 file read or write has to edit ``FILE_IO_OWNERS``.
@@ -13,7 +13,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import plasmon_biphoton
+from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario
 
 # module -> the package modules it imports (``__init__`` left out)
 LAYERS = {
@@ -135,3 +139,31 @@ def test_every_export_is_read_by_the_program():
     unread = {path.stem: sorted(set(getattr(module, "__all__", ())) - read - USER_API)
               for path, module in package_modules()}
     assert {stem: names for stem, names in unread.items() if names} == {}
+
+
+class LinalgCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "visibility_sweep", "polmap", "channel"])
+def test_only_the_channel_run_calls_linalg(kind, tmp_path, monkeypatch):
+    # a run's first LAPACK call pages in about 0.6 MB that no other part of
+    # it touches; only the channel's Gram check and concurrence need it
+    def refuse(*args, **kwargs):
+        raise LinalgCalled
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def run():
+        cfg = ScenarioConfig(kind=kind, quad_points=51, map_points=5, polmap_points=7,
+                             lambda_min_nm=790.0, lambda_max_nm=800.0,
+                             semiaperture_max_deg=8.0, semiaperture_step_deg=4.0)
+        return run_scenario(cfg, tmp_path)
+
+    if kind == "channel":
+        with pytest.raises(LinalgCalled):
+            run()
+    else:
+        assert run()["paths"]

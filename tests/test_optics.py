@@ -302,25 +302,46 @@ def test_transform_that_memory_cannot_hold_is_refused_before_allocating(setup, m
     assert transfer(setup, q3, 201).shape == (21, 21, 2, 2)
 
 
-@pytest.mark.parametrize("m_out", [21, 81])
+@pytest.mark.parametrize("m_out, n_grid", [(21, 201), (81, 201), (21, 801), (81, 801),
+                                           (21, 1201), (81, 1201)],
+                         ids=["21", "81", "21-801", "81-801", "21-1201", "81-1201"])
 @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
 def test_predicted_peak_is_within_a_factor_of_2_above_the_traced_peak(
-        monkeypatch, m_out, tabulated):
+        monkeypatch, m_out, n_grid, tabulated):
+    # 201 points sample the film in one chunk, 801 and 1201 in 8 and 18
     film = random_table_film(797.0, np.random.default_rng(0)) if tabulated else default_film()
     s = paper_setup(film=film)
     q3 = q3_axis(s, m_out, s.theta3_max)
     tracemalloc.start()
     try:
-        transfer(s, q3, 201)
+        transfer(s, q3, n_grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # refused one byte short of the traced peak, run at twice it
     monkeypatch.setattr(optics, "_physical_memory", lambda: peak - 1)
     with pytest.raises(MemoryError):
-        transfer(s, q3, 201)
+        transfer(s, q3, n_grid)
     monkeypatch.setattr(optics, "_physical_memory", lambda: 2 * peak)
-    assert transfer(s, q3, 201).shape == (m_out, m_out, 2, 2)
+    assert transfer(s, q3, n_grid).shape == (m_out, m_out, 2, 2)
+
+
+@pytest.mark.parametrize("n_grid, chunks", [(51, (1, 7)), (52, (1, 7)),
+                                            (201, (7, 4051)), (204, (7, 4051))])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_transform_does_not_depend_on_the_film_chunk(monkeypatch, n_grid, chunks, tabulated):
+    # the wedge holds 279, 275, 4056 and 4122 points, one chunk at the
+    # default size; smaller chunks, down to one point or with 5 or 71 points
+    # left over, must fill the same quadrant, bit for bit
+    film = random_table_film(797.0, np.random.default_rng(1)) if tabulated else default_film()
+    s = paper_setup(film=film)
+    for m_out in (1, 21):
+        q3 = q3_axis(s, m_out, 1.5 * s.theta3_max)
+        monkeypatch.setattr(optics, "_FILM_CHUNK", 8192)
+        whole = transfer(s, q3, n_grid)
+        for chunk in chunks:
+            monkeypatch.setattr(optics, "_FILM_CHUNK", chunk)
+            assert np.array_equal(transfer(s, q3, n_grid), whole), (m_out, chunk)
 
 
 # --- output fields over a q3 window ------------------------------------------

@@ -13,7 +13,7 @@ from plasmon_biphoton.quantum import (
     visibility,
 )
 
-from oracles import rotation, singlet, visibility_brute
+from oracles import rotation, singlet, visibility_brute, visibility_eigvalsh
 
 
 def rate(form, beta1):
@@ -190,3 +190,54 @@ def test_visibility_invariant_under_global_map_phase():
     v1 = visibility(power_form(fields))
     v2 = visibility(power_form(np.exp(0.77j) * fields))
     assert v1 == pytest.approx(v2, abs=1e-12)
+
+
+# --- visibility: closed form vs LAPACK -------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["psd", "rank_one", "isotropic"])
+def test_visibility_closed_form_matches_eigvalsh(kind):
+    # V is in [0, 1], so a few ulp of 1 bounds the difference; random
+    # magnitudes over 200 decades keep the scale out of it
+    rng = np.random.default_rng(len(kind))
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        if kind == "psd":
+            x = rng.normal(size=(2, 3)) * scale
+            form = x @ x.T
+        elif kind == "rank_one":
+            x = rng.normal(size=2) * scale
+            form = np.outer(x, x)
+        else:
+            form = np.eye(2) * scale ** 2
+        v = visibility(form)
+        assert abs(v - visibility_eigvalsh(form)) <= 4 * EPS
+        if kind == "rank_one":
+            assert abs(v - 1.0) <= 4 * EPS
+        elif kind == "isotropic":
+            assert v == 0.0
+
+
+def test_visibility_reads_the_lower_triangle_as_eigvalsh_does():
+    form = np.array([[2.0, 5.0], [0.5, 1.0]])
+    assert visibility(form) == pytest.approx(visibility_eigvalsh(form), abs=4 * EPS)
+    assert visibility(form) != pytest.approx(visibility(form.T), abs=1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+def test_non_finite_form_gives_nan(bad, entry):
+    # eigvalsh([[nan, 0], [0, 1]]) is [0, -0], which would read as a rate
+    # that vanishes identically
+    form = np.array([[1.0, 0.2], [0.2, 0.5]])
+    form[entry] = bad
+    assert np.isnan(visibility(form))
+
+
+def test_zero_form_raises():
+    with pytest.raises(ValueError, match="vanishes identically"):
+        visibility(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="vanishes identically"):
+        visibility(-np.eye(2))
