@@ -123,8 +123,9 @@ class TabulatedGrid:
                                    ("matrices", _matrix_asymmetry(m), np.max(np.abs(m)))):
             # an infinite entry is refused even where its mirror image is finite
             if not worst <= SYMMETRY_TOL * scale < np.inf:
+                ratio = worst / scale if scale < np.inf else np.nan
                 raise ValueError(f"film table is not point-group symmetric: {what} asymmetry "
-                                 f"{worst / scale:.3g} exceeds the tolerance {SYMMETRY_TOL:g}")
+                                 f"{ratio:.3g} exceeds the tolerance {SYMMETRY_TOL:g}")
 
 
 def _matrix_asymmetry(m: np.ndarray) -> float:
@@ -231,8 +232,9 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
         fxx += term * xx
         fyy += term * yy
         fxy += term * xy
-    # every dyad u u^T is symmetric; the copy keeps the four arrays independent
-    return fxx, fxy, fxy.copy(), fyy
+    # every dyad u u^T is symmetric, so one read-only array is both xy and yx
+    fxy.flags.writeable = False
+    return fxx, fxy, fxy, fyy
 
 
 def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
@@ -242,6 +244,7 @@ def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
     together; every returned component is a complex array of the broadcast
     shape, so one call covers a flat aperture sample at one wavelength, a
     spectrum along its wavelength axis, or a single point (0-d arrays).
+    For the analytic film, fxy and fyx are one read-only array.
     Raises ValueError if any wavelength is not positive, and TableRangeError
     if a tabulated film does not cover a requested point.
     """

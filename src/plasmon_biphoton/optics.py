@@ -20,9 +20,10 @@ the square q3 grid q3 x q3 is two matrix products per Jones component (the
 matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
 Every film is point-group symmetric (``film`` refuses a table that is not),
 so it is sampled once per point-group orbit and T is contracted on one
-quadrant with parity-folded kernels: T keeps the point group up to rounding
-in the matrix products, and its diagonal mirror exactly, T_yy and T_yx being
-the transposes of the two contractions T_xx and T_xy.  The grid density is
+quadrant with parity-folded kernels, on the distinct |q3| only: T keeps its
+diagonal mirror exactly, T_yy and T_yx being the transposes of the two
+contractions T_xx and T_xy, and on an exactly antisymmetric q3 axis its axis
+mirrors too, bit for bit.  The grid density is
 the caller's choice (``n_grid``); nothing here refines it or estimates its
 error.
 
@@ -115,6 +116,7 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
 
     ``T[i, j]`` is T at (q3[i], q3[j]).  One point (x, y) is
     ``transfer(setup, [x, y], n_grid)[0, 1]``, and q3 = 0 the 1 x 1 grid.
+    The axis may be unsorted and hold repeats.
 
     The film is sampled at the midpoints of an n_grid x n_grid square masked
     to the aperture disc, a point set symmetric under the square-lattice
@@ -135,9 +137,18 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     each axis and G_xy odd, so each is contracted on the quadrant alone with
     the folded kernels k(+q) + k(-q) and k(+q) - k(-q); the q = 0 column of
     an odd n_grid is counted once.  Only G_xx and G_xy are filled and
-    contracted; T_yy = T_xx.T and T_yx = T_xy.T, so the diagonal mirror of
-    T holds bit for bit, and the axis mirrors up to rounding in the matrix
-    products.
+    contracted; T_yy = T_xx.T and T_yx = T_xy.T.
+
+    The folded kernel rows are mirror images in q3, bit for bit: the even
+    row at -c is the row at c, the odd row its negative.  So the kernels
+    are built and contracted on the distinct |q3| of the axis only, and T
+    is gathered back from them, T_xy with the product of the two signs.
+    T keeps its diagonal mirror and, on an exactly antisymmetric axis such
+    as ``q3_axis``, its axis mirrors bit for bit.  Each contraction is two
+    real matrix products on the float views of the complex arrays
+    (``_contract``).  OpenBLAS threads a complex product from 65 536
+    M N K on, a real one only from about 1e6, so at 201 grid points the
+    contractions stay on the calling thread up to about 48 q3 points.
 
     The film is sampled in chunks of ``_FILM_CHUNK`` wedge points, in the
     wedge's own order, so the film evaluator's temporaries stay in cache
@@ -156,7 +167,11 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
     centers = setup.magnification * np.asarray(q3, dtype=float)
-    need, have = _peak_bytes(n_grid, centers.size), _physical_memory()
+    # row of each q3 among the distinct |q3|, in order of first appearance
+    distinct = {}
+    rows = np.array([distinct.setdefault(c, len(distinct)) for c in np.abs(centers).tolist()],
+                    dtype=np.intp)
+    need, have = _peak_bytes(n_grid, centers.size, len(distinct)), _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"the aperture transform needs about {need / 2 ** 30:.3g} GiB, "
                           f"more than the {have / 2 ** 30:.3g} GiB of memory")
@@ -165,7 +180,7 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     # size, a grid far beyond it still fails at once
     g = np.zeros((n_grid - n_grid // 2,) * 2, dtype=complex)
     half = (np.arange(n_grid // 2, n_grid) - 0.5 * (n_grid - 1)) * h
-    a, b = np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
+    a, b = _wedge(half, r)
     # G_xx goes into the quadrant chunk by chunk; G_xy waits, chunk by chunk,
     # for the G_xx contraction to free the quadrant
     off_diagonal = []
@@ -176,42 +191,92 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         g[i, j] = fxx
         off_diagonal.append((i, j, fxy, fyx))
 
-    plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - centers[:, None]) ** 2)
+    folded = np.array(list(distinct), dtype=float)
+    plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - folded[:, None]) ** 2)
                    for q2 in (half, -half))
     even, odd = plus + minus, plus - minus
     if n_grid % 2:
         even[:, 0] = plus[:, 0]
+    sign = np.where(centers < 0.0, -1.0, 1.0)
     out = np.empty((centers.size, centers.size, 2, 2), dtype=complex)
-    out[..., 0, 0] = even @ g @ even.T
+    out[..., 0, 0] = _contract(even, g)[rows[:, None], rows]
     for i, j, fxy, fyx in off_diagonal:
         g[j, i] = fyx
         g[i, j] = fxy
-    out[..., 0, 1] = odd @ g @ odd.T
+    out[..., 0, 1] = _contract(odd, g)[rows[:, None], rows]
+    out[..., 0, 1] *= sign[:, None]
+    out[..., 0, 1] *= sign
     out[..., 1, 1] = out[..., 0, 0].T
     out[..., 1, 0] = out[..., 0, 1].T
     out *= h * h
     return out
 
 
-def _peak_bytes(n_grid: int, m_out: int) -> float:
-    """Bytes ``transfer`` holds at its peak on an n_grid quadrature and m_out q3 points.
+def _wedge(half: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (a, b) of the wedge b <= a with half[a]**2 + half[b]**2 <= r*r, row by row.
 
-    With m = n_grid - n_grid // 2, at most w = pi m^2 / 8 + m wedge points
-    and c = min(w, _FILM_CHUNK) points in a film chunk, the sum of: the
-    complex quadrant, 16 m^2 B; the mask's float and boolean m x m
-    temporaries, 9 m^2 B; per wedge point, the two index arrays and the
-    held complex xy and yx components, 48 B; per chunk point, its two q
-    arrays, its xx and yy components and the film evaluator's temporaries,
-    176 B; the four complex kernels and the k @ g temporary, 80 m m_out B;
-    the output and one product, 80 m_out^2 B; and 16 KiB of small arrays
-    and Python objects.  The parts are not all alive at once, so the sum is
-    above the peak, and from 51 quadrature points on within a factor of 2
-    of it.  It needs no array, so a grid of any size is priced at once.
+    ``half`` is ascending and not negative, so the rounded sum grows with b
+    and each row a is a prefix of the columns b <= a.  ``searchsorted``
+    counts it on the rearranged test, and the exact test moves each count
+    across the disc edge where the two round differently.  The order is
+    that of ``np.nonzero`` on the m x m mask, which is never made.
+    """
+    sq, rr, m = half ** 2, r * r, half.size
+    count = np.searchsorted(sq, rr - sq, side="right")
+    while (drop := (count > 0) & ~(sq + sq[np.maximum(count - 1, 0)] <= rr)).any():
+        count -= drop
+    while (grow := (count < m) & (sq + sq[np.minimum(count, m - 1)] <= rr)).any():
+        count += grow
+    count = np.minimum(count, np.arange(1, m + 1))
+    a = np.repeat(np.arange(m), count)
+    return a, np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _contract(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """k @ g @ k.T for complex k and g, as two real matrix products.
+
+    With k = A + iB, the stack [A; B] times the float view of g holds
+    A g and B g with real and imaginary parts interleaved, which combine in
+    place into k @ g; the same stack times the float view of (k @ g).T
+    gives (k @ g @ k.T).T the same way.
+    """
+    stack = np.concatenate([k.real, k.imag])
+    p = _combine(stack @ g.view(float))
+    return _combine(stack @ np.ascontiguousarray(p.T).view(float)).T
+
+
+def _combine(q: np.ndarray) -> np.ndarray:
+    """(A + iB) z from [A; B] @ z.view(float), in place in the top half of q."""
+    u = q.shape[0] // 2
+    top, bottom = q[:u], q[u:]
+    top[:, 0::2] -= bottom[:, 1::2]
+    top[:, 1::2] += bottom[:, 0::2]
+    return top.view(complex)
+
+
+def _peak_bytes(n_grid: int, m_out: int, m_folded: int) -> float:
+    """Bytes ``transfer`` holds at its peak on an n_grid quadrature onto m_out q3 points.
+
+    With m = n_grid - n_grid // 2, m_folded distinct |q3|, at most
+    w = pi m^2 / 8 + m wedge points and c = min(w, _FILM_CHUNK) points in
+    a film chunk, the sum of: the complex quadrant, 16 m^2 B; per wedge
+    point, the two index arrays and the held complex xy and yx components,
+    48 B (the wedge's integer temporaries fit in the same bytes before the
+    film is sampled); per chunk point, its two q arrays, the film
+    evaluator's temporaries and the xx and yy components of this chunk
+    and the last, 208 B; per folded kernel entry, the four complex
+    kernels, the real stack, the real first product and its transposed
+    copy, 128 B; the real second product, 32 m_folded^2 B; the output, one
+    gathered component and the buffers of the gather and the sign product,
+    96 m_out^2 B; and 16 KiB of small arrays and Python objects.  The parts
+    are not all alive at once, so the sum is above the peak, and from 51
+    quadrature points on within a factor of 2 of it.  It needs no array,
+    so a grid of any size is priced at once.
     """
     m = n_grid - n_grid // 2
     wedge = np.pi * m * m / 8 + m
-    return (16384.0 + 25.0 * m * m + 48.0 * wedge + 176.0 * min(wedge, _FILM_CHUNK)
-            + 80.0 * m_out * (m + m_out))
+    return (16384.0 + 16.0 * m * m + 48.0 * wedge + 208.0 * min(wedge, _FILM_CHUNK)
+            + m_folded * (128.0 * m + 32.0 * m_folded) + 96.0 * m_out ** 2)
 
 
 def _physical_memory() -> int | None:

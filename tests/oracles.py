@@ -111,6 +111,15 @@ def transfer_direct(setup, q3_points, n_grid):
     return np.array(out).reshape(-1, 2, 2) * (h * h)
 
 
+def wedge_mask(half, r):
+    """Indices (a, b) of the wedge b <= a with half[a]**2 + half[b]**2 <= r*r, by the full mask.
+
+    The reference for ``optics._wedge``: ``np.nonzero`` of the lower
+    triangle of the m x m disc mask over the q >= 0 half axis.
+    """
+    return np.nonzero(np.tril(half[:, None] ** 2 + half[None, :] ** 2 <= r * r))
+
+
 def transfer_sp(q3, setup, margin: float = 0.05) -> np.ndarray:
     """Stationary-phase approximation of the telescope matrix.
 

@@ -318,14 +318,27 @@ def test_matrix_asymmetry_is_the_direct_expression_bit_for_bit(seed):
 @pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf), np.nan])
 def test_table_with_a_non_finite_entry_is_refused(bad):
     # an infinite entry whose mirror image is finite differs from it by inf,
-    # which an infinite scale would not refuse on its own; the message's
-    # ratio is then inf / inf
+    # which an infinite scale would not refuse on its own; the message
+    # gives no ratio then, and no inf / inf RuntimeWarning comes first
     g = random_table(np.random.default_rng(5), 2)
     m = g.matrices.copy()
     m[0, 0, 1, 0, 1] = bad
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(ValueError, match="matrices asymmetry nan exceeds"):
+    with pytest.raises(ValueError, match="matrices asymmetry nan exceeds"):
         TabulatedGrid(qx=g.qx, qy=g.qy, lam=g.lam, matrices=m)
+
+
+def test_analytic_film_returns_one_read_only_array_for_xy_and_yx(film):
+    qx, qy = np.array([1e-4, 3e-4]), np.array([2e-4, -1e-4])
+    fxx, fxy, fyx, fyy = film_matrix_grid(film, qx, qy, 797.0)
+    assert fxy is fyx
+    with pytest.raises(ValueError, match="read-only"):
+        fyx[0] = 0.0
+    fxx[0] = fyy[0] = 0.0  # the diagonal components are the caller's own
+    table = symmetric_random_grid(np.random.default_rng(2), np.linspace(-1e-3, 1e-3, 5),
+                                  [796.0, 798.0])
+    fxx, fxy, fyx, fyy = film_matrix_grid(table, qx, qy, 797.0)
+    assert len({id(fxx), id(fxy), id(fyx), id(fyy)}) == 4
+    assert not np.shares_memory(fxy, fyx)
 
 
 @pytest.mark.parametrize("n_lam", [3, 1], ids=["three_lambdas", "one_lambda"])

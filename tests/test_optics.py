@@ -20,6 +20,7 @@ from oracles import (
     symmetric_random_grid,
     transfer_direct,
     transfer_sp,
+    wedge_mask,
 )
 
 
@@ -220,6 +221,57 @@ def test_square_grid_transform_keeps_the_diagonal_mirror_exactly(n, n_grid, tabu
     assert np.array_equal(t[..., 1, 0], t[..., 0, 1].T)
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 20, 21])
+@pytest.mark.parametrize("n_grid", [50, 51])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "random_table"])
+def test_transform_keeps_the_axis_mirrors_exactly(n, n_grid, tabulated):
+    # on an exactly antisymmetric axis each q3 and its mirror image share
+    # one folded kernel row, so T_xx is even and T_xy odd in each axis, bit
+    # for bit
+    film = random_table_film(797.0, np.random.default_rng(n)) if tabulated else default_film()
+    s = paper_setup(film=film)
+    t = transfer(s, q3_axis(s, n, 1.5 * s.theta3_max), n_grid)
+    txx, txy = t[..., 0, 0], t[..., 0, 1]
+    assert np.array_equal(txx[::-1], txx) and np.array_equal(txx[:, ::-1], txx)
+    assert np.array_equal(txy[::-1], -txy) and np.array_equal(txy[:, ::-1], -txy)
+
+
+@pytest.mark.parametrize("u, m", [(1, 1), (1, 26), (2, 101), (11, 101), (41, 26)])
+def test_real_contraction_matches_the_complex_products(u, m):
+    rng = np.random.default_rng(u * 1000 + m)
+    k = rng.normal(size=(u, m)) + 1j * rng.normal(size=(u, m))
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    ref = k @ g @ k.T
+    got = optics._contract(k, g)
+    assert got.shape == (u, u)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_wedge_from_row_prefixes_equals_the_mask():
+    # the q >= 0 half of the midpoint axis, as ``transfer`` builds it, at
+    # three radii
+    for r in (1.0, paper_setup().q2_max, 3.7e5):
+        for n_grid in [*range(1, 400), 801, 804, 1608, 2001]:
+            half = (np.arange(n_grid // 2, n_grid) - 0.5 * (n_grid - 1)) * (2.0 * r / n_grid)
+            a, b = optics._wedge(half, r)
+            ref_a, ref_b = wedge_mask(half, r)
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), (r, n_grid)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_wedge_equals_the_mask_where_the_disc_edge_meets_a_rounded_sum(seed):
+    # a radius at, just inside or just outside sqrt(half[a]**2 + half[b]**2)
+    # puts sums within an ulp of r*r, where the searchsorted count on
+    # r*r - half**2 rounds to a different side than the sum in some rows
+    rng = np.random.default_rng(seed)
+    half = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 60)))
+    edge = np.sqrt(np.sum(half[rng.integers(0, half.size, 2)] ** 2))
+    for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+        a, b = optics._wedge(half, r)
+        ref_a, ref_b = wedge_mask(half, r)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), r
+
+
 @given(n_grid=st.integers(min_value=3, max_value=24),
        theta_ap_deg=st.floats(min_value=1.0, max_value=8.0),
        lam=st.floats(min_value=793.0, max_value=801.0),
@@ -285,13 +337,13 @@ def test_grid_too_large_for_memory_fails_at_once(setup, monkeypatch):
 
 def test_transform_that_memory_cannot_hold_is_refused_before_allocating(setup, monkeypatch):
     # a machine of 256 pages of 4 KiB: the 201-point transform onto 21 x 21
-    # points needs about 1.3 MiB
+    # points needs about 1.4 MiB
     pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(optics.os, "sysconf", pages.__getitem__)
     q3 = q3_axis(setup, 21, setup.theta3_max)
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError, match=r"needs about 0\.0013 GiB, more than "
+        with pytest.raises(MemoryError, match=r"needs about 0\.00132 GiB, more than "
                                               r"the 0\.000977 GiB of memory"):
             transfer(setup, q3, 201)
         assert tracemalloc.get_traced_memory()[1] < 16384
