@@ -23,9 +23,8 @@ so it is sampled once per point-group orbit and T is contracted on one
 quadrant with parity-folded kernels, on the distinct |q3| only: T keeps its
 diagonal mirror exactly, T_yy and T_yx being the transposes of the two
 contractions T_xx and T_xy, and on an exactly antisymmetric q3 axis its axis
-mirrors too, bit for bit.  The grid density is
-the caller's choice (``n_grid``); nothing here refines it or estimates its
-error.
+mirrors too, bit for bit.  The grid density is the caller's choice
+(``n_grid``); nothing here makes it finer or estimates its error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
@@ -153,10 +152,11 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     The film is sampled in chunks of ``_FILM_CHUNK`` wedge points, in the
     wedge's own order, so the film evaluator's temporaries stay in cache
     and scale with the chunk, not the wedge.  Each chunk's xx and yy
-    components go straight into the quadrant; its xy and yx components are
-    held until the G_xx contraction is done and then scattered into the
-    same quadrant.  Every entry of G is the value a single film call would
-    give, so T does not depend on the chunk size, bit for bit.
+    components go straight into the quadrant and are dropped; its xy and
+    yx components are held until the G_xx contraction is done and then
+    scattered into the same quadrant.  Every entry of G is the value a
+    single film call would give, so T does not depend on the chunk size,
+    bit for bit.
 
     Before any array is made, the peak memory of the call is predicted
     (``_peak_bytes``); MemoryError if it exceeds the machine's physical
@@ -190,6 +190,7 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         g[j, i] = fyy
         g[i, j] = fxx
         off_diagonal.append((i, j, fxy, fyx))
+        del fxx, fyy
 
     folded = np.array(list(distinct), dtype=float)
     plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - folded[:, None]) ** 2)
@@ -263,19 +264,19 @@ def _peak_bytes(n_grid: int, m_out: int, m_folded: int) -> float:
     point, the two index arrays and the held complex xy and yx components,
     48 B (the wedge's integer temporaries fit in the same bytes before the
     film is sampled); per chunk point, its two q arrays, the film
-    evaluator's temporaries and the xx and yy components of this chunk
-    and the last, 208 B; per folded kernel entry, the four complex
-    kernels, the real stack, the real first product and its transposed
-    copy, 128 B; the real second product, 32 m_folded^2 B; the output, one
-    gathered component and the buffers of the gather and the sign product,
-    96 m_out^2 B; and 16 KiB of small arrays and Python objects.  The parts
-    are not all alive at once, so the sum is above the peak, and from 51
-    quadrature points on within a factor of 2 of it.  It needs no array,
-    so a grid of any size is priced at once.
+    evaluator's temporaries and the chunk's xx and yy components, 176 B;
+    per folded kernel entry, the four complex kernels, the real stack, the
+    real first product and its transposed copy, 128 B; the real second
+    product, 32 m_folded^2 B; the output, one gathered component and the
+    buffers of the gather and the sign product, 96 m_out^2 B; and 16 KiB of
+    small arrays and Python objects.  The parts are not all alive at once,
+    so the sum is above the peak, and from 51 quadrature points on within a
+    factor of 2 of it.  It needs no array, so a grid of any size is priced
+    at once.
     """
     m = n_grid - n_grid // 2
     wedge = np.pi * m * m / 8 + m
-    return (16384.0 + 16.0 * m * m + 48.0 * wedge + 208.0 * min(wedge, _FILM_CHUNK)
+    return (16384.0 + 16.0 * m * m + 48.0 * wedge + 176.0 * min(wedge, _FILM_CHUNK)
             + m_folded * (128.0 * m + 32.0 * m_folded) + 96.0 * m_out ** 2)
 
 

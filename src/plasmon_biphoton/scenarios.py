@@ -137,7 +137,8 @@ class ScenarioConfig:
     t_xy: complex = 0.0 + 0j
     t_yx: complex = 0.0 + 0j
     t_yy: complex = 1.0 + 0j
-    gram: str = "allones"  # allones | identity | coherence
+    # the Gram matrix of the final solid states: 1 keeps no which-way record
+    # (all-ones), 0 records it fully (the identity)
     gram_coherence: float = 1.0
 
     def __post_init__(self):
@@ -156,8 +157,6 @@ class ScenarioConfig:
             raise ConfigError("semiaperture range must be nonempty and increasing")
         if not self.lambdas_nm or not self.beta2_deg or not self.tilts_deg:
             raise ConfigError("list-valued config fields must be nonempty")
-        if self.gram not in ("allones", "identity", "coherence"):
-            raise ConfigError(f"unknown gram spec {self.gram!r}")
         if not 0.0 <= self.gram_coherence <= 1.0:
             raise ConfigError("gram_coherence must lie in [0, 1]")
         for name in ("quad_points", "map_points", "polmap_points"):
@@ -211,8 +210,7 @@ class ScenarioConfig:
     def _keys_behind(self, exc: ValueError) -> list[str]:
         """Numeric keys each of which, set back alone to its default, lifts or changes ``exc``.
 
-        String keys select what is built (kind, film table, Gram form) and are
-        not blamed.
+        String keys select what is built (kind, film table) and are not blamed.
         """
         keys = []
         for f in dataclasses.fields(self):
@@ -271,10 +269,6 @@ class ScenarioConfig:
         return np.array([[self.t_xx, self.t_xy], [self.t_yx, self.t_yy]], dtype=complex)
 
     def gram_matrix(self) -> np.ndarray:
-        if self.gram == "allones":
-            return gram_allones()
-        if self.gram == "identity":
-            return gram_identity()
         g = self.gram_coherence
         return (1.0 - g) * gram_identity() + g * gram_allones()
 
@@ -587,7 +581,7 @@ def run_channel(cfg: ScenarioConfig) -> dict:
     conc = concurrence(state)
     v0, v45 = (visibility(reduced_form(state, np.deg2rad(b2))) for b2 in CHANNEL_BETA2_DEG)
 
-    lines = [f"gram = {cfg.gram}", f"gram_coherence = {FMT % cfg.gram_coherence}"]
+    lines = [f"gram_coherence = {FMT % cfg.gram_coherence}"]
     for name, val in (("t_xx", cfg.t_xx), ("t_xy", cfg.t_xy),
                       ("t_yx", cfg.t_yx), ("t_yy", cfg.t_yy)):
         lines.append(f"{name} = {FMT % val.real} {FMT % val.imag}")

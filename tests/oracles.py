@@ -291,8 +291,6 @@ def config_refusal(**values):
         return "semiaperture range must be nonempty and increasing"
     if not cfg["lambdas_nm"] or not cfg["beta2_deg"] or not cfg["tilts_deg"]:
         return "list-valued config fields must be nonempty"
-    if cfg["gram"] not in ("allones", "identity", "coherence"):
-        return f"unknown gram spec {cfg['gram']!r}"
     if not 0.0 <= cfg["gram_coherence"] <= 1.0:
         return "gram_coherence must lie in [0, 1]"
     for name in ("quad_points", "map_points", "polmap_points"):

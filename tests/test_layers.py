@@ -2,14 +2,16 @@
 graph, only the functions of ``FILE_IO_OWNERS`` touch files, ``optics``
 cannot tell a film table from an analytic film, only the channel run calls
 ``numpy.linalg``, and no module keeps a stale name: an import it never
-reads, an ``__all__`` entry it does not define, or an ``__all__`` entry that
-no module of the program reads (test-only helpers live in ``oracles``).
+reads, an ``__all__`` entry it does not define, an ``__all__`` entry that
+no module of the program reads (test-only helpers live in ``oracles``), or a
+config key that no module reads.
 
 A new import between modules has to edit ``LAYERS`` on purpose, and a new
 file read or write has to edit ``FILE_IO_OWNERS``.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -26,7 +28,7 @@ LAYERS = {
     "optics": {"film"},
     "quantum": {"jones"},
     "scenarios": {"film", "jones", "optics", "quantum"},
-    "cli": {"film", "optics", "scenarios"},
+    "cli": {"film", "scenarios"},
 }
 
 
@@ -139,6 +141,15 @@ def test_every_export_is_read_by_the_program():
     unread = {path.stem: sorted(set(getattr(module, "__all__", ())) - read - USER_API)
               for path, module in package_modules()}
     assert {stem: names for stem, names in unread.items() if names} == {}
+
+
+def test_every_config_key_is_read():
+    # a key that nothing reads is a setting that silently does nothing
+    read = {node.attr for path, _ in package_modules()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    keys = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert sorted(keys - read) == []
 
 
 class LinalgCalled(Exception):

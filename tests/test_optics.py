@@ -337,13 +337,13 @@ def test_grid_too_large_for_memory_fails_at_once(setup, monkeypatch):
 
 def test_transform_that_memory_cannot_hold_is_refused_before_allocating(setup, monkeypatch):
     # a machine of 256 pages of 4 KiB: the 201-point transform onto 21 x 21
-    # points needs about 1.4 MiB
+    # points needs about 1.2 MiB
     pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(optics.os, "sysconf", pages.__getitem__)
     q3 = q3_axis(setup, 21, setup.theta3_max)
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError, match=r"needs about 0\.00132 GiB, more than "
+        with pytest.raises(MemoryError, match=r"needs about 0\.0012 GiB, more than "
                                               r"the 0\.000977 GiB of memory"):
             transfer(setup, q3, 201)
         assert tracemalloc.get_traced_memory()[1] < 16384

@@ -11,7 +11,13 @@ from oracles import config_refusal, default_film_table, save_tabulated, transmit
 from plasmon_biphoton import jones, optics, scenarios
 from plasmon_biphoton.film import default_film
 from plasmon_biphoton.jones import linear_pol
-from plasmon_biphoton.quantum import power_form, visibility
+from plasmon_biphoton.quantum import (
+    gram_allones,
+    gram_identity,
+    postselect_channel,
+    power_form,
+    visibility,
+)
 from plasmon_biphoton.scenarios import (
     POLMAP_HEADER,
     ConfigError,
@@ -47,7 +53,7 @@ def write_film_table(path, q_max, lams, n_q=9):
 
 def test_serialize_parse_round_trip():
     cfg = small_cfg(kind="spectrum", direct_amplitude=0.02 + 0.003j,
-                    t_xy=-0.5j, gram="coherence", gram_coherence=0.25)
+                    t_xy=-0.5j, gram_coherence=0.25)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -110,9 +116,9 @@ def test_number_fields_are_accepted_as_by_the_numpy_checks(kind_values):
 
 
 def test_parse_comments_and_blanks():
-    cfg = parse_config("# a comment\n\nkind = channel\n  gram = identity # tail\n")
+    cfg = parse_config("# a comment\n\nkind = channel\n  gram_coherence = 0 # tail\n")
     assert cfg.kind == "channel"
-    assert cfg.gram == "identity"
+    assert cfg.gram_coherence == 0.0
 
 
 def test_parse_rejects_unknown_key():
@@ -135,8 +141,6 @@ def test_config_validation():
         ScenarioConfig(kind="fourier")
     with pytest.raises(ConfigError):
         ScenarioConfig(lambda_min_nm=900.0, lambda_max_nm=800.0)
-    with pytest.raises(ConfigError):
-        ScenarioConfig(gram="random")
     with pytest.raises(ConfigError):
         ScenarioConfig(gram_coherence=1.5)
 
@@ -488,7 +492,7 @@ def test_channel_identity_allones_report(tmp_path):
 
 
 def test_channel_identity_gram_report():
-    cfg = small_cfg(kind="channel", gram="identity")
+    cfg = small_cfg(kind="channel", gram_coherence=0.0)
     result = run_channel(cfg)
     assert result["concurrence"] == pytest.approx(0.0, abs=1e-9)
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
@@ -496,10 +500,23 @@ def test_channel_identity_gram_report():
 
 
 def test_channel_partial_coherence_interpolates():
-    cfg = small_cfg(kind="channel", gram="coherence", gram_coherence=0.5)
+    cfg = small_cfg(kind="channel", gram_coherence=0.5)
     result = run_channel(cfg)
     assert 0.0 < result["v45"] < 1.0
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("coherence, gram", [(0.0, gram_identity), (1.0, gram_allones)],
+                         ids=["identity", "allones"])
+def test_gram_coherence_ends_are_the_exact_gram_matrices(coherence, gram):
+    # 0 * x adds exact zeros, so the blend is the end matrix bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        cfg = small_cfg(kind="channel", gram_coherence=coherence, t_xx=t[0, 0],
+                        t_xy=t[0, 1], t_yx=t[1, 0], t_yy=t[1, 1])
+        assert np.array_equal(run_channel(cfg)["state"].rho,
+                              postselect_channel(t, gram()).rho)
 
 
 # --- dispatch ---------------------------------------------------------------
