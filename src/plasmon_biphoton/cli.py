@@ -6,8 +6,7 @@ Every command takes the same options, before or after it: ``--config FILE``,
 and building an ``argparse`` parser (which imports ``gettext`` and
 ``locale``) cost a spectrum run about a quarter of its time.  Option names
 are matched in full, not by prefix.  The quadrature grid is the config's
-``quad_points``, and ``validate-film`` checks that F(0) is proportional to
-the identity at each of the config's ``lambdas_nm``.
+``quad_points``.
 
 Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
@@ -28,7 +27,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .film import TableRangeError, film_matrix
+from .film import TableRangeError
 from .scenarios import (
     ConfigError,
     NonFiniteOutputError,
@@ -37,14 +36,12 @@ from .scenarios import (
     run_scenario,
 )
 
-# each command: the config kind it runs (validate-film reads a config of
-# any kind) and its help line
+# each command: the config kind it runs and its help line
 _COMMANDS = {
     "spectrum": ("spectrum", "hole-array transmittance spectra vs tilt"),
     "visibility": ("visibility_sweep", "fringe visibility vs telescope semiaperture"),
     "polmap": ("polmap", "output intensity/polarization maps"),
     "channel": ("channel", "monomode post-selection channel report"),
-    "validate-film": (None, "check film-model symmetry invariants"),
 }
 
 _USAGE = ("usage: pbsim [-h] [--config CONFIG] [--out OUT] [--verbose]\n"
@@ -114,33 +111,14 @@ def _parse_args(argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, **opts)
 
 
-def _load_config(args, kind: str | None) -> ScenarioConfig:
-    """The config of ``--config``; of any kind if ``kind`` is None."""
+def _load_config(args, kind: str) -> ScenarioConfig:
+    """The config of ``--config``, which must be of ``kind``."""
     if args.config == "paper_defaults":
-        cfg = ScenarioConfig() if kind is None else ScenarioConfig(kind=kind)
-    else:
-        cfg = parse_config_file(args.config)
-        if kind not in (None, cfg.kind):
-            raise ConfigError(
-                f"config kind {cfg.kind!r} does not match subcommand ({kind})")
+        return ScenarioConfig(kind=kind)
+    cfg = parse_config_file(args.config)
+    if cfg.kind != kind:
+        raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand ({kind})")
     return cfg
-
-
-def _validate_film(cfg: ScenarioConfig) -> int:
-    film = cfg.film()
-    checks = [(f"F(0, {lam:g} nm)", film_matrix(film, (0.0, 0.0), lam))
-              for lam in cfg.lambdas_nm]
-    for name, m in checks:
-        cfg.require_transmission(m, f"in {name}")
-    ok = True
-    for name, m in checks:
-        scale = 0.5 * (abs(m[0, 0]) + abs(m[1, 1]))
-        off = max(abs(m[0, 1]), abs(m[1, 0]), abs(m[0, 0] - m[1, 1]))
-        passed = off <= 1e-12 * scale
-        ok = ok and passed
-        print(f"{name} proportional to identity: "
-              f"{'PASS' if passed else 'FAIL'} (residual {off / scale:.3e})")
-    return 0 if ok else 1
 
 
 def main(argv=None) -> int:
@@ -148,8 +126,6 @@ def main(argv=None) -> int:
     try:
         kind = _COMMANDS[args.command][0]
         cfg = _load_config(args, kind)
-        if kind is None:
-            return _validate_film(cfg)
         if args.verbose:
             print(f"running {kind} -> {args.out} "
                   f"(quadrature {cfg.quad_points}x{cfg.quad_points})")

@@ -3,9 +3,9 @@
 Two pictures are supported, mirroring the two regimes of the experiment:
 
 * monomode: the full two-qubit density matrix of the post-selected output
-  state, including the Gram matrix of final solid states.  The Gram matrix
-  interpolates between perfect which-way recording (identity) and none at
-  all (all-ones).
+  state, including the Gram matrix of final solid states.  One coherence c
+  in [0, 1] sets it, (1 - c) I + c J: from perfect which-way recording
+  (c = 0, the identity I) to none at all (c = 1, the all-ones J).
 * multimode: photon 2 is projected first; photon 1 then propagates
   classically through the telescope as a single linearly polarized field
   (polarized at beta2 + 90 deg), and the coincidence rate is the
@@ -31,8 +31,6 @@ from .jones import polarizer
 
 __all__ = [
     "PostselectedState",
-    "gram_identity",
-    "gram_allones",
     "postselect_channel",
     "concurrence",
     "power_form",
@@ -68,37 +66,16 @@ class PostselectedState:
     success_weight: float
 
 
-def gram_identity() -> np.ndarray:
-    """Orthogonal solid states: complete which-way recording."""
-    return np.eye(4, dtype=complex)
-
-
-def gram_allones() -> np.ndarray:
-    """Identical solid states: no which-way recording."""
-    return np.ones((4, 4), dtype=complex)
-
-
-def _validate_gram(g: np.ndarray) -> np.ndarray:
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (4, 4):
-        raise ValueError("Gram matrix must be 4x4")
-    if not np.allclose(g, g.conj().T, atol=1e-10):
-        raise ValueError("Gram matrix must be Hermitian")
-    if not np.allclose(np.diag(g).real, 1.0, atol=1e-10):
-        raise ValueError("Gram matrix must have unit diagonal")
-    if np.linalg.eigvalsh(g).min() < -1e-10:
-        raise ValueError("Gram matrix must be positive semidefinite")
-    return g
-
-
-def postselect_channel(t: np.ndarray, gram: np.ndarray) -> PostselectedState:
+def postselect_channel(t: np.ndarray, coherence: float) -> PostselectedState:
     """Output state for a singlet input through film channel amplitudes ``t``.
 
-    ``t`` is the 2x2 Jones matrix of photon 1's path; ``gram`` the 4x4
-    matrix of solid-state overlaps indexed by GRAM_LABELS.
+    ``t`` is the 2x2 Jones matrix of photon 1's path.  The Gram matrix of
+    the final solid states, indexed by GRAM_LABELS, is
+    (1 - coherence) I + coherence J for a ``coherence`` in [0, 1].
     """
     t = np.asarray(t, dtype=complex)
-    gram = _validate_gram(gram)
+    gram = ((1.0 - coherence) * np.eye(4, dtype=complex)
+            + coherence * np.ones((4, 4), dtype=complex))
     t_entries = {"xx": t[0, 0], "xy": t[0, 1], "yx": t[1, 0], "yy": t[1, 1]}
     strength = sum(abs(v) ** 2 for v in t_entries.values())
     if strength == 0.0:

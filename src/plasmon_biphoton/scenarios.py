@@ -41,8 +41,6 @@ from .jones import ellipse_arrays, linear_pol
 from .optics import PARAXIAL_LIMIT_RAD, SetupParams, q3_axis, transfer
 from .quantum import (
     concurrence,
-    gram_allones,
-    gram_identity,
     postselect_channel,
     power_form,
     reduced_form,
@@ -176,8 +174,6 @@ class ScenarioConfig:
                 >= MAX_GRID_POINTS:
             raise ConfigError(
                 "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more")
-        if self.kind == "polmap" and self.semiaperture_deg == 0.0:
-            raise ConfigError("semiaperture_deg must be positive for a polarization map")
         # the film, telescope and channel constructors state the remaining rules
         try:
             self._build()
@@ -189,16 +185,18 @@ class ScenarioConfig:
     def _build(self) -> None:
         """Build what the constructors check; raises the first ValueError.
 
-        A finite value so large that building overflows is one too.  Only
-        the channel report reads t, and it needs both V_0 and V_45 defined;
-        its check calls LAPACK, which would add about 1 MB to the peak
-        memory of every other kind.
+        A finite value so large that building overflows is one too, and so
+        is a polmap semiaperture whose aperture radius is 0, as 0 deg or a
+        subnormal one is.  Only the channel report reads t, and it needs
+        both V_0 and V_45 defined.
         """
         try:
             with np.errstate(over="raise"):
-                self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
+                setup = self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
+                if self.kind == "polmap" and setup.q2_max == 0.0:
+                    raise ValueError("no aperture to map: k sin(semiaperture) is 0")
                 if self.kind == "channel":
-                    state = postselect_channel(self.channel_matrix(), self.gram_matrix())
+                    state = postselect_channel(self.channel_matrix(), self.gram_coherence)
                     for b2 in CHANNEL_BETA2_DEG:
                         try:
                             visibility(reduced_form(state, np.deg2rad(b2)))
@@ -229,11 +227,12 @@ class ScenarioConfig:
     def require_transmission(self, values, where: str) -> None:
         """ConfigError if ``values``, film or transform entries, are all zero.
 
-        Only a tabulated film can transmit nothing; the analytic one always
-        has a resonant part.
+        A table can be zero where it is read; any film gives a zero transform
+        through an aperture so small that its grid step squared underflows.
         """
         if not np.any(values):
-            raise ConfigError(f"film_table = {self.film_table}: film transmits nothing {where}")
+            table = f"film_table = {self.film_table}: " if self.film_table else ""
+            raise ConfigError(f"{table}film transmits nothing {where}")
 
     # -- derived builders ---------------------------------------------------
 
@@ -267,10 +266,6 @@ class ScenarioConfig:
 
     def channel_matrix(self) -> np.ndarray:
         return np.array([[self.t_xx, self.t_xy], [self.t_yx, self.t_yy]], dtype=complex)
-
-    def gram_matrix(self) -> np.ndarray:
-        g = self.gram_coherence
-        return (1.0 - g) * gram_identity() + g * gram_allones()
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +486,11 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     for the input e at beta2 + 90 deg, reduced to its 2x2 ``power_form``; no
     ellipse is extracted.  A nonzero aperture builds T once with
     ``transfer`` on the ``map_points``^2 grid over the mapped aperture
-    (``SetupParams.theta3_max``).  Zero semiaperture is the monomode limit,
-    the sum over the one mode q3 = 0, where T is the normal-incidence film
-    matrix.  A cell into which the film transmits nothing is a ConfigError.
+    (``SetupParams.theta3_max``).  An aperture of radius
+    ``SetupParams.q2_max`` = 0 (0 deg, or a semiaperture that rounds to 0)
+    is the monomode limit, the sum over the one mode q3 = 0, where T is the
+    normal-incidence film matrix.  A cell into which the film transmits
+    nothing is a ConfigError.
     """
     apertures = np.arange(
         cfg.semiaperture_min_deg,
@@ -510,11 +507,11 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     for ap in apertures:
         row = [ap]
         for lam in cfg.lambdas_nm:
-            if ap == 0.0:
+            setup = cfg.setup(film, lam, semiaperture_deg=ap)
+            if setup.q2_max == 0.0:
                 t = film_matrix(film, (0.0, 0.0), lam)
                 where = f"at normal incidence at {lam:g} nm"
             else:
-                setup = cfg.setup(film, lam, semiaperture_deg=ap)
                 t = transfer(setup, q3_axis(setup, cfg.map_points, setup.theta3_max),
                              cfg.quad_points)
                 where = f"through a {ap:g} deg semiaperture at {lam:g} nm"
@@ -576,8 +573,8 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
 
 
 def run_channel(cfg: ScenarioConfig) -> dict:
-    """Monomode post-selection channel report for explicit t and Gram matrix."""
-    state = postselect_channel(cfg.channel_matrix(), cfg.gram_matrix())
+    """Monomode post-selection channel report for explicit t and Gram coherence."""
+    state = postselect_channel(cfg.channel_matrix(), cfg.gram_coherence)
     conc = concurrence(state)
     v0, v45 = (visibility(reduced_form(state, np.deg2rad(b2))) for b2 in CHANNEL_BETA2_DEG)
 

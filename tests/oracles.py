@@ -310,6 +310,4 @@ def config_refusal(**values):
         if np.divide(np.subtract(cfg["semiaperture_max_deg"], cfg["semiaperture_min_deg"]),
                      cfg["semiaperture_step_deg"]) >= 2 ** 31:
             return "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more"
-    if cfg["kind"] == "polmap" and cfg["semiaperture_deg"] == 0.0:
-        return "semiaperture_deg must be positive for a polarization map"
     return None

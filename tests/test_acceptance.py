@@ -14,8 +14,6 @@ from plasmon_biphoton.jones import ellipse_arrays, linear_pol
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
     concurrence,
-    gram_allones,
-    gram_identity,
     postselect_channel,
     power_form,
     reduced_form,
@@ -75,7 +73,7 @@ def test_criterion_01_identity_symmetry():
 
 def test_criterion_02_monomode_preservation():
     film = default_film()
-    state = postselect_channel(film_matrix(film, (0.0, 0.0), 797.0), gram_allones())
+    state = postselect_channel(film_matrix(film, (0.0, 0.0), 797.0), 1.0)
     vs = [visibility(reduced_form(state, np.deg2rad(b2))) for b2 in (0.0, 22.5, 45.0, 67.5)]
     print(f"\ncriterion 2: monomode V = {['%.6f' % v for v in vs]} (tol 1e-3)")
     assert all(abs(v - 1.0) <= 1e-3 for v in vs)
@@ -126,8 +124,8 @@ def test_criterion_05_stationary_phase_mapping():
 
 
 def test_criterion_06_channel_extremes():
-    coherent = postselect_channel(np.eye(2), gram_allones())
-    mixed = postselect_channel(np.eye(2), gram_identity())
+    coherent = postselect_channel(np.eye(2), 1.0)
+    mixed = postselect_channel(np.eye(2), 0.0)
     checks = {
         "C(coherent)": (concurrence(coherent), 1.0),
         "V_0(coherent)": (visibility(reduced_form(coherent, 0.0)), 1.0),

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plasmon_biphoton import film, optics, scenarios
+from plasmon_biphoton import cli, film, optics, scenarios
 from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, TabulatedGrid
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
@@ -84,7 +84,7 @@ def test_missing_config_file_is_error(tmp_path, capsys):
                                        "cannot read (No such file or directory)\n")
 
 
-@pytest.mark.parametrize("command", ["spectrum", "validate-film"])
+@pytest.mark.parametrize("command", ["spectrum", "channel"])
 def test_config_that_is_a_directory_is_config_error(tmp_path, capsys, command):
     # was reported as an --out fault: "--out out: cannot write ... (Is a directory)"
     code = main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
@@ -115,11 +115,14 @@ def test_bad_config_value_is_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["quad_points = 0", "polmap_points = 0",
                                   "semiaperture_deg = 20.0", "semiaperture_deg = 0",
+                                  "semiaperture_deg = 5e-324",
                                   "theta3_max_deg = -1", "theta3_max_deg = 400"],
                          ids=["quad_points", "polmap_points", "semiaperture_deg",
-                              "zero_semiaperture", "negative_theta3_max",
-                              "non_paraxial_theta3_max"])
+                              "zero_semiaperture", "subnormal_semiaperture",
+                              "negative_theta3_max", "non_paraxial_theta3_max"])
 def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
+    # a subnormal semiaperture rounds to 0 in radians; it passed the 0 deg
+    # check and ended in a "positive semiaperture" ValueError traceback
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = polmap\n{line}\n")
     code = main(["polmap", "--config", str(path), "--out", str(tmp_path / "out")])
@@ -158,12 +161,10 @@ def test_transform_larger_than_memory_is_config_error(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("command,line", [
     ("polmap", "quad_points = 9223372036854775808"),
     ("spectrum", "lambda_step_nm = 1e-300"), ("visibility", "semiaperture_step_deg = 1e-300"),
-    ("validate-film", "quad_points = 2147483648"),
-], ids=["quad_points_2**63", "lambda_step_1e-300", "semiaperture_step_1e-300",
-        "validate_film_quad_points_2**31"])
+], ids=["quad_points_2**63", "lambda_step_1e-300", "semiaperture_step_1e-300"])
 def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, command, line):
     # both 1e-300 steps ended in "ValueError: Maximum allowed size exceeded"
-    kind = {"visibility": "visibility_sweep", "validate-film": "spectrum"}.get(command, command)
+    kind = {"visibility": "visibility_sweep"}.get(command, command)
     key = line.split(" = ")[0]
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = {kind}\n{line}\n")
@@ -237,16 +238,6 @@ def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_film_zero_semiaperture_checks_the_film(tmp_path, capsys):
-    # F(0) needs no aperture
-    path = tmp_path / "cfg.txt"
-    path.write_text("kind = spectrum\nsemiaperture_deg = 0\n")
-    code = main(["validate-film", "--config", str(path)])
-    captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
-    assert captured.out.count("PASS") == 2 and captured.out.count("\n") == 2
-
-
 def test_zero_semiaperture_row_of_a_sweep_still_runs(tmp_path):
     cfg = write_cfg(tmp_path, kind="visibility_sweep", semiaperture_deg=0.0,
                     semiaperture_min_deg=0.0, semiaperture_max_deg=2.0,
@@ -256,6 +247,18 @@ def test_zero_semiaperture_row_of_a_sweep_still_runs(tmp_path):
     table = np.loadtxt(tmp_path / "out" / "visibility.csv", delimiter=",", skiprows=1)
     assert table[:, 0].tolist() == [0.0, 2.0]
     assert table[0, 1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_subnormal_semiaperture_sweep_row_is_the_monomode_limit(tmp_path, capsys):
+    # rounds to 0 in radians; ended in a "positive semiaperture" traceback
+    path = tmp_path / "cfg.txt"
+    path.write_text("kind = visibility_sweep\nsemiaperture_min_deg = 5e-324\n"
+                    "semiaperture_max_deg = 5e-324\n")
+    code = main(["visibility", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0 and capsys.readouterr().err == ""
+    table = np.loadtxt(tmp_path / "out" / "visibility.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert table[:, 0].tolist() == [5e-324]
+    assert table[0, 1:] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
@@ -312,29 +315,6 @@ def test_malformed_film_table_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_film_passes(capsys):
-    code = main(["validate-film"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("PASS") == 2
-    assert "FAIL" not in out
-
-
-def test_validate_film_checks_the_config_wavelengths(tmp_path, capsys):
-    # checked F(0) at 728, 797 and 813 nm whatever the config, so a table of
-    # the band in use ended in "lambda = 728 outside tabulated range"
-    table = write_table(tmp_path, 0.1 * np.eye(2), lams=(790.0, 800.0))
-    cfg = write_cfg(tmp_path, kind="spectrum", film_table=str(table), semiaperture_deg=4.0,
-                    lambdas_nm=(797.0, 792.5))
-    code = main(["validate-film", "--config", str(cfg)])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    lines = captured.out.splitlines()
-    assert [line.split(" proportional")[0] for line in lines] == [
-        "F(0, 797 nm)", "F(0, 792.5 nm)"]
-    assert all("PASS" in line for line in lines)
-
-
 def test_verbose_prints_the_quadrature_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, kind="channel", quad_points=204)
     code = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"])
@@ -357,21 +337,22 @@ def test_gram_selector_is_an_unknown_config_key(tmp_path, capsys):
     ("visibility", dict(semiaperture_min_deg=0.0)),
     ("visibility", dict()),
     ("polmap", dict()),
-    ("validate-film", dict()),
-], ids=["visibility_monomode_row", "visibility_aperture", "polmap", "validate_film"])
+    ("polmap", dict(film_table="", semiaperture_deg=1e-300)),
+], ids=["visibility_monomode_row", "visibility_aperture", "polmap", "polmap_analytic_underflow"])
 def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, overrides):
     # visibility ended in a "ValueError: all channel amplitudes vanish"
-    # traceback, polmap wrote an all-zero map and exited 0, and validate-film
-    # passed every check with residual nan
-    lams = (700.0, 850.0) if command == "validate-film" else (790.0, 800.0)
-    table = write_table(tmp_path, np.zeros((2, 2)), lams)
-    kind = {"visibility": "visibility_sweep", "validate-film": "spectrum"}.get(command, command)
-    cfg = write_cfg(tmp_path, kind=kind, film_table=str(table), semiaperture_deg=4.0,
-                    **overrides)
+    # traceback and polmap wrote an all-zero map and exited 0; at 1e-300 deg
+    # h**2 underflows, so the analytic film's T is all zero, and the message
+    # named an empty film_table
+    table = write_table(tmp_path, np.zeros((2, 2)))
+    kind = {"visibility": "visibility_sweep"}.get(command, command)
+    settings = {"film_table": str(table), "semiaperture_deg": 4.0, **overrides}
+    cfg = write_cfg(tmp_path, kind=kind, **settings)
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
+    named = f"film_table = {table}: " if settings["film_table"] else ""
     assert code == 1
-    assert captured.err.startswith(f"config error: film_table = {table}: film transmits nothing")
+    assert captured.err.startswith(f"config error: {named}film transmits nothing")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -512,11 +493,17 @@ def test_usage_error_exits_1(capsys, argv):
     assert err.startswith("usage: pbsim") and "pbsim: error: " in err
 
 
+def listed_commands(help_text: str) -> list[str]:
+    """The command names of the help's ``commands:`` section, in order."""
+    return [line.split()[0] for line in help_text.split("\ncommands:\n")[1].splitlines()]
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "validate-film" in capsys.readouterr().out
+    assert listed_commands(capsys.readouterr().out) == [
+        "spectrum", "visibility", "polmap", "channel"]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["spectrum", "-h"]], ids=["alone", "after_command"])
@@ -526,8 +513,25 @@ def test_short_help_lists_usage_and_commands(capsys, argv):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: pbsim") and captured.err == ""
-    assert all(f"\n  {name} " in captured.out
-               for name in ("spectrum", "visibility", "polmap", "channel", "validate-film"))
+    assert listed_commands(captured.out) == ["spectrum", "visibility", "polmap", "channel"]
+
+
+def test_validate_film_is_an_invalid_choice(capsys):
+    # film symmetry is checked where the film is built, not by a command
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-film"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pbsim")
+    assert "pbsim: error: argument command: invalid choice: 'validate-film'" in err
+
+
+def test_readme_cli_block_names_every_command():
+    # nothing else ties the commands README documents to the ones pbsim runs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("pbsim ")]
+    assert named == list(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before_command", "after_command"])

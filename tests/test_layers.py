@@ -159,7 +159,7 @@ class LinalgCalled(Exception):
 @pytest.mark.parametrize("kind", ["spectrum", "visibility_sweep", "polmap", "channel"])
 def test_only_the_channel_run_calls_linalg(kind, tmp_path, monkeypatch):
     # a run's first LAPACK call pages in about 0.6 MB that no other part of
-    # it touches; only the channel's Gram check and concurrence need it
+    # it touches; only the channel's concurrence needs it
     def refuse(*args, **kwargs):
         raise LinalgCalled
 

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
     concurrence,
-    gram_allones,
-    gram_identity,
     postselect_channel,
     power_form,
     reduced_form,
@@ -48,14 +46,14 @@ def test_singlet_rotation_invariance():
 # --- post-selection channel ------------------------------------------------
 
 def test_identity_channel_coherent_solid_gives_singlet():
-    state = postselect_channel(np.eye(2), gram_allones())
+    state = postselect_channel(np.eye(2), 1.0)
     s = singlet()
     assert np.allclose(state.rho, np.outer(s, s.conj()), atol=1e-12)
     assert np.isclose(np.linalg.matrix_rank(state.rho, tol=1e-10), 1)
 
 
 def test_identity_channel_orthogonal_solid_gives_mixture():
-    state = postselect_channel(np.eye(2), gram_identity())
+    state = postselect_channel(np.eye(2), 0.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 0.5  # |XY><XY|
     expected[2, 2] = 0.5  # |YX><YX|
@@ -63,7 +61,7 @@ def test_identity_channel_orthogonal_solid_gives_mixture():
 
 
 def test_single_surviving_channel_is_product_state():
-    state = postselect_channel(np.diag([1.0, 0.0]), gram_allones())
+    state = postselect_channel(np.diag([1.0, 0.0]), 1.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0  # |XY>
     assert np.allclose(state.rho, expected, atol=1e-12)
@@ -72,14 +70,7 @@ def test_single_surviving_channel_is_product_state():
 
 def test_zero_channel_raises():
     with pytest.raises(ValueError):
-        postselect_channel(np.zeros((2, 2)), gram_allones())
-
-
-def test_invalid_gram_raises():
-    bad = gram_allones()
-    bad[0, 1] = 2.0  # breaks Hermiticity/PSD
-    with pytest.raises(ValueError):
-        postselect_channel(np.eye(2), bad)
+        postselect_channel(np.zeros((2, 2)), 1.0)
 
 
 @st.composite
@@ -88,20 +79,14 @@ def channel_inputs(draw):
     t = np.array([[complex(draw(comp), draw(comp)) for _ in range(2)] for _ in range(2)])
     if np.sum(np.abs(t) ** 2) < 1e-4:
         t = t + np.eye(2)
-    # random PSD Gram with unit diagonal: normalized random state overlaps
-    vecs = np.array([[complex(draw(comp), draw(comp)) for _ in range(3)] for _ in range(4)])
-    for i in range(4):
-        if np.linalg.norm(vecs[i]) < 1e-3:
-            vecs[i, i % 3] += 1.0
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return t, vecs @ vecs.conj().T
+    return t, draw(st.floats(min_value=0.0, max_value=1.0))
 
 
 @given(channel_inputs())
 @settings(max_examples=50, deadline=None)
 def test_postselected_state_is_density_matrix(inputs):
-    t, gram = inputs
-    state = postselect_channel(t, gram)
+    t, coherence = inputs
+    state = postselect_channel(t, coherence)
     rho = state.rho
     assert np.allclose(rho, rho.conj().T, atol=1e-10)
     assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -111,27 +96,27 @@ def test_postselected_state_is_density_matrix(inputs):
 
 def test_visibility_scale_invariance_of_channel():
     t = np.array([[0.8, 0.1], [0.0, 0.5j]])
-    v1 = visibility(reduced_form(postselect_channel(t, gram_allones()), 0.3))
-    v2 = visibility(reduced_form(postselect_channel(3.7j * t, gram_allones()), 0.3))
+    v1 = visibility(reduced_form(postselect_channel(t, 1.0), 0.3))
+    v2 = visibility(reduced_form(postselect_channel(3.7j * t, 1.0), 0.3))
     assert v1 == pytest.approx(v2, abs=1e-12)
 
 
 # --- concurrence -----------------------------------------------------------
 
 def test_concurrence_singlet():
-    state = postselect_channel(np.eye(2), gram_allones())
+    state = postselect_channel(np.eye(2), 1.0)
     assert concurrence(state) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_concurrence_separable_mixture():
-    state = postselect_channel(np.eye(2), gram_identity())
+    state = postselect_channel(np.eye(2), 0.0)
     assert concurrence(state) == pytest.approx(0.0, abs=1e-10)
 
 
 # --- coincidence rates -----------------------------------------------------
 
 def test_monomode_singlet_malus_law():
-    state = postselect_channel(np.eye(2), gram_allones())
+    state = postselect_channel(np.eye(2), 1.0)
     for b1, b2 in [(0.2, 0.9), (1.1, 0.3), (0.0, np.pi / 4)]:
         c = rate(reduced_form(state, b2), b1)
         assert c == pytest.approx(0.5 * np.sin(b1 - b2) ** 2, abs=1e-12)
@@ -148,7 +133,7 @@ def test_multimode_identity_transfer_malus_law():
 
 def test_case_i_visibilities_by_closed_form():
     # orthogonal solid states: V = 1 in the lattice basis, 0 at 45 degrees
-    state = postselect_channel(np.eye(2), gram_identity())
+    state = postselect_channel(np.eye(2), 0.0)
     # closed form: rho = (|XY><XY| + |YX><YX|)/2, so
     # C(b1, 0) = sin^2(b1)/2 and C(b1, 45 deg) = 1/4 for all b1
     for b1 in (0.0, 0.5, 1.2):
@@ -160,7 +145,7 @@ def test_case_i_visibilities_by_closed_form():
 
 
 def test_case_ii_visibility_is_one_everywhere():
-    state = postselect_channel(np.eye(2), gram_allones())
+    state = postselect_channel(np.eye(2), 1.0)
     for b2 in np.deg2rad([0.0, 22.5, 45.0, 67.5]):
         assert visibility(reduced_form(state, b2)) == pytest.approx(1.0, abs=1e-12)
 
@@ -177,7 +162,7 @@ def test_visibility_matches_brute_force(seed):
     assert visibility(power_form(fields)) == pytest.approx(visibility_brute(b2, fields), abs=1e-6)
     # monomode: a post-selected state of a random channel
     t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    state = postselect_channel(t, gram_allones())
+    state = postselect_channel(t, 1.0)
     v = visibility(reduced_form(state, b2))
     assert v == pytest.approx(visibility_brute(b2, state), abs=1e-6)
     # ... which is the one-mode coincidence sum the sweep's zero-aperture row reduces

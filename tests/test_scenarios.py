@@ -12,8 +12,6 @@ from plasmon_biphoton import jones, optics, scenarios
 from plasmon_biphoton.film import default_film
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
-    gram_allones,
-    gram_identity,
     postselect_channel,
     power_form,
     visibility,
@@ -504,19 +502,6 @@ def test_channel_partial_coherence_interpolates():
     result = run_channel(cfg)
     assert 0.0 < result["v45"] < 1.0
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("coherence, gram", [(0.0, gram_identity), (1.0, gram_allones)],
-                         ids=["identity", "allones"])
-def test_gram_coherence_ends_are_the_exact_gram_matrices(coherence, gram):
-    # 0 * x adds exact zeros, so the blend is the end matrix bit for bit
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        cfg = small_cfg(kind="channel", gram_coherence=coherence, t_xx=t[0, 0],
-                        t_xy=t[0, 1], t_yx=t[1, 0], t_yy=t[1, 1])
-        assert np.array_equal(run_channel(cfg)["state"].rho,
-                              postselect_channel(t, gram()).rho)
 
 
 # --- dispatch ---------------------------------------------------------------
