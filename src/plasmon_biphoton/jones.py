@@ -1,7 +1,7 @@
-"""Jones calculus in the fixed lab (x, y) transverse basis.
+"""Jones vectors and polarization ellipses in the fixed lab (x, y) transverse basis.
 
-Jones vectors are complex ndarrays of shape (2,) and Jones matrices complex
-ndarrays of shape (2, 2).  The p/s bases of oblique modes never appear:
+Jones vectors are complex ndarrays of shape (2,); ``linear_pol`` makes the
+linearly polarized ones.  The p/s bases of oblique modes never appear:
 everything stays in the lab frame.  Polarization ellipses are extracted for
 whole arrays of field components by ``ellipse_arrays``; a single Jones
 vector is the one-point case.
@@ -18,23 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "polarizer",
     "linear_pol",
     "ellipse_arrays",
 ]
 
 # |axis_ratio| above this is treated as circular (psi degenerate, reported 0)
 _CIRCULAR_EPS = 1e-14
-
-
-def polarizer(beta: float) -> np.ndarray:
-    """Ideal linear polarizer transmitting the direction at angle ``beta``.
-
-    Returns the rank-1 projector e_beta e_beta^T; idempotent, Hermitian,
-    trace 1.
-    """
-    c, s = np.cos(beta), np.sin(beta)
-    return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
 
 
 def linear_pol(angle: float) -> np.ndarray:

@@ -80,6 +80,8 @@ class SetupParams:
                 raise ValueError(f"{name} must be positive and finite")
         if self.n <= 1.0:
             raise ValueError("substrate index must exceed 1")
+        if not self.magnification < np.inf:
+            raise ValueError("angular magnification n f / ((n - 1) delta) must be finite")
         if not 0.0 <= self.theta_ap <= PARAXIAL_LIMIT_RAD:
             raise ValueError(
                 f"semiaperture {self.theta_ap} rad outside paraxial range "

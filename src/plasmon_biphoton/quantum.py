@@ -14,8 +14,8 @@ Two pictures are supported, mirroring the two regimes of the experiment:
   the real 2x2 form sum Re(E E^H), which ``power_form`` builds.
 
 Both pictures reduce photon 1 to one real symmetric 2x2 coincidence form A,
-with C(beta1) = e(beta1)^T A e(beta1): ``reduced_form`` of a post-selected
-state, ``power_form`` of the output fields.  ``visibility`` takes that form.
+with C(beta1) = e(beta1)^T A e(beta1): ``reduced_form`` of the post-selected
+density matrix, ``power_form`` of the output fields.  ``visibility`` takes that form.
 
 Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 """
@@ -23,27 +23,16 @@ Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .jones import polarizer
-
 __all__ = [
-    "PostselectedState",
     "postselect_channel",
     "concurrence",
     "power_form",
     "reduced_form",
     "visibility",
 ]
-
-# solid-state labels (ab) = (output pol, input pol) of photon 1, in the order
-# the channel amplitudes are enumerated
-GRAM_LABELS = ("xx", "yx", "xy", "yy")
-
-# channel label -> (sign, two-qubit basis index of the surviving biphoton ket)
-_CHANNEL_KETS = {"xx": (+1.0, 1), "yx": (+1.0, 3), "xy": (-1.0, 0), "yy": (-1.0, 2)}
 
 _SIGMA_YY = np.array([
     [0, 0, 0, -1],
@@ -53,48 +42,30 @@ _SIGMA_YY = np.array([
 ], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PostselectedState:
-    """Two-qubit density matrix after tracing out the solid and post-selecting.
+def postselect_channel(t: np.ndarray, coherence: float) -> np.ndarray:
+    """Post-selected two-qubit density matrix of a singlet through film channel ``t``.
 
-    success_weight is the pre-normalization trace relative to the channel
-    strength sum; it is reported but never enters visibility (post-selection
-    normalizes it away).
-    """
-
-    rho: np.ndarray
-    success_weight: float
-
-
-def postselect_channel(t: np.ndarray, coherence: float) -> PostselectedState:
-    """Output state for a singlet input through film channel amplitudes ``t``.
-
-    ``t`` is the 2x2 Jones matrix of photon 1's path.  The Gram matrix of
-    the final solid states, indexed by GRAM_LABELS, is
-    (1 - coherence) I + coherence J for a ``coherence`` in [0, 1].
+    ``t`` is the 2x2 Jones matrix of photon 1's path.  Output polarization a
+    of input b leaves the branch amplitude t_ab / sqrt(2) on one ket,
+    v = (-t_xy, t_xx, -t_yy, t_yx) / sqrt(2), entangled with the final solid
+    state of that channel.  The Gram matrix of those states is
+    (1 - coherence) I + coherence J for a ``coherence`` in [0, 1], and the
+    state is diag(v) Gram diag(v)^H over its trace.  ValueError if the trace
+    is 0.
     """
     t = np.asarray(t, dtype=complex)
     gram = ((1.0 - coherence) * np.eye(4, dtype=complex)
             + coherence * np.ones((4, 4), dtype=complex))
-    t_entries = {"xx": t[0, 0], "xy": t[0, 1], "yx": t[1, 0], "yy": t[1, 1]}
-    strength = sum(abs(v) ** 2 for v in t_entries.values())
-    if strength == 0.0:
-        raise ValueError("all channel amplitudes vanish: nothing to post-select")
-
-    # unnormalized branch vectors c_a |psi_a> in the two-qubit basis
-    branches = np.zeros((4, 4), dtype=complex)
-    for col, label in enumerate(GRAM_LABELS):
-        sign, ket = _CHANNEL_KETS[label]
-        branches[ket, col] = sign * t_entries[label] / np.sqrt(2.0)
-
-    rho = branches @ gram @ branches.conj().T
+    v = np.array([-t[0, 1], t[0, 0], -t[1, 1], t[1, 0]]) / np.sqrt(2.0)
+    rho = np.diag(v) @ gram @ np.diag(v.conj())
     weight = float(np.trace(rho).real)
-    return PostselectedState(rho=rho / weight, success_weight=weight / strength)
+    if weight == 0.0:
+        raise ValueError("all channel amplitudes vanish: nothing to post-select")
+    return rho / weight
 
 
-def concurrence(state: PostselectedState) -> float:
-    """Wootters concurrence of the two-qubit density matrix of ``state``."""
-    rho = state.rho
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of the two-qubit density matrix ``rho``."""
     rho_tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
     eig = np.linalg.eigvals(rho @ rho_tilde)
     lam = np.sqrt(np.clip(eig.real, 0.0, None))
@@ -117,10 +88,13 @@ def power_form(fields: np.ndarray) -> np.ndarray:
     return a.real
 
 
-def reduced_form(state: PostselectedState, beta2: float) -> np.ndarray:
-    """Coincidence form Re Tr_2[rho (I x P(beta2))] of photon 1, polarizer 2 at beta2."""
-    rho_r = state.rho.reshape(2, 2, 2, 2)
-    return np.einsum("iajb,ba->ij", rho_r, polarizer(beta2)).real
+def reduced_form(rho: np.ndarray, beta2: float) -> np.ndarray:
+    """Coincidence form Re Tr_2[rho (I x P(beta2))] of photon 1, polarizer 2 at beta2.
+
+    P(beta2) = e e^T is the projector onto e = (cos beta2, sin beta2).
+    """
+    e = np.array([np.cos(beta2), np.sin(beta2)], dtype=complex)
+    return np.einsum("iajb,ba->ij", rho.reshape(2, 2, 2, 2), np.outer(e, e)).real
 
 
 def visibility(form: np.ndarray) -> float:

@@ -196,10 +196,10 @@ class ScenarioConfig:
                 if self.kind == "polmap" and setup.q2_max == 0.0:
                     raise ValueError("no aperture to map: k sin(semiaperture) is 0")
                 if self.kind == "channel":
-                    state = postselect_channel(self.channel_matrix(), self.gram_coherence)
+                    rho = postselect_channel(self.channel_matrix(), self.gram_coherence)
                     for b2 in CHANNEL_BETA2_DEG:
                         try:
-                            visibility(reduced_form(state, np.deg2rad(b2)))
+                            visibility(reduced_form(rho, np.deg2rad(b2)))
                         except ValueError as exc:
                             raise ValueError(f"V_{b2:g}: {exc}") from None
         except ArithmeticError as exc:
@@ -225,10 +225,12 @@ class ScenarioConfig:
         return keys
 
     def require_transmission(self, values, where: str) -> None:
-        """ConfigError if ``values``, film or transform entries, are all zero.
+        """ConfigError if ``values``, a coincidence form or a map's peak intensity, are all zero.
 
-        A table can be zero where it is read; any film gives a zero transform
-        through an aperture so small that its grid step squared underflows.
+        A film table can be zero where it is read; any film gives a zero
+        transform through an aperture so small that its grid step squared
+        underflows; and the power of the fields of a film that transmits
+        almost nothing underflows to 0.
         """
         if not np.any(values):
             table = f"film_table = {self.film_table}: " if self.film_table else ""
@@ -370,10 +372,10 @@ _EXPONENT = (_in_word(_ASCII[np.abs(np.arange(-36, 53)), 1:], [5, 6])
 _BLOCK_VALUES = 2048
 
 
-def _format_block(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Text of a finite 2-D block, its negative entries, and the rows it vouches for.
+def _format_block(block: np.ndarray) -> tuple[bytes, bool]:
+    """Text of a finite 2-D block, and whether it vouches for that text.
 
-    Each value of a vouched-for row reads ``FMT % value``.  |x| is scaled by
+    Each value of a vouched-for block reads ``FMT % value``.  |x| is scaled by
     two exact powers of ten into y = |x| * 10**s, with at most two roundings:
     |y - exact| < 2.3e-7 for y < 1e9.  Rounding y to the 9-digit integer
     mantissa is then exact unless the fraction of y lies within 1e-6 of one
@@ -405,34 +407,25 @@ def _format_block(block: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
     words[..., 1] = (_TRAILING.take(rest - middle * 1000)
                      | _EXPONENT.take(44 - s)).reshape(rows, cols) | separator
     fields = words.view(np.uint8).reshape(x.size, 16)
-    negative = np.signbit(block)
     keep = np.ones(fields.shape, dtype=bool)
-    keep[:, 0] = negative.ravel()
-    return fields[keep].tobytes(), negative, exact.reshape(rows, cols).all(axis=1)
+    keep[:, 0] = np.signbit(block).ravel()
+    return fields[keep].tobytes(), bool(exact.all())
 
 
 def _csv_rows(table: np.ndarray):
     """Yield the bytes of a finite 2-D table, ``FMT % value`` joined by commas and newlines.
 
-    Blocks of about _BLOCK_VALUES values go through _format_block; a row it
-    does not vouch for is formatted by Python instead.
+    Blocks of about _BLOCK_VALUES values go through _format_block; a block
+    it does not vouch for is formatted by Python instead.
     """
     step = max(1, _BLOCK_VALUES // table.shape[1])
     for start in range(0, len(table), step):
         block = table[start:start + step]
-        text, negative, exact = _format_block(block)
-        if exact.all():
-            yield text
-            continue
-        # 15 bytes per field, and one more for a minus sign
-        row_bytes = 15 * block.shape[1] + negative.sum(axis=1)
-        ends = np.cumsum(row_bytes)
-        pos = 0
-        for r in np.flatnonzero(~exact):
-            yield text[pos:ends[r] - row_bytes[r]]
-            yield (",".join(FMT % v for v in block[r].tolist()) + "\n").encode()
-            pos = ends[r]
-        yield text[pos:]
+        text, exact = _format_block(block)
+        if not exact:
+            text = "".join(",".join(FMT % v for v in row) + "\n"
+                           for row in block.tolist()).encode()
+        yield text
 
 
 def _encode_pgm(scaled: np.ndarray, top_grey: int = 65535) -> bytes:
@@ -489,8 +482,8 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     (``SetupParams.theta3_max``).  An aperture of radius
     ``SetupParams.q2_max`` = 0 (0 deg, or a semiaperture that rounds to 0)
     is the monomode limit, the sum over the one mode q3 = 0, where T is the
-    normal-incidence film matrix.  A cell into which the film transmits
-    nothing is a ConfigError.
+    normal-incidence film matrix.  A cell whose coincidence form is all
+    zero, the film transmitting nothing into it, is a ConfigError.
     """
     apertures = np.arange(
         cfg.semiaperture_min_deg,
@@ -515,10 +508,11 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
                 t = transfer(setup, q3_axis(setup, cfg.map_points, setup.theta3_max),
                              cfg.quad_points)
                 where = f"through a {ap:g} deg semiaperture at {lam:g} nm"
-            cfg.require_transmission(t, where)
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                row.append(visibility(power_form(t @ linear_pol(b2 + np.pi / 2.0))))
+                form = power_form(t @ linear_pol(b2 + np.pi / 2.0))
+                cfg.require_transmission(form, where)
+                row.append(visibility(form))
         rows.append(row)
     table = np.array(rows)
     return {"files": {"visibility.csv": (header, table)}, "semiaperture_deg": apertures,
@@ -573,10 +567,10 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
 
 
 def run_channel(cfg: ScenarioConfig) -> dict:
-    """Monomode post-selection channel report for explicit t and Gram coherence."""
-    state = postselect_channel(cfg.channel_matrix(), cfg.gram_coherence)
-    conc = concurrence(state)
-    v0, v45 = (visibility(reduced_form(state, np.deg2rad(b2))) for b2 in CHANNEL_BETA2_DEG)
+    """Monomode channel report for explicit t and Gram coherence; ``rho`` is the state."""
+    rho = postselect_channel(cfg.channel_matrix(), cfg.gram_coherence)
+    conc = concurrence(rho)
+    v0, v45 = (visibility(reduced_form(rho, np.deg2rad(b2))) for b2 in CHANNEL_BETA2_DEG)
 
     lines = [f"gram_coherence = {FMT % cfg.gram_coherence}"]
     for name, val in (("t_xx", cfg.t_xx), ("t_xy", cfg.t_xy),
@@ -584,13 +578,12 @@ def run_channel(cfg: ScenarioConfig) -> dict:
         lines.append(f"{name} = {FMT % val.real} {FMT % val.imag}")
     for i in range(4):
         lines.append("rho_row%d = " % i + " ".join(
-            f"{FMT % state.rho[i, j].real}{'+' if state.rho[i, j].imag >= 0 else '-'}"
-            f"{FMT % abs(state.rho[i, j].imag)}j" for j in range(4)))
-    lines.append(f"success_weight = {FMT % state.success_weight}")
+            f"{FMT % rho[i, j].real}{'+' if rho[i, j].imag >= 0 else '-'}"
+            f"{FMT % abs(rho[i, j].imag)}j" for j in range(4)))
     lines.append(f"concurrence = {FMT % conc}")
     lines.append(f"V_0 = {FMT % v0}")
     lines.append(f"V_45 = {FMT % v45}")
-    return {"files": {"channel.txt": ("\n".join(lines) + "\n").encode()}, "state": state,
+    return {"files": {"channel.txt": ("\n".join(lines) + "\n").encode()}, "rho": rho,
             "concurrence": conc, "v0": v0, "v45": v45}
 
 

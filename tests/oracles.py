@@ -14,7 +14,6 @@ from plasmon_biphoton.film import (
     film_matrix_grid,
 )
 from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD, SetupParams
-from plasmon_biphoton.quantum import PostselectedState
 from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
 
 
@@ -33,6 +32,35 @@ def rotation(phi: float) -> np.ndarray:
 def singlet() -> np.ndarray:
     """Polarization singlet (|XY> - |YX>)/sqrt(2) as a 4-amplitude vector."""
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
+# solid-state labels (ab) = (output pol, input pol) of photon 1, in the order
+# the channel amplitudes are enumerated
+GRAM_LABELS = ("xx", "yx", "xy", "yy")
+
+# channel label -> (sign, two-qubit basis index of the surviving biphoton ket)
+CHANNEL_KETS = {"xx": (+1.0, 1), "yx": (+1.0, 3), "xy": (-1.0, 0), "yy": (-1.0, 2)}
+
+
+def postselect_channel_labels(t, coherence: float) -> np.ndarray:
+    """Post-selected density matrix of a singlet through ``t``, one labelled channel at a time.
+
+    The reference for ``quantum.postselect_channel``: each channel ab of
+    GRAM_LABELS leaves sign * t_ab / sqrt(2) on its ket of CHANNEL_KETS, one
+    column of a 4x4 branch matrix B per channel, and rho = B Gram B^H, with
+    the Gram matrix (1 - coherence) I + coherence J indexed by GRAM_LABELS,
+    over its trace.
+    """
+    t = np.asarray(t, dtype=complex)
+    gram = ((1.0 - coherence) * np.eye(4, dtype=complex)
+            + coherence * np.ones((4, 4), dtype=complex))
+    t_entries = {"xx": t[0, 0], "xy": t[0, 1], "yx": t[1, 0], "yy": t[1, 1]}
+    branches = np.zeros((4, 4), dtype=complex)
+    for col, label in enumerate(GRAM_LABELS):
+        sign, ket = CHANNEL_KETS[label]
+        branches[ket, col] = sign * t_entries[label] / np.sqrt(2.0)
+    rho = branches @ gram @ branches.conj().T
+    return rho / np.trace(rho).real
 
 
 def resonance_wavelength(family, order, q, period: float) -> float:
@@ -230,15 +258,15 @@ def visibility_brute(beta2: float, source, step_deg: float = 1.0) -> float:
     straight from ``source``, with no 2x2 form in between.  A field array E
     of shape (..., 2) (photon 1's output for input polarization
     beta2 + 90 deg) gives C(beta1) = sum |cos(beta1) Ex + sin(beta1) Ey|^2;
-    a PostselectedState gives Tr[rho (P(beta1) x P(beta2))].
+    a 4x4 two-qubit density matrix rho gives Tr[rho (P(beta1) x P(beta2))].
     """
-    if isinstance(source, PostselectedState):
+    if np.shape(source) == (4, 4):
         e2 = np.array([np.cos(beta2), np.sin(beta2)])
 
         def rate(b1):
             e1 = np.array([np.cos(b1), np.sin(b1)])
             projector = np.kron(np.outer(e1, e1), np.outer(e2, e2))
-            return float(np.trace(source.rho @ projector).real)
+            return float(np.trace(source @ projector).real)
     else:
         fields = np.asarray(source)
 

@@ -73,8 +73,8 @@ def test_criterion_01_identity_symmetry():
 
 def test_criterion_02_monomode_preservation():
     film = default_film()
-    state = postselect_channel(film_matrix(film, (0.0, 0.0), 797.0), 1.0)
-    vs = [visibility(reduced_form(state, np.deg2rad(b2))) for b2 in (0.0, 22.5, 45.0, 67.5)]
+    rho = postselect_channel(film_matrix(film, (0.0, 0.0), 797.0), 1.0)
+    vs = [visibility(reduced_form(rho, np.deg2rad(b2))) for b2 in (0.0, 22.5, 45.0, 67.5)]
     print(f"\ncriterion 2: monomode V = {['%.6f' % v for v in vs]} (tol 1e-3)")
     assert all(abs(v - 1.0) <= 1e-3 for v in vs)
 

@@ -211,17 +211,20 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     ("channel", "t_xx = 0\nt_yy = 0"), ("channel", "t_yy = 0"), ("channel", "t_xy = 1\nt_yy = 0"),
     ("spectrum", "direct_amplitude = 1e200"), ("channel", "t_xy = 1e160j"),
     ("visibility", "f_mm = 1e305"), ("visibility", "delta_mm = 1e305"),
+    ("visibility", "delta_mm = 1e-310"), ("polmap", "delta_mm = 1e-310"),
 ], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
         "peak_below_direct", "negative_peak", "zero_channel", "undefined_v0", "undefined_v45",
         "overflowing_direct_amplitude", "overflowing_channel", "overflowing_focal_length",
-        "overflowing_thickness"])
+        "overflowing_thickness", "infinite_magnification_visibility",
+        "infinite_magnification_polmap"])
 def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
     # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
     # FilmModel, default_film, postselect_channel or (a channel whose V_0 or
     # V_45 is undefined) visibility, or (negative peak) in NaN output; a
     # finite value whose square overflows, in an OverflowError traceback or
     # an overflow warning; a focal length or thickness that overflows to inf
-    # in nm, in a warning and a numerical error
+    # in nm, and a thickness so thin that the magnification overflows to
+    # inf, in a warning and a numerical error
     kind = "visibility_sweep" if command == "visibility" else command
     path = tmp_path / "cfg.txt"
     # two valid keys off their defaults, which the message must not blame
@@ -338,12 +341,19 @@ def test_gram_selector_is_an_unknown_config_key(tmp_path, capsys):
     ("visibility", dict()),
     ("polmap", dict()),
     ("polmap", dict(film_table="", semiaperture_deg=1e-300)),
-], ids=["visibility_monomode_row", "visibility_aperture", "polmap", "polmap_analytic_underflow"])
+    ("visibility", dict(film_table="", peak_transmittance=1e-310, direct_amplitude=0j,
+                        quad_points=201, map_points=5, semiaperture_min_deg=0.0,
+                        semiaperture_max_deg=10.0, semiaperture_step_deg=5.0)),
+], ids=["visibility_monomode_row", "visibility_aperture", "polmap", "polmap_analytic_underflow",
+        "visibility_power_underflow"])
 def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, overrides):
     # visibility ended in a "ValueError: all channel amplitudes vanish"
     # traceback and polmap wrote an all-zero map and exited 0; at 1e-300 deg
     # h**2 underflows, so the analytic film's T is all zero, and the message
-    # named an empty film_table
+    # named an empty film_table; a film of peak transmittance 1e-310 has a
+    # nonzero T whose power underflows to 0 through a 5 deg semiaperture,
+    # and ended in a "ValueError: coincidence rate vanishes identically"
+    # traceback
     table = write_table(tmp_path, np.zeros((2, 2)))
     kind = {"visibility": "visibility_sweep"}.get(command, command)
     settings = {"film_table": str(table), "semiaperture_deg": 4.0, **overrides}

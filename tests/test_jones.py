@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plasmon_biphoton.jones import ellipse_arrays, linear_pol, polarizer
+from plasmon_biphoton.jones import ellipse_arrays, linear_pol
 
 from oracles import rotation
 
@@ -29,27 +29,6 @@ def test_rotation_inverse():
 @given(angles, angles)
 def test_rotation_additivity(a, b):
     assert np.allclose(rotation(a) @ rotation(b), rotation(a + b), atol=1e-12)
-
-
-def test_polarizer_x():
-    assert np.allclose(polarizer(0.0), [[1, 0], [0, 0]])
-
-
-def test_polarizer_45():
-    assert np.allclose(polarizer(np.pi / 4), [[0.5, 0.5], [0.5, 0.5]])
-
-
-def test_polarizer_idempotent():
-    p = polarizer(0.7)
-    assert np.allclose(p @ p, p, atol=1e-15)
-    assert np.allclose(p, p.conj().T)
-    assert np.isclose(np.trace(p).real, 1.0)
-
-
-@given(angles)
-def test_polarizer_blocks_orthogonal(beta):
-    blocked = polarizer(beta) @ linear_pol(beta + np.pi / 2)
-    assert np.max(np.abs(blocked)) < 1e-12
 
 
 def test_ellipse_linear_x():

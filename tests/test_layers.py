@@ -26,7 +26,7 @@ LAYERS = {
     "jones": set(),
     "film": set(),
     "optics": {"film"},
-    "quantum": {"jones"},
+    "quantum": set(),
     "scenarios": {"film", "jones", "optics", "quantum"},
     "cli": {"film", "scenarios"},
 }

@@ -11,7 +11,13 @@ from plasmon_biphoton.quantum import (
     visibility,
 )
 
-from oracles import rotation, singlet, visibility_brute, visibility_eigvalsh
+from oracles import (
+    postselect_channel_labels,
+    rotation,
+    singlet,
+    visibility_brute,
+    visibility_eigvalsh,
+)
 
 
 def rate(form, beta1):
@@ -46,26 +52,26 @@ def test_singlet_rotation_invariance():
 # --- post-selection channel ------------------------------------------------
 
 def test_identity_channel_coherent_solid_gives_singlet():
-    state = postselect_channel(np.eye(2), 1.0)
+    rho = postselect_channel(np.eye(2), 1.0)
     s = singlet()
-    assert np.allclose(state.rho, np.outer(s, s.conj()), atol=1e-12)
-    assert np.isclose(np.linalg.matrix_rank(state.rho, tol=1e-10), 1)
+    assert np.allclose(rho, np.outer(s, s.conj()), atol=1e-12)
+    assert np.isclose(np.linalg.matrix_rank(rho, tol=1e-10), 1)
 
 
 def test_identity_channel_orthogonal_solid_gives_mixture():
-    state = postselect_channel(np.eye(2), 0.0)
+    rho = postselect_channel(np.eye(2), 0.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 0.5  # |XY><XY|
     expected[2, 2] = 0.5  # |YX><YX|
-    assert np.allclose(state.rho, expected, atol=1e-12)
+    assert np.allclose(rho, expected, atol=1e-12)
 
 
 def test_single_surviving_channel_is_product_state():
-    state = postselect_channel(np.diag([1.0, 0.0]), 1.0)
+    rho = postselect_channel(np.diag([1.0, 0.0]), 1.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 1.0  # |XY>
-    assert np.allclose(state.rho, expected, atol=1e-12)
-    assert concurrence(state) == pytest.approx(0.0, abs=1e-9)
+    assert np.allclose(rho, expected, atol=1e-12)
+    assert concurrence(rho) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_zero_channel_raises():
@@ -86,12 +92,25 @@ def channel_inputs(draw):
 @settings(max_examples=50, deadline=None)
 def test_postselected_state_is_density_matrix(inputs):
     t, coherence = inputs
-    state = postselect_channel(t, coherence)
-    rho = state.rho
+    rho = postselect_channel(t, coherence)
     assert np.allclose(rho, rho.conj().T, atol=1e-10)
     assert np.linalg.eigvalsh(rho).min() > -1e-10
     assert np.isclose(np.trace(rho).real, 1.0, atol=1e-10)
-    assert state.success_weight > 0
+
+
+def test_postselect_channel_equals_the_labelled_branch_matrix():
+    # bit for bit, over random t with and without zero entries, at both ends
+    # of the coherence range and between
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for channel in (t, np.where(rng.random((2, 2)) < 0.4, 0.0, t)):
+            if not channel.any():
+                continue
+            for coherence in (0.0, 1.0, rng.uniform()):
+                rho = postselect_channel(channel, coherence)
+                reference = postselect_channel_labels(channel, coherence)
+                assert rho.tobytes() == reference.tobytes()
 
 
 def test_visibility_scale_invariance_of_channel():
@@ -104,21 +123,21 @@ def test_visibility_scale_invariance_of_channel():
 # --- concurrence -----------------------------------------------------------
 
 def test_concurrence_singlet():
-    state = postselect_channel(np.eye(2), 1.0)
-    assert concurrence(state) == pytest.approx(1.0, abs=1e-10)
+    rho = postselect_channel(np.eye(2), 1.0)
+    assert concurrence(rho) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_concurrence_separable_mixture():
-    state = postselect_channel(np.eye(2), 0.0)
-    assert concurrence(state) == pytest.approx(0.0, abs=1e-10)
+    rho = postselect_channel(np.eye(2), 0.0)
+    assert concurrence(rho) == pytest.approx(0.0, abs=1e-10)
 
 
 # --- coincidence rates -----------------------------------------------------
 
 def test_monomode_singlet_malus_law():
-    state = postselect_channel(np.eye(2), 1.0)
+    rho = postselect_channel(np.eye(2), 1.0)
     for b1, b2 in [(0.2, 0.9), (1.1, 0.3), (0.0, np.pi / 4)]:
-        c = rate(reduced_form(state, b2), b1)
+        c = rate(reduced_form(rho, b2), b1)
         assert c == pytest.approx(0.5 * np.sin(b1 - b2) ** 2, abs=1e-12)
 
 
@@ -133,21 +152,21 @@ def test_multimode_identity_transfer_malus_law():
 
 def test_case_i_visibilities_by_closed_form():
     # orthogonal solid states: V = 1 in the lattice basis, 0 at 45 degrees
-    state = postselect_channel(np.eye(2), 0.0)
+    rho = postselect_channel(np.eye(2), 0.0)
     # closed form: rho = (|XY><XY| + |YX><YX|)/2, so
     # C(b1, 0) = sin^2(b1)/2 and C(b1, 45 deg) = 1/4 for all b1
     for b1 in (0.0, 0.5, 1.2):
-        assert rate(reduced_form(state, 0.0), b1) == pytest.approx(
+        assert rate(reduced_form(rho, 0.0), b1) == pytest.approx(
             0.5 * np.sin(b1) ** 2, abs=1e-12)
-        assert rate(reduced_form(state, np.pi / 4), b1) == pytest.approx(0.25, abs=1e-12)
-    assert visibility(reduced_form(state, 0.0)) == pytest.approx(1.0, abs=1e-12)
-    assert visibility(reduced_form(state, np.pi / 4)) == pytest.approx(0.0, abs=1e-12)
+        assert rate(reduced_form(rho, np.pi / 4), b1) == pytest.approx(0.25, abs=1e-12)
+    assert visibility(reduced_form(rho, 0.0)) == pytest.approx(1.0, abs=1e-12)
+    assert visibility(reduced_form(rho, np.pi / 4)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_case_ii_visibility_is_one_everywhere():
-    state = postselect_channel(np.eye(2), 1.0)
+    rho = postselect_channel(np.eye(2), 1.0)
     for b2 in np.deg2rad([0.0, 22.5, 45.0, 67.5]):
-        assert visibility(reduced_form(state, b2)) == pytest.approx(1.0, abs=1e-12)
+        assert visibility(reduced_form(rho, b2)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- visibility: eigenvalue route vs brute-force scan ----------------------
@@ -162,9 +181,9 @@ def test_visibility_matches_brute_force(seed):
     assert visibility(power_form(fields)) == pytest.approx(visibility_brute(b2, fields), abs=1e-6)
     # monomode: a post-selected state of a random channel
     t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    state = postselect_channel(t, 1.0)
-    v = visibility(reduced_form(state, b2))
-    assert v == pytest.approx(visibility_brute(b2, state), abs=1e-6)
+    rho = postselect_channel(t, 1.0)
+    v = visibility(reduced_form(rho, b2))
+    assert v == pytest.approx(visibility_brute(b2, rho), abs=1e-6)
     # ... which is the one-mode coincidence sum the sweep's zero-aperture row reduces
     assert v == pytest.approx(visibility(power_form(t @ linear_pol(b2 + np.pi / 2.0))), abs=1e-12)
 

@@ -12,7 +12,6 @@ from plasmon_biphoton import jones, optics, scenarios
 from plasmon_biphoton.film import default_film
 from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
-    postselect_channel,
     power_form,
     visibility,
 )
@@ -486,7 +485,7 @@ def test_channel_identity_allones_report(tmp_path):
     assert result["v0"] == pytest.approx(1.0, abs=1e-9)
     assert result["v45"] == pytest.approx(1.0, abs=1e-9)
     text = (tmp_path / "channel.txt").read_text()
-    assert "concurrence" in text and "success_weight" in text
+    assert "concurrence" in text and "success_weight" not in text
 
 
 def test_channel_identity_gram_report():
@@ -510,7 +509,7 @@ def test_run_scenario_dispatch(tmp_path):
     cfg = small_cfg(kind="channel")
     result = run_scenario(cfg, tmp_path)
     assert (tmp_path / "channel.txt").exists()
-    assert "state" in result
+    assert "rho" in result
 
 
 def test_quad_refinement_field_replace(tmp_path):
