@@ -17,7 +17,9 @@ point-group symmetric, as an analytic film is.  The first load of a table
 parses its CSV and leaves the grid beside it in a binary sidecar keyed by
 the CSV's checksums; a later load of the same bytes reads the sidecar
 instead, checks it as a parse would, and falls back to the CSV on any
-mismatch, so the CSV alone decides what a table holds.
+mismatch, so the CSV alone decides what a table holds.  Neither load
+holds a temporary as large as the table besides the parsed rows and the
+grid: a parse peaks at about 152 B per table row, a sidecar hit at 88.
 
 ``film_matrix_grid`` is the one evaluator for both kinds of film: qx, qy and
 lambda may be scalars or arrays of any shapes that broadcast together, and
@@ -119,8 +121,10 @@ class TabulatedGrid:
         if qx.shape != qy.shape:
             raise ValueError(f"film table is not point-group symmetric: {qx.size} qx, {qy.size} qy")
         axes = max(np.max(np.abs(qx + qx[::-1])), np.max(np.abs(qy - qx)))
+        # the largest |entry|, one component at a time; a NaN carries through
+        largest = np.max([np.max(np.abs(m[..., i, j])) for i in (0, 1) for j in (0, 1)])
         for what, worst, scale in (("q axes", axes, np.max(np.abs([qx, qy]))),
-                                   ("matrices", _matrix_asymmetry(m), np.max(np.abs(m)))):
+                                   ("matrices", _matrix_asymmetry(m), largest)):
             # an infinite entry is refused even where its mirror image is finite
             if not worst <= SYMMETRY_TOL * scale < np.inf:
                 ratio = worst / scale if scale < np.inf else np.nan
@@ -133,15 +137,19 @@ def _matrix_asymmetry(m: np.ndarray) -> float:
 
     The x mirror changes the sign of xy and yx, so those entries are sums,
     bit for bit the differences from the negated entries; the diagonal
-    mirror swaps xx with yy and xy with yx.  One scratch array of m's size
-    holds each difference in turn.
+    mirror swaps xx with yy and xy with yx.  Each difference is taken one
+    2x2 component at a time, in one scratch array of a component's size, so
+    the scratch and its modulus take 3/8 of m's bytes; a NaN carries
+    through to the maximum.
     """
-    d = np.empty_like(m)
+    d = np.empty(m.shape[:-2], dtype=m.dtype)
+    worst = []
     for i, j, op in ((0, 0, np.subtract), (1, 1, np.subtract), (0, 1, np.add), (1, 0, np.add)):
-        op(m[:, ::-1, :, i, j], m[..., i, j], out=d[..., i, j])
-    worst = np.max(np.abs(d))
-    np.subtract(m.transpose(0, 2, 1, 3, 4), m[..., ::-1, ::-1], out=d)
-    return max(worst, np.max(np.abs(d)))
+        op(m[:, ::-1, :, i, j], m[..., i, j], out=d)
+        worst.append(np.max(np.abs(d)))
+        np.subtract(m.transpose(0, 2, 1, 3, 4)[..., i, j], m[..., 1 - i, 1 - j], out=d)
+        worst.append(np.max(np.abs(d)))
+    return np.max(worst)
 
 
 @dataclass(frozen=True)
@@ -344,6 +352,10 @@ def load_tabulated(path) -> TabulatedGrid:
     written again.  A sidecar is written only if the CSV's key after the
     parse is the one taken before it, and never for a table that fails to
     load; one that cannot be written is skipped without a message.
+
+    Memory: a parse holds the 88 B/row ``np.loadtxt`` array and the
+    64 B/row grid, about 152 B per table row at its peak; a sidecar hit
+    holds the grid and the symmetry check's scratch, about 88 B/row.
     """
     key = _table_key(path)
     head, name = os.path.split(os.fspath(path))
@@ -438,6 +450,11 @@ def _parse_tabulated(path) -> TabulatedGrid:
             raise ValueError("rows must list each grid point once, sorted "
                              "lexicographically by (lambda, qx, qy)")
 
-    # columns re_xx, im_xx, re_xy, ... : xx, xy, yx, yy in row-major 2x2 order
-    mats = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(*shape, 2, 2)
-    return TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats)
+    # columns re_xx, im_xx, re_xy, ... : xx, xy, yx, yy in row-major 2x2 order.
+    # Built in place in one complex array, bit for bit re + 1j * im (signed
+    # zeros included), and the parsed rows go before the symmetry check, so
+    # the parse holds the loadtxt array and the grid, and nothing else as large
+    mats = np.multiply(data[:, 4::2], 1j)
+    mats += data[:, 3::2]
+    del data
+    return TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats.reshape(*shape, 2, 2))

@@ -54,6 +54,10 @@ PARAXIAL_LIMIT_RAD = 0.3
 # wedge points per film sample: a chunk's film temporaries stay in cache
 _FILM_CHUNK = 8192
 
+# distinct |q3| per block of a contraction: at 201 grid points its real
+# products, 48 x 202 x 101, stay below OpenBLAS's threading size (about 1e6)
+_CONTRACT_ROWS = 24
+
 
 @dataclass(frozen=True)
 class SetupParams:
@@ -145,11 +149,12 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     are built and contracted on the distinct |q3| of the axis only, and T
     is gathered back from them, T_xy with the product of the two signs.
     T keeps its diagonal mirror and, on an exactly antisymmetric axis such
-    as ``q3_axis``, its axis mirrors bit for bit.  Each contraction is two
-    real matrix products on the float views of the complex arrays
-    (``_contract``).  OpenBLAS threads a complex product from 65 536
-    M N K on, a real one only from about 1e6, so at 201 grid points the
-    contractions stay on the calling thread up to about 48 q3 points.
+    as ``q3_axis``, its axis mirrors bit for bit.  Each contraction is
+    real matrix products on the float views of the complex arrays, in
+    blocks of 24 distinct |q3| (``_contract``).  OpenBLAS threads a complex
+    product from 65 536 M N K on, a real one only from about 1e6, so at 201
+    grid points the contractions stay on the calling thread up to about
+    200 q3 points (100 distinct |q3|).
 
     The film is sampled in chunks of ``_FILM_CHUNK`` wedge points, in the
     wedge's own order, so the film evaluator's temporaries stay in cache
@@ -236,16 +241,27 @@ def _wedge(half: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _contract(k: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """k @ g @ k.T for complex k and g, as two real matrix products.
+    """k @ g @ k.T for complex k and g, as real matrix products in row blocks of k.
 
     With k = A + iB, the stack [A; B] times the float view of g holds
     A g and B g with real and imaginary parts interleaved, which combine in
     place into k @ g; the same stack times the float view of (k @ g).T
-    gives (k @ g @ k.T).T the same way.
+    gives (k @ g @ k.T).T the same way.  The stack is taken in blocks of
+    ``_CONTRACT_ROWS`` rows of k, so that at 201 grid points each real
+    product stays below the size from which OpenBLAS threads it; k of at
+    most that many rows is one block.
     """
-    stack = np.concatenate([k.real, k.imag])
-    p = _combine(stack @ g.view(float))
-    return _combine(stack @ np.ascontiguousarray(p.T).view(float)).T
+    u, m = k.shape
+    starts = range(0, u, _CONTRACT_ROWS)
+    stacks = [np.concatenate([k.real[s:s + _CONTRACT_ROWS], k.imag[s:s + _CONTRACT_ROWS]])
+              for s in starts]
+    pt = np.empty((m, u), dtype=complex)  # (k @ g).T
+    for s, stack in zip(starts, stacks):
+        pt[:, s:s + _CONTRACT_ROWS] = _combine(stack @ g.view(float)).T
+    out = np.empty((u, u), dtype=complex)  # (k @ g @ k.T).T
+    for s, stack in zip(starts, stacks):
+        out[s:s + _CONTRACT_ROWS] = _combine(stack @ pt.view(float))
+    return out.T
 
 
 def _combine(q: np.ndarray) -> np.ndarray:
@@ -267,19 +283,19 @@ def _peak_bytes(n_grid: int, m_out: int, m_folded: int) -> float:
     48 B (the wedge's integer temporaries fit in the same bytes before the
     film is sampled); per chunk point, its two q arrays, the film
     evaluator's temporaries and the chunk's xx and yy components, 176 B;
-    per folded kernel entry, the four complex kernels, the real stack, the
-    real first product and its transposed copy, 128 B; the real second
-    product, 32 m_folded^2 B; the output, one gathered component and the
-    buffers of the gather and the sign product, 96 m_out^2 B; and 16 KiB of
-    small arrays and Python objects.  The parts are not all alive at once,
-    so the sum is above the peak, and from 51 quadrature points on within a
-    factor of 2 of it.  It needs no array, so a grid of any size is priced
-    at once.
+    per folded kernel entry, the four complex kernels, the real stack, a
+    block's real first product and (k g).T, 128 B; a block's real second
+    product and (k g k.T).T, 48 m_folded^2 B; the output, one gathered
+    component and the buffers of the gather and the sign product,
+    96 m_out^2 B; and 16 KiB of small arrays and Python objects.  The
+    parts are not all alive at once, so the sum is above the peak, and from
+    51 quadrature points on within a factor of 2 of it.  It needs no array,
+    so a grid of any size is priced at once.
     """
     m = n_grid - n_grid // 2
     wedge = np.pi * m * m / 8 + m
     return (16384.0 + 16.0 * m * m + 48.0 * wedge + 176.0 * min(wedge, _FILM_CHUNK)
-            + m_folded * (128.0 * m + 32.0 * m_folded) + 96.0 * m_out ** 2)
+            + m_folded * (128.0 * m + 48.0 * m_folded) + 96.0 * m_out ** 2)
 
 
 def _physical_memory() -> int | None:

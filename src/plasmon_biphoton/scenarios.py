@@ -206,23 +206,34 @@ class ScenarioConfig:
             raise ValueError("building the film, telescope or channel overflows") from exc
 
     def _keys_behind(self, exc: ValueError) -> list[str]:
-        """Numeric keys each of which, set back alone to its default, lifts or changes ``exc``.
+        """Numeric keys behind ``exc``, in field order.
 
-        String keys select what is built (kind, film table) and are not blamed.
+        Each key that, set back alone to its default, lifts or changes
+        ``exc``.  If none does (two keys that each overflow), the keys whose
+        joint reset does, pruned one at a time of those it does without, so
+        a key that does not matter is not named.  String keys select what
+        is built (kind, film table) and are not blamed.
         """
-        keys = []
-        for f in dataclasses.fields(self):
-            if f.type == "str" or getattr(self, f.name) == f.default:
-                continue
+        changed = [f for f in dataclasses.fields(self)
+                   if f.type != "str" and getattr(self, f.name) != f.default]
+
+        def lifts(reset) -> bool:
             trial = copy.copy(self)
-            object.__setattr__(trial, f.name, f.default)
+            for f in reset:
+                object.__setattr__(trial, f.name, f.default)
             try:
                 trial._build()
             except ValueError as other:
-                if str(other) == str(exc):
-                    continue
-            keys.append(f.name)
-        return keys
+                return str(other) != str(exc)
+            return True
+
+        keys = [f for f in changed if lifts([f])]
+        if not keys and lifts(changed):
+            keys = changed
+            for f in changed:
+                if lifts(rest := [g for g in keys if g is not f]):
+                    keys = rest
+        return [f.name for f in keys]
 
     def require_transmission(self, values, where: str) -> None:
         """ConfigError if ``values``, a coincidence form or a map's peak intensity, are all zero.
@@ -440,6 +451,17 @@ def _encode_pgm(scaled: np.ndarray, top_grey: int = 65535) -> bytes:
     return f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n65535\n".encode() + pixels.tobytes()
 
 
+def _project(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``t @ e`` for a stack ``t`` of 2x2 Jones matrices and a Jones vector ``e``, bit for bit.
+
+    The stacked matrix product is a complex BLAS call, whose first use makes
+    OpenBLAS touch its buffers; two products and a sum are not.  The sum
+    starts from +0, as the matrix product's does, so a zero entry keeps the
+    sign it gets there.
+    """
+    return 0.0 + t[..., 0] * e[0] + t[..., 1] * e[1]
+
+
 def run_spectrum(cfg: ScenarioConfig) -> dict:
     """Transmittance vs wavelength for each tilt, both diagonal polarizations.
 
@@ -510,7 +532,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
                 where = f"through a {ap:g} deg semiaperture at {lam:g} nm"
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
-                form = power_form(t @ linear_pol(b2 + np.pi / 2.0))
+                form = power_form(_project(t, linear_pol(b2 + np.pi / 2.0)))
                 cfg.require_transmission(form, where)
                 row.append(visibility(form))
         rows.append(row)
@@ -537,7 +559,8 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     theta3_max = np.deg2rad(cfg.theta3_max_deg) if cfg.theta3_max_deg > 0 \
         else setup.theta3_max
     axis = q3_axis(setup, cfg.polmap_points, theta3_max)
-    fields = transfer(setup, axis, cfg.quad_points) @ linear_pol(np.deg2rad(cfg.input_pol_deg))
+    fields = _project(transfer(setup, axis, cfg.quad_points),
+                      linear_pol(np.deg2rad(cfg.input_pol_deg)))
     intensity, psi, axis_ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
     q3 = np.meshgrid(axis, axis, indexing="ij")
     theta3_deg = np.rad2deg(np.arcsin(np.stack(q3) / setup.k))

@@ -241,6 +241,19 @@ def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+def test_keys_that_refuse_only_together_are_named_together(tmp_path, capsys):
+    # either entry alone overflows, so setting one back to its default
+    # changes nothing; f_mm and quad_points are off their defaults and
+    # do not matter
+    path = tmp_path / "cfg.txt"
+    path.write_text("kind = channel\nf_mm = 20\nquad_points = 51\n"
+                    "t_xx = 1e160\nt_yy = 1e160\n")
+    code = main(["channel", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == ("config error: t_xx = 1e+160, t_yy = 1e+160: building "
+                                       "the film, telescope or channel overflows\n")
+
+
 def test_zero_semiaperture_row_of_a_sweep_still_runs(tmp_path):
     cfg = write_cfg(tmp_path, kind="visibility_sweep", semiaperture_deg=0.0,
                     semiaperture_min_deg=0.0, semiaperture_max_deg=2.0,

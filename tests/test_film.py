@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (
+    default_film_table,
     film_matrix_direct,
     interpolate_tabulated_point,
     matrix_asymmetry_direct,
@@ -221,13 +223,22 @@ def test_tabulated_round_trip(tmp_path):
     assert out.read_text() == path.read_text()
 
 
-@pytest.mark.parametrize("table", ["sampled", "random"])
+@pytest.mark.parametrize("table", ["sampled", "random", "signed_zeros"])
 def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
     if table == "sampled":
         path = sample_tabulated(tmp_path)
     else:
+        rng = np.random.default_rng(7)
         path = tmp_path / "random.csv"
-        save_tabulated(random_table(np.random.default_rng(7), 3), path)
+        save_tabulated(random_table(rng, 3), path)
+    if table == "signed_zeros":
+        # xy, yx and every imaginary part zero, each with a random sign: the
+        # table stays symmetric, and the matrices must keep every sign
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        zero = [4, 5, 6, 7, 8, 10]
+        data[:, zero] = np.where(rng.random((len(data), len(zero))) < 0.5, 0.0, -0.0)
+        path.write_text(TABULATED_HEADER + "\n" + "".join(
+            ",".join(f"{v:.8e}" for v in row) + "\n" for row in data))
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     g = load_tabulated(path)
     for axis, column in ((g.qx, 0), (g.qy, 1), (g.lam, 2)):
@@ -440,6 +451,25 @@ def test_sidecar_hit_gives_the_parsed_grid_bit_for_bit(tmp_path, monkeypatch):
     assert [a.dtype for a in (cached.qx, cached.qy, cached.lam, cached.matrices)] == \
         [a.dtype for a in (parsed.qx, parsed.qy, parsed.lam, parsed.matrices)]
     assert grid_bytes(cached) == grid_bytes(parsed)
+
+
+def test_table_load_holds_only_the_parsed_rows_and_the_grid(tmp_path):
+    # 121 x 121 q points at 4 wavelengths, 58 564 rows.  A parse holds the
+    # 88 B/row loadtxt array and the 64 B/row grid; a sidecar hit holds the
+    # grid and the symmetry check's scratch of one component, 24 B/row
+    grid = default_film_table(2e-3, [790.0, 795.0, 800.0, 805.0], n_q=121)
+    path = tmp_path / "film.csv"
+    save_tabulated(grid, path)
+    rows = grid.matrices.size // 4
+    for load, budget in (("parse", 160), ("sidecar hit", 100)):
+        tracemalloc.start()
+        try:
+            load_tabulated(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * rows + 262144, f"{load}: {peak / rows:.1f} B/row"
+        assert sidecar_of(path).is_file()
 
 
 def test_edited_table_is_parsed_again(tmp_path):

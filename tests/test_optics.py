@@ -236,8 +236,17 @@ def test_transform_keeps_the_axis_mirrors_exactly(n, n_grid, tabulated):
     assert np.array_equal(txy[::-1], -txy) and np.array_equal(txy[:, ::-1], -txy)
 
 
-@pytest.mark.parametrize("u, m", [(1, 1), (1, 26), (2, 101), (11, 101), (41, 26)])
+def one_block_contraction(k, g):
+    """``optics._contract`` with the whole of k as one block of rows."""
+    stack = np.concatenate([k.real, k.imag])
+    p = optics._combine(stack @ g.view(float))
+    return optics._combine(stack @ np.ascontiguousarray(p.T).view(float)).T
+
+
+@pytest.mark.parametrize("u, m", [(1, 1), (1, 26), (2, 101), (11, 101), (24, 101), (25, 101),
+                                  (41, 26), (41, 101), (81, 101)])
 def test_real_contraction_matches_the_complex_products(u, m):
+    # 24 distinct |q3| are one block of rows, 25 two, 81 four
     rng = np.random.default_rng(u * 1000 + m)
     k = rng.normal(size=(u, m)) + 1j * rng.normal(size=(u, m))
     g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
@@ -245,6 +254,8 @@ def test_real_contraction_matches_the_complex_products(u, m):
     got = optics._contract(k, g)
     assert got.shape == (u, u)
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    if u <= optics._CONTRACT_ROWS:
+        assert got.tobytes() == one_block_contraction(k, g).tobytes()
 
 
 def test_wedge_from_row_prefixes_equals_the_mask():

@@ -468,6 +468,21 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
     assert pixels[2, 1] == 65534 and pixels[2, 2] == 0
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_polarizer_projection_is_the_stacked_matrix_product_bit_for_bit(seed):
+    # random stacks of T, some with zero entries of either sign, and
+    # polarizers at a random angle and on the axes, where e has a zero
+    rng = np.random.default_rng(seed)
+    shape = (2, 2) if seed % 4 == 0 else (int(rng.integers(1, 82)),) * 2 + (2, 2)
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if seed % 2:
+        t[rng.random(shape) < 0.3] = 0.0
+        t[rng.random(shape) < 0.3] *= -1.0
+    for angle in (rng.uniform(-np.pi, np.pi), 0.0, np.pi / 2, np.pi, -np.pi / 2):
+        e = linear_pol(angle)
+        assert scenarios._project(t, e).tobytes() == (t @ e).tobytes()
+
+
 def test_polmap_center_keeps_input_polarization():
     cfg = small_cfg(kind="polmap", input_pol_deg=-45.0)
     result = run_polmap(cfg)
