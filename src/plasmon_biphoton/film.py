@@ -53,12 +53,6 @@ __all__ = [
     "load_tabulated",
 ]
 
-# point group of the square lattice, 4 rotations x 2 reflections, each an
-# integer matrix ((a, b), (c, d)) acting on lattice orders (m1, m2)
-_QUARTER_TURNS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-_POINT_GROUP = ([((c, -s), (s, c)) for c, s in _QUARTER_TURNS]
-                + [((c, -s), (-s, -c)) for c, s in _QUARTER_TURNS])
-
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
 
 SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 digits
@@ -66,11 +60,6 @@ SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 
 
 class TableRangeError(ValueError):
     """A requested (q, lambda) lies outside the range of a tabulated film."""
-
-
-def _point_group_closure(orders):
-    return frozenset((a * m1 + b * m2, c * m1 + d * m2)
-                     for m1, m2 in orders for (a, b), (c, d) in _POINT_GROUP)
 
 
 @dataclass(frozen=True)
@@ -94,8 +83,10 @@ class ResonanceFamily:
         for name, value in (("lambda0", lambda0), ("width", width), ("period", period)):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        orders = _point_group_closure([seed_order])
         m1, m2 = seed_order
+        # the square lattice's point group: every sign change of (m1, m2) and of (m2, m1)
+        orders = frozenset((s1 * a, s2 * b) for a, b in ((m1, m2), (m2, m1))
+                           for s1 in (1, -1) for s2 in (1, -1))
         n_eff = lambda0 * np.hypot(m1, m2) / period
         if n_eff <= 1.0:
             raise ValueError(f"effective index {n_eff:.4f} must exceed 1")
@@ -389,8 +380,9 @@ def _table_key(path) -> tuple:
 def _read_sidecar(sidecar: str, key: tuple) -> TabulatedGrid | None:
     """The grid in ``sidecar`` if it holds ``key`` and passes a parse's checks, else None.
 
-    Those checks: finite values, strictly increasing axes, matrices of
-    shape (n_lambda, n_qx, n_qy, 2, 2), and ``TabulatedGrid``'s symmetry.
+    Those checks: finite, strictly increasing axes, complex matrices of shape
+    (n_lambda, n_qx, n_qy, 2, 2), and ``TabulatedGrid``'s, which refuse a
+    non-finite entry and an asymmetric grid.
     """
     try:
         with open(sidecar, "rb") as fh:
@@ -400,8 +392,7 @@ def _read_sidecar(sidecar: str, key: tuple) -> TabulatedGrid | None:
         if not all(a.dtype == float and a.ndim == 1 and a.size and np.isfinite(a).all()
                    and (a[1:] > a[:-1]).all() for a in (qx, qy, lam)):
             return None
-        if m.dtype != complex or m.shape != (lam.size, qx.size, qy.size, 2, 2) \
-                or not np.isfinite(m).all():
+        if m.dtype != complex or m.shape != (lam.size, qx.size, qy.size, 2, 2):
             return None
         return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=m)
     except Exception:  # a damaged header fails in tokenize, a huge shape in malloc

@@ -1,4 +1,4 @@
-"""Post-selected biphoton states, coincidence rates and fringe visibilities.
+"""Post-selected biphoton states, coincidence rates, visibilities and ellipses.
 
 Two pictures are supported, mirroring the two regimes of the experiment:
 
@@ -14,8 +14,13 @@ Two pictures are supported, mirroring the two regimes of the experiment:
   the real 2x2 form sum Re(E E^H), which ``power_form`` builds.
 
 Both pictures reduce photon 1 to one real symmetric 2x2 coincidence form A,
-with C(beta1) = e(beta1)^T A e(beta1): ``reduced_form`` of the post-selected
-density matrix, ``power_form`` of the output fields.  ``visibility`` takes that form.
+with C(beta1) = e^T A e for the Jones vector e = ``linear_pol(beta1)`` in the
+fixed lab (x, y) basis: ``reduced_form`` of the post-selected density
+matrix, ``power_form`` of the output fields.  ``visibility`` takes that form.
+``ellipse_arrays`` reads the same fields point by point as polarization
+ellipses.  Handedness: ``axis_ratio > 0`` if and only if
+``Im(ex * conj(ey)) > 0``.  A circular state has ``psi`` 0, and a zero field
+has intensity, psi and axis_ratio 0.
 
 Two-qubit basis order: |XX>, |XY>, |YX>, |YY> (photon 1 tensor photon 2).
 """
@@ -27,6 +32,8 @@ import math
 import numpy as np
 
 __all__ = [
+    "linear_pol",
+    "ellipse_arrays",
     "postselect_channel",
     "concurrence",
     "power_form",
@@ -40,6 +47,39 @@ _SIGMA_YY = np.array([
     [0, 1, 0, 0],
     [-1, 0, 0, 0],
 ], dtype=complex)
+
+# |axis_ratio| above this is treated as circular (psi degenerate, reported 0)
+_CIRCULAR_EPS = 1e-14
+
+
+def linear_pol(angle: float) -> np.ndarray:
+    """Unit Jones vector linearly polarized at ``angle`` radians from x."""
+    return np.array([np.cos(angle), np.sin(angle)], dtype=complex)
+
+
+def ellipse_arrays(ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized (intensity, psi, axis_ratio) for arrays of field components.
+
+    Zero-intensity points get psi = 0 and axis_ratio = 0 instead of raising;
+    callers rendering maps mask them by the returned zero intensity.
+    """
+    ex = np.asarray(ex, dtype=complex)
+    ey = np.asarray(ey, dtype=complex)
+    s0 = np.abs(ex) ** 2 + np.abs(ey) ** 2
+    s1 = np.abs(ex) ** 2 - np.abs(ey) ** 2
+    cross = ex * np.conj(ey)
+    s2 = 2.0 * np.real(cross)
+    s3 = 2.0 * np.imag(cross)
+
+    safe = np.where(s0 > 0.0, s0, 1.0)
+    chi = 0.5 * np.arcsin(np.clip(s3 / safe, -1.0, 1.0))
+    ratio = np.where(s0 > 0.0, np.tan(chi), 0.0)
+
+    psi = 0.5 * np.arctan2(s2, s1)
+    psi = np.where(psi >= np.pi / 2, psi - np.pi, psi)
+    degenerate = (np.hypot(s1, s2) == 0.0) | (1.0 - np.abs(ratio) < _CIRCULAR_EPS)
+    psi = np.where(degenerate, 0.0, psi)
+    return s0, psi, ratio
 
 
 def postselect_channel(t: np.ndarray, coherence: float) -> np.ndarray:
@@ -91,9 +131,9 @@ def power_form(fields: np.ndarray) -> np.ndarray:
 def reduced_form(rho: np.ndarray, beta2: float) -> np.ndarray:
     """Coincidence form Re Tr_2[rho (I x P(beta2))] of photon 1, polarizer 2 at beta2.
 
-    P(beta2) = e e^T is the projector onto e = (cos beta2, sin beta2).
+    P(beta2) = e e^T is the projector onto e = linear_pol(beta2).
     """
-    e = np.array([np.cos(beta2), np.sin(beta2)], dtype=complex)
+    e = linear_pol(beta2)
     return np.einsum("iajb,ba->ij", rho.reshape(2, 2, 2, 2), np.outer(e, e)).real
 
 

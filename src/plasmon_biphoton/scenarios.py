@@ -37,10 +37,11 @@ from .film import (
     film_matrix_grid,
     load_tabulated,
 )
-from .jones import ellipse_arrays, linear_pol
 from .optics import PARAXIAL_LIMIT_RAD, SetupParams, q3_axis, transfer
 from .quantum import (
     concurrence,
+    ellipse_arrays,
+    linear_pol,
     postselect_channel,
     power_form,
     reduced_form,
@@ -64,8 +65,6 @@ __all__ = [
 FMT = "%.8e"
 POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_rad",
                  "axis_ratio"]
-
-KINDS = ("spectrum", "visibility_sweep", "polmap", "channel")
 
 # the polarizer-2 angles, in degrees, of the channel report's V_0 and V_45
 CHANNEL_BETA2_DEG = (0.0, 45.0)
@@ -462,6 +461,11 @@ def _project(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return 0.0 + t[..., 0] * e[0] + t[..., 1] * e[1]
 
 
+def _steps(start: float, stop: float, step: float) -> np.ndarray:
+    """``np.arange`` from ``start`` in ``step``s, ``stop`` included when it lies on a step."""
+    return np.arange(start, stop + 1e-9 * step, step)
+
+
 def run_spectrum(cfg: ScenarioConfig) -> dict:
     """Transmittance vs wavelength for each tilt, both diagonal polarizations.
 
@@ -471,8 +475,7 @@ def run_spectrum(cfg: ScenarioConfig) -> dict:
     to the diagonal.
     """
     film = cfg.film()
-    lams = np.arange(cfg.lambda_min_nm, cfg.lambda_max_nm + 0.5 * cfg.lambda_step_nm,
-                     cfg.lambda_step_nm)
+    lams = _steps(cfg.lambda_min_nm, cfg.lambda_max_nm, cfg.lambda_step_nm)
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
     pol_par = linear_pol(np.deg2rad(45.0))
     pol_perp = linear_pol(np.deg2rad(-45.0))
@@ -507,10 +510,8 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     normal-incidence film matrix.  A cell whose coincidence form is all
     zero, the film transmitting nothing into it, is a ConfigError.
     """
-    apertures = np.arange(
-        cfg.semiaperture_min_deg,
-        cfg.semiaperture_max_deg + 0.5 * cfg.semiaperture_step_deg,
-        cfg.semiaperture_step_deg)
+    apertures = _steps(cfg.semiaperture_min_deg, cfg.semiaperture_max_deg,
+                       cfg.semiaperture_step_deg)
 
     header = ["semiaperture_deg"]
     for lam in cfg.lambdas_nm:
@@ -544,10 +545,11 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
 def run_polmap(cfg: ScenarioConfig) -> dict:
     """Intensity and polarization maps of the output modes for one input.
 
-    The output fields T(q3) e over a ``polmap_points``^2 grid whose
-    half-angle is ``theta3_max_deg``, or the mapped aperture when that is 0,
-    and their ellipses (``jones.ellipse_arrays``); the result holds
-    ``fields``, ``intensity``, ``psi`` and ``axis_ratio`` indexed [q3x, q3y].
+    The output fields T(q3) e at the first wavelength of ``lambdas_nm`` over
+    a ``polmap_points``^2 grid whose half-angle is ``theta3_max_deg``, or the
+    mapped aperture when that is 0, and their ellipses (``ellipse_arrays``);
+    the result holds ``fields``, ``intensity``, ``psi`` and ``axis_ratio``
+    indexed [q3x, q3y].
     ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
     fastest.  The intensity image scales [0, max] to the full grey range
     0...65535; the axis-ratio image maps [-1, 1] to 0...65534, so linear
@@ -616,6 +618,7 @@ _RUNNERS = {
     "polmap": run_polmap,
     "channel": run_channel,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:

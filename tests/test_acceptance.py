@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from plasmon_biphoton.film import default_film, film_matrix
-from plasmon_biphoton.jones import ellipse_arrays, linear_pol
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
     concurrence,
+    ellipse_arrays,
+    linear_pol,
     postselect_channel,
     power_form,
     reduced_form,

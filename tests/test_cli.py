@@ -331,6 +331,18 @@ def test_malformed_film_table_is_config_error(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_film_table_of_ten_columns_is_config_error(tmp_path, capsys):
+    # every row one entry short: np.loadtxt reads them, the column count refuses them
+    table = tmp_path / "film.csv"
+    table.write_text(f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1\n0,0,798,1,0,0,0,0,0,1\n")
+    cfg = write_cfg(tmp_path, kind="spectrum", film_table=str(table))
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"config error: film table {table}: tabulated film "
+                                       "rows must have 11 entries\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "film.csv"]
+
+
 def test_verbose_prints_the_quadrature_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, kind="channel", quad_points=204)
     code = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"])

@@ -27,7 +27,7 @@ from plasmon_biphoton.film import (
     load_tabulated,
 )
 from plasmon_biphoton import film as film_module
-from plasmon_biphoton.jones import linear_pol
+from plasmon_biphoton.quantum import linear_pol
 
 
 @pytest.fixture(scope="module")
@@ -504,6 +504,33 @@ def test_damaged_sidecar_falls_back_to_the_csv(tmp_path, damage):
     assert grid_bytes(cached) == grid_bytes(parsed)
 
 
+# a sidecar with the CSV's own key whose arrays a parse would never give
+@pytest.mark.parametrize("damage", [
+    "decreasing_axes", "nan_wavelength", "float_matrices", "flat_matrices", "nan_matrix_entry"])
+def test_sidecar_that_fails_a_parse_check_falls_back_to_the_csv(tmp_path, monkeypatch, damage):
+    path = sample_tabulated(tmp_path)
+    parsed = load_tabulated(path)
+    qx, qy, lam, m = parsed.qx, parsed.qy, parsed.lam.copy(), parsed.matrices.copy()
+    if damage == "decreasing_axes":
+        qx, qy = qx[::-1], qy[::-1]
+    elif damage == "nan_wavelength":
+        lam[0] = np.nan
+    elif damage == "float_matrices":
+        m = m.real
+    elif damage == "flat_matrices":
+        m = m.reshape(-1, 2, 2)
+    else:  # refused by TabulatedGrid, as any non-finite entry is
+        m[0, 0, 0, 0, 0] = np.nan
+    with open(sidecar_of(path), "wb") as fh:
+        for array in (np.array(film_module._table_key(path)), qx, qy, lam, m):
+            np.save(fh, array)
+    parses = []
+    parse = film_module._parse_tabulated
+    monkeypatch.setattr(film_module, "_parse_tabulated", lambda p: parses.append(p) or parse(p))
+    assert grid_bytes(load_tabulated(path)) == grid_bytes(parsed)
+    assert parses == [path]
+
+
 @pytest.mark.parametrize("text", [
     f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
     f"{TABULATED_HEADER}\n0,0,797,1,0,1,0,0,0,1,0\n",
@@ -525,6 +552,11 @@ def test_table_changed_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch)
 
 
 # --- family validation -----------------------------------------------------
+
+def test_film_requires_a_positive_period():
+    with pytest.raises(ValueError, match="period must be positive"):
+        FilmModel(period=0.0, direct_amplitude=0j, families=())
+
 
 def test_family_requires_effective_index_above_one():
     with pytest.raises(ValueError):

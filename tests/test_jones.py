@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from plasmon_biphoton.jones import ellipse_arrays, linear_pol
+from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
 
 from oracles import rotation
 

@@ -23,11 +23,10 @@ from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario
 
 # module -> the package modules it imports (``__init__`` left out)
 LAYERS = {
-    "jones": set(),
     "film": set(),
     "optics": {"film"},
     "quantum": set(),
-    "scenarios": {"film", "jones", "optics", "quantum"},
+    "scenarios": {"film", "optics", "quantum"},
     "cli": {"film", "scenarios"},
 }
 
@@ -178,3 +177,11 @@ def test_only_the_channel_run_calls_linalg(kind, tmp_path, monkeypatch):
             run()
     else:
         assert run()["paths"]
+
+
+def test_package_version_is_the_project_version():
+    # pyproject.toml and ``__version__`` each state it; a release edits both
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == plasmon_biphoton.__version__

@@ -11,8 +11,8 @@ from plasmon_biphoton.film import (
     film_matrix,
 )
 from plasmon_biphoton import optics
-from plasmon_biphoton.jones import ellipse_arrays, linear_pol
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
+from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
 
 from oracles import (
     default_film_table,
@@ -106,6 +106,12 @@ def test_tiny_aperture_limit():
     f0 = film_matrix(film, (0.0, 0.0), s.lam)
     ratio = t[0, 0] / f0[0, 0]
     assert np.allclose(t, ratio * f0, atol=1e-10 * abs(t[0, 0]))
+
+
+def test_zero_aperture_has_no_quadrature():
+    # the runners take the film matrix itself at a zero aperture radius
+    with pytest.raises(ValueError, match="positive semiaperture"):
+        transfer(paper_setup(theta_ap_deg=0.0), [0.0], 51)
 
 
 # --- quadrature against analytic oracle -------------------------------------

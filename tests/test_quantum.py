@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
     concurrence,
+    linear_pol,
     postselect_channel,
     power_form,
     reduced_form,

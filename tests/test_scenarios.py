@@ -8,10 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import config_refusal, default_film_table, save_tabulated, transmittance
-from plasmon_biphoton import jones, optics, scenarios
+from plasmon_biphoton import optics, quantum, scenarios
 from plasmon_biphoton.film import default_film
-from plasmon_biphoton.jones import linear_pol
 from plasmon_biphoton.quantum import (
+    linear_pol,
     power_form,
     visibility,
 )
@@ -285,6 +285,31 @@ def test_film_table_spectrum_reads_no_analytic_film_key(tmp_path):
         (tmp_path / "table" / "spectrum.csv").read_bytes()
 
 
+# a range that is not a whole number of steps ends at its last step below the
+# maximum; the grid used to round to the nearest step and could pass it by
+# half a step, into an aperture past the paraxial range
+@pytest.mark.parametrize("overrides,rows", [
+    (dict(kind="spectrum", lambda_min_nm=797.0, lambda_max_nm=798.0, lambda_step_nm=0.25),
+     [797.0, 797.25, 797.5, 797.75, 798.0]),
+    (dict(kind="spectrum", lambda_min_nm=790.0, lambda_max_nm=791.9, lambda_step_nm=1.0),
+     [790.0, 791.0]),
+    (dict(kind="visibility_sweep", semiaperture_max_deg=1.9, semiaperture_step_deg=1.0),
+     [0.0, 1.0]),
+    (dict(kind="visibility_sweep", semiaperture_min_deg=17.0, semiaperture_max_deg=17.15,
+          semiaperture_step_deg=0.2), [17.0]),
+])
+def test_range_rows_stop_at_the_maximum(tmp_path, overrides, rows):
+    result = run_scenario(small_cfg(**overrides), tmp_path)
+    assert result["table"][:, 0].tolist() == rows
+
+
+def test_film_table_spectrum_asks_for_no_wavelength_past_its_maximum(tmp_path):
+    table = write_film_table(tmp_path / "film.csv", 8e-4, (789.0, 790.0, 791.0))
+    cfg = small_cfg(kind="spectrum", film_table=table, lambda_min_nm=790.0,
+                    lambda_max_nm=791.9, lambda_step_nm=1.0)
+    assert run_spectrum(cfg)["lambda_nm"].tolist() == [790.0, 791.0]
+
+
 # --- visibility sweep -------------------------------------------------------
 
 def test_visibility_sweep_monomode_row_is_unity(tmp_path):
@@ -389,7 +414,7 @@ def test_visibility_sweep_extracts_no_ellipse(monkeypatch):
         raise EllipseExtracted
 
     monkeypatch.setattr(scenarios, "ellipse_arrays", refuse)
-    monkeypatch.setattr(jones, "ellipse_arrays", refuse)
+    monkeypatch.setattr(quantum, "ellipse_arrays", refuse)
     result = run_visibility_sweep(small_cfg(kind="visibility_sweep"))
     assert np.all(np.isfinite(result["table"]))
     with pytest.raises(EllipseExtracted):
@@ -454,7 +479,7 @@ def test_polmap_axis_ratio_image_puts_linear_polarization_on_one_grey_level(
                        [1e-15, 1.0, -1.0]])
 
     def fake_ellipses(ex, ey):
-        intensity, psi, _ = jones.ellipse_arrays(ex, ey)
+        intensity, psi, _ = quantum.ellipse_arrays(ex, ey)
         return intensity, psi, ratios
 
     monkeypatch.setattr(scenarios, "ellipse_arrays", fake_ellipses)
