@@ -8,18 +8,18 @@ and building an ``argparse`` parser (which imports ``gettext`` and
 are matched in full, not by prefix.  The quadrature grid is the config's
 ``quad_points``.
 
-Exit codes: 0 success (``-h``/``--help`` too), 1 configuration or usage
+Exit codes: 0 success (``-h``/``--help`` too); 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
-output file that cannot be made or written, grids too large to allocate,
-an aperture transform whose predicted peak exceeds the physical memory;
-the runners compute before anything is written, so a run that runs out of
-memory makes no ``--out`` directory; a grid of 2**31 points or more, or a
-wavelength or semiaperture range of 2**31 steps or more, is refused before
-anything is computed),
-2 numerical failure (a computed table holds NaN or +-inf; no file of the
-run is written).  A usage error prints the usage and one
-``pbsim: error: ...`` line to stderr.  ``--config paper_defaults`` uses the
-built-in defaults for the chosen subcommand.
+output file that cannot be made or written, grids too large to allocate or
+for the physical memory, a grid of 2**31 points or a range of 2**31 steps
+or more); 2 numerical failure (a floating-point overflow, invalid value or
+division by zero in the run, or a table that holds NaN or +-inf).
+``run_scenario`` turns every failure of a run into one of the two, and a
+run refused before its writes makes no ``--out`` directory.  Each ends in
+one ``config error: ...`` or ``numerical error: ...`` line on stderr; a
+usage error prints the usage and one ``pbsim: error: ...`` line.
+``--config paper_defaults`` (the default) uses the built-in defaults of the
+command; a config file needs no ``kind`` line, and one it has must match it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .film import TableRangeError
 from .scenarios import (
     ConfigError,
     NonFiniteOutputError,
@@ -111,21 +110,14 @@ def _parse_args(argv) -> SimpleNamespace:
     return SimpleNamespace(command=command, **opts)
 
 
-def _load_config(args, kind: str) -> ScenarioConfig:
-    """The config of ``--config``, which must be of ``kind``."""
-    if args.config == "paper_defaults":
-        return ScenarioConfig(kind=kind)
-    cfg = parse_config_file(args.config)
-    if cfg.kind != kind:
-        raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand ({kind})")
-    return cfg
-
-
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
+    kind = _COMMANDS[args.command][0]
     try:
-        kind = _COMMANDS[args.command][0]
-        cfg = _load_config(args, kind)
+        cfg = ScenarioConfig(kind=kind) if args.config == "paper_defaults" \
+            else parse_config_file(args.config, kind)
+        if cfg.kind != kind:  # a config file's kind line, where it has one
+            raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {args.command}")
         if args.verbose:
             print(f"running {kind} -> {args.out} "
                   f"(quadrature {cfg.quad_points}x{cfg.quad_points})")
@@ -134,12 +126,8 @@ def main(argv=None) -> int:
             if args.verbose:
                 print(f"wrote {path}")
         return 0
-    except (ConfigError, TableRangeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"config error: out of memory ({str(exc) or 'allocation failed'}); "
-              "lower quad_points or the grid sizes", file=sys.stderr)
         return 1
     except NonFiniteOutputError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -14,8 +14,8 @@ the run has computed them all.  Every CSV is comma-separated under one
 header line, each value in fixed scientific notation with 9 significant
 digits, byte for byte what ``"%.8e" % value`` prints; it comes from a fixed
 evaluation order, so identical configs produce byte-identical files.  A NaN
-or +-inf in any table refuses the run (NonFiniteOutputError): no file of it
-is written.
+or +-inf in any table, or a floating-point error in the run, refuses the run
+(NonFiniteOutputError): no file of it is written.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .film import (
     FilmModel,
     TabulatedGrid,
+    TableRangeError,
     default_film,
     film_matrix,
     film_matrix_grid,
@@ -127,7 +128,6 @@ class ScenarioConfig:
     map_points: int = 41
     # polmap
     input_pol_deg: float = -45.0
-    theta3_max_deg: float = 0.0  # 0 means the mapped aperture
     polmap_points: int = 81
     # channel
     t_xx: complex = 1.0 + 0j
@@ -161,8 +161,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be at least 1")
             if getattr(self, name) >= MAX_GRID_POINTS:
                 raise ConfigError(f"{name} must be below 2**31")
-        for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
-                     "theta3_max_deg"):
+        for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
             if not 0.0 <= math.radians(getattr(self, name)) <= PARAXIAL_LIMIT_RAD:
                 raise ConfigError(
                     f"{name} must lie in the paraxial range "
@@ -319,10 +318,10 @@ def _parse_value(name: str, text: str, field_obj):
         raise ConfigError(f"bad value for {name}: {text!r}") from exc
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse flat ``key = value`` text into a ScenarioConfig."""
+def parse_config(text: str, kind: str = ScenarioConfig.kind) -> ScenarioConfig:
+    """Parse flat ``key = value`` text into a ScenarioConfig of ``kind`` unless a line sets it."""
     fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-    values, first_line = {}, {}
+    values, first_line = {"kind": kind}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -338,18 +337,15 @@ def parse_config(text: str) -> ScenarioConfig:
                               f"(first set on line {first_line[name]})")
         first_line[name] = lineno
         values[name] = _parse_value(name, value.strip(), fields[name])
-    try:
-        return ScenarioConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
-def parse_config_file(path) -> ScenarioConfig:
+def parse_config_file(path, kind: str) -> ScenarioConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"--config {path}: cannot read ({exc.strerror})") from exc
-    return parse_config(text)
+    return parse_config(text, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +542,8 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     """Intensity and polarization maps of the output modes for one input.
 
     The output fields T(q3) e at the first wavelength of ``lambdas_nm`` over
-    a ``polmap_points``^2 grid whose half-angle is ``theta3_max_deg``, or the
-    mapped aperture when that is 0, and their ellipses (``ellipse_arrays``);
+    a ``polmap_points``^2 grid over the mapped aperture
+    (``SetupParams.theta3_max``), and their ellipses (``ellipse_arrays``);
     the result holds ``fields``, ``intensity``, ``psi`` and ``axis_ratio``
     indexed [q3x, q3y].
     ``polmap.csv`` has one row per (q3x, q3y) grid point, q3y varying
@@ -558,9 +554,7 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     """
     lam = cfg.lambdas_nm[0]
     setup = cfg.setup(cfg.film(), lam)
-    theta3_max = np.deg2rad(cfg.theta3_max_deg) if cfg.theta3_max_deg > 0 \
-        else setup.theta3_max
-    axis = q3_axis(setup, cfg.polmap_points, theta3_max)
+    axis = q3_axis(setup, cfg.polmap_points, setup.theta3_max)
     fields = _project(transfer(setup, axis, cfg.quad_points),
                       linear_pol(np.deg2rad(cfg.input_pol_deg)))
     intensity, psi, axis_ratio = ellipse_arrays(fields[..., 0], fields[..., 1])
@@ -568,7 +562,7 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     theta3_deg = np.rad2deg(np.arcsin(np.stack(q3) / setup.k))
     table = np.column_stack([c.ravel() for c in (*q3, *theta3_deg, intensity, psi, axis_ratio)])
     top = intensity.max()
-    theta3_max_deg = np.rad2deg(theta3_max)
+    theta3_max_deg = np.rad2deg(setup.theta3_max)
     cfg.require_transmission(
         top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
@@ -625,11 +619,23 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     """Run a config's scenario, then write its files, in order, under ``out_dir``.
 
     A runner returns each file by name, a CSV as (header, table) or bytes.
-    Any non-finite table is refused before the directory is made; a failed
-    mkdir or write is a ConfigError naming ``--out``, and a failed write
-    first removes every file the run opened.  Adds ``paths``.
+    A run ends in one of two errors, both before the directory is made:
+    NonFiniteOutputError for a floating-point overflow, invalid value or
+    division by zero in the runner, or a non-finite table; ConfigError for
+    a film table that does not cover the run or grids too large for memory.
+    A failed mkdir or write is a ConfigError naming ``--out``, and a failed
+    write first removes every file the run opened.  Adds ``paths``.
     """
-    result = _RUNNERS[cfg.kind](cfg)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = _RUNNERS[cfg.kind](cfg)
+    except FloatingPointError as exc:
+        raise NonFiniteOutputError(f"{cfg.kind} run: {exc}; nothing written") from exc
+    except TableRangeError as exc:
+        raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"out of memory ({str(exc) or 'allocation failed'}); "
+                          "lower quad_points or the grid sizes") from exc
     out = Path(out_dir)
     for name, content in result["files"].items():
         if isinstance(content, tuple):

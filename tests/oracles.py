@@ -326,8 +326,7 @@ def config_refusal(**values):
             return f"{name} must be at least 1"
         if cfg[name] >= 2 ** 31:
             return f"{name} must be below 2**31"
-    for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg",
-                 "theta3_max_deg"):
+    for name in ("semiaperture_deg", "semiaperture_min_deg", "semiaperture_max_deg"):
         if not 0.0 <= np.deg2rad(cfg[name]) <= PARAXIAL_LIMIT_RAD:
             return (f"{name} must lie in the paraxial range "
                     f"[0, {np.rad2deg(PARAXIAL_LIMIT_RAD):.4g}] deg")

@@ -74,6 +74,24 @@ def test_kind_mismatch_is_config_error(tmp_path, capsys):
     code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+    # the message names the command as typed, not its config kind
+    cfg = write_cfg(tmp_path, kind="polmap")
+    assert main(["visibility", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("config error: config kind 'polmap' does not match "
+                                       "subcommand visibility\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_config_without_kind_line_runs_under_every_command(tmp_path, capsys, command):
+    # a file of no kind line was a visibility_sweep config, refused by the
+    # other three commands for a kind the file never named
+    path = tmp_path / "cfg.txt"
+    path.write_text("quad_points = 51\nmap_points = 3\npolmap_points = 5\nlambda_step_nm = 5\n"
+                    "semiaperture_max_deg = 4\nsemiaperture_step_deg = 4\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert list((tmp_path / "out").iterdir())
 
 
 def test_missing_config_file_is_error(tmp_path, capsys):
@@ -122,13 +140,16 @@ def test_bad_config_value_is_error(tmp_path, capsys):
                               "negative_theta3_max", "non_paraxial_theta3_max"])
 def test_out_of_range_grid_or_aperture_is_config_error(tmp_path, capsys, line):
     # a subnormal semiaperture rounds to 0 in radians; it passed the 0 deg
-    # check and ended in a "positive semiaperture" ValueError traceback
+    # check and ended in a "positive semiaperture" ValueError traceback; a
+    # map always covers the mapped aperture, so its half-angle is no key
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = polmap\n{line}\n")
     code = main(["polmap", "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error") and err.count("\n") == 1
+    if line.startswith("theta3_max_deg"):
+        assert err == "config error: line 2: unknown config key 'theta3_max_deg'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import config_refusal, default_film_table, save_tabulated, transmittance
-from plasmon_biphoton import optics, quantum, scenarios
+from plasmon_biphoton import cli, optics, quantum, scenarios
 from plasmon_biphoton.film import default_film
 from plasmon_biphoton.quantum import (
     linear_pol,
@@ -110,6 +113,61 @@ def test_number_fields_are_accepted_as_by_the_numpy_checks(kind_values):
         return
     assert refusal is None
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# small defaults under the drawn values, and the caps a drawn value is cut to,
+# so that a run takes a few ms
+_SMALL_RUN = dict(quad_points=21, map_points=5, polmap_points=5, lambda_step_nm=10.0,
+                  semiaperture_step_deg=5.0)
+_GRID_CAPS = {"quad_points": 41, "map_points": 9, "polmap_points": 9}
+_RANGE_CAPS = [("lambda_min_nm", "lambda_max_nm", "lambda_step_nm", 50),
+               ("semiaperture_min_deg", "semiaperture_max_deg", "semiaperture_step_deg", 20)]
+# the draws of _CONFIG_VALUES, from field strategies built once, not per draw
+_FIELD_VALUES = {name: _field_value(name) for name in _NUMBER_FIELDS}
+_RUN_VALUES = st.tuples(
+    st.sampled_from(scenarios.KINDS),
+    st.lists(st.sampled_from(sorted(_NUMBER_FIELDS)), max_size=4, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({n: _FIELD_VALUES[n] for n in names})))
+
+
+def _config_text(kind, values) -> str:
+    """A ``kind`` config of ``values`` over ``_SMALL_RUN``, grids and range step counts capped."""
+    values = {name: f.default for name, f in _NUMBER_FIELDS.items()} | _SMALL_RUN | values
+    for name, cap in _GRID_CAPS.items():
+        values[name] = min(values[name], cap)
+    for low, high, step, cap in _RANGE_CAPS:
+        if values[step] > 0 and (values[high] - values[low]) / values[step] > cap:
+            values[high] = values[low] + cap * values[step]
+    return f"kind = {kind}\n" + "".join(
+        f"{name} = {', '.join(map(repr, value)) if isinstance(value, tuple) else repr(value)}\n"
+        for name, value in values.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RUN_VALUES)
+@example(("polmap", {"lambdas_nm": (5e-324,)}))
+@example(("polmap", {"lambdas_nm": (1e-154,)}))
+@example(("visibility_sweep", {"gamma_diagonal_nm": 1e-300}))
+@example(("visibility_sweep", {"f_mm": 5e-324}))
+def test_every_accepted_config_ends_in_one_line(kind_values):
+    # each of the examples wrote 5 to 19 lines of NumPy warnings before its
+    # one numerical error line; a run that exits 0 writes finite tables only
+    kind, values = kind_values
+    command = {"visibility_sweep": "visibility"}.get(kind, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
+        path.write_text(_config_text(kind, values))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert not out.exists()
+        else:
+            assert err.getvalue() == ""
+            for table in out.glob("*.csv"):
+                assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)).all()
 
 
 def test_parse_comments_and_blanks():
