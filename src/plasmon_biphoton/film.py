@@ -47,7 +47,6 @@ __all__ = [
     "FilmModel",
     "TableRangeError",
     "TabulatedGrid",
-    "default_film",
     "film_matrix",
     "film_matrix_grid",
     "load_tabulated",
@@ -154,39 +153,6 @@ class FilmModel:
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("lattice period must be positive")
-
-
-def default_film(
-    gamma_diagonal_nm: float = 4.0,
-    gamma_axis_nm: float = 5.0,
-    peak_transmittance: float = 0.03,
-    direct_amplitude: complex = 0.03,
-    axis_amplitude_scale: float = 0.38,
-    period: float = 700.0,
-    lambda_diagonal: float = 797.0,
-    lambda_axis: float = 728.0,
-) -> FilmModel:
-    """Film calibrated to the 797 nm diagonal and 728 nm axis resonances.
-
-    The per-order amplitude is chosen so the normal-incidence peak
-    transmittance of the diagonal family equals ``peak_transmittance``
-    (the four diagonal dyads sum to twice the identity at q = 0).  The
-    axis family is weaker by ``axis_amplitude_scale`` and slightly broader
-    than the diagonal one; together with the direct amplitude these ratios
-    balance the resonance rings the two families sweep across the telescope
-    aperture so that the focused-case visibility asymmetry, its exchange at
-    the axis resonance, and the clean off-diagonal polarization maps all
-    hold at the default 8 degree semiaperture.
-    """
-    if not peak_transmittance > abs(direct_amplitude) ** 2:
-        raise ValueError("peak transmittance must exceed the direct intensity")
-    amp = 0.5 * (np.sqrt(peak_transmittance) - abs(direct_amplitude))
-    fam_diag = ResonanceFamily.make((1, 1), lambda_diagonal, gamma_diagonal_nm,
-                                    amp, period)
-    fam_axis = ResonanceFamily.make((1, 0), lambda_axis, gamma_axis_nm,
-                                    amp * axis_amplitude_scale, period)
-    return FilmModel(period=period, direct_amplitude=complex(direct_amplitude),
-                     families=(fam_diag, fam_axis))
 
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,

@@ -31,9 +31,9 @@ import numpy as np
 
 from .film import (
     FilmModel,
+    ResonanceFamily,
     TabulatedGrid,
     TableRangeError,
-    default_film,
     film_matrix,
     film_matrix_grid,
     load_tabulated,
@@ -92,10 +92,14 @@ class NonFiniteOutputError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario run.  Defaults follow the experiment's parameters:
+    """One scenario run.  Defaults follow the experiment's parameters.
 
-    f = 15 mm, n = 1.52, 0.5 mm substrate, 700 nm lattice period,
-    resonances at 797 nm (diagonal) and 728 nm (axis), 8 deg semiaperture.
+    The axis family is weaker than the diagonal one by ``axis_amplitude_scale``
+    and slightly broader; together with the direct amplitude these ratios
+    balance the resonance rings the two families sweep across the telescope
+    aperture so that the focused-case visibility asymmetry, its exchange at
+    the axis resonance, and the clean off-diagonal polarization maps all
+    hold at the default 8 degree semiaperture.
     """
 
     kind: str = "visibility_sweep"
@@ -248,22 +252,26 @@ class ScenarioConfig:
     # -- derived builders ---------------------------------------------------
 
     def film(self) -> FilmModel | TabulatedGrid:
-        """The analytic film of the film keys, or the table ``film_table``, which ignores them."""
+        """The analytic film of the film keys, or the table ``film_table``, which ignores them.
+
+        The per-order amplitude makes the diagonal family's normal-incidence
+        peak transmittance ``peak_transmittance`` (the four diagonal dyads sum
+        to twice the identity at q = 0); the axis family's is
+        ``axis_amplitude_scale`` times it.
+        """
         if self.film_table:
             try:
                 return load_tabulated(self.film_table)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"film table {self.film_table}: {exc}") from exc
-        return default_film(
-            gamma_diagonal_nm=self.gamma_diagonal_nm,
-            gamma_axis_nm=self.gamma_axis_nm,
-            axis_amplitude_scale=self.axis_amplitude_scale,
-            peak_transmittance=self.peak_transmittance,
-            direct_amplitude=self.direct_amplitude,
-            period=self.period_nm,
-            lambda_diagonal=self.lambda_diagonal_nm,
-            lambda_axis=self.lambda_axis_nm,
-        )
+        if not self.peak_transmittance > abs(self.direct_amplitude) ** 2:
+            raise ValueError("peak transmittance must exceed the direct intensity")
+        amp = 0.5 * (np.sqrt(self.peak_transmittance) - abs(self.direct_amplitude))
+        return FilmModel(period=self.period_nm, direct_amplitude=self.direct_amplitude, families=(
+            ResonanceFamily.make((1, 1), self.lambda_diagonal_nm, self.gamma_diagonal_nm, amp,
+                                 self.period_nm),
+            ResonanceFamily.make((1, 0), self.lambda_axis_nm, self.gamma_axis_nm,
+                                 amp * self.axis_amplitude_scale, self.period_nm)))
 
     def setup(self, film: FilmModel | TabulatedGrid, lam_nm: float,
               semiaperture_deg: float | None = None) -> SetupParams:
@@ -632,7 +640,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     except FloatingPointError as exc:
         raise NonFiniteOutputError(f"{cfg.kind} run: {exc}; nothing written") from exc
     except TableRangeError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"film table {cfg.film_table}: {exc}") from exc
     except MemoryError as exc:
         raise ConfigError(f"out of memory ({str(exc) or 'allocation failed'}); "
                           "lower quad_points or the grid sizes") from exc

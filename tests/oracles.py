@@ -1,6 +1,6 @@
 """Slow reference implementations that tests compare the library against,
 the film tables they compare it on, and the helpers only tests need: the
-film-table writer, the paper's setup, rotations and the singlet."""
+film-table writer, the paper's film and telescope, rotations and the singlet."""
 
 import dataclasses
 
@@ -8,8 +8,8 @@ import numpy as np
 
 from plasmon_biphoton.film import (
     TABULATED_HEADER,
+    FilmModel,
     TabulatedGrid,
-    default_film,
     film_matrix,
     film_matrix_grid,
 )
@@ -17,10 +17,21 @@ from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD, SetupParams
 from plasmon_biphoton.scenarios import KINDS, ScenarioConfig
 
 
-def paper_setup(lam: float = 797.0, theta_ap_deg: float = 8.0, film=None) -> SetupParams:
-    """f = 15 mm, n = 1.52, Delta = 0.5 mm, default calibrated film."""
-    return SetupParams(lam=lam, f=15e6, n=1.52, delta=0.5e6, theta_ap=np.deg2rad(theta_ap_deg),
-                       film=film if film is not None else default_film())
+def default_film(**keys) -> FilmModel:
+    """The analytic film ``pbsim`` runs, with the config's film ``keys`` set."""
+    return ScenarioConfig(**keys).film()
+
+
+def paper_setup(lam: float | None = None, theta_ap_deg: float | None = None,
+                film=None) -> SetupParams:
+    """The telescope ``pbsim`` runs around ``film`` (default: its film).
+
+    ``lam`` defaults to the config's first wavelength, the diagonal
+    resonance, and ``theta_ap_deg`` to its semiaperture.
+    """
+    cfg = ScenarioConfig()
+    return cfg.setup(cfg.film() if film is None else film,
+                     cfg.lambdas_nm[0] if lam is None else lam, theta_ap_deg)
 
 
 def rotation(phi: float) -> np.ndarray:

@@ -225,22 +225,41 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,line", [
-    ("polmap", "f_mm = -1"), ("visibility", "n_substrate = 1.0"),
-    ("spectrum", "period_nm = 0"), ("spectrum", "gamma_axis_nm = 0"),
-    ("spectrum", "peak_transmittance = 0.0001"), ("spectrum", "peak_transmittance = -1"),
-    ("channel", "t_xx = 0\nt_yy = 0"), ("channel", "t_yy = 0"), ("channel", "t_xy = 1\nt_yy = 0"),
-    ("spectrum", "direct_amplitude = 1e200"), ("channel", "t_xy = 1e160j"),
-    ("visibility", "f_mm = 1e305"), ("visibility", "delta_mm = 1e305"),
-    ("visibility", "delta_mm = 1e-310"), ("polmap", "delta_mm = 1e-310"),
+@pytest.mark.parametrize("command,line,message", [
+    ("polmap", "f_mm = -1", "f_mm = -1.0: f must be positive and finite"),
+    ("visibility", "n_substrate = 1.0", "n_substrate = 1.0: substrate index must exceed 1"),
+    ("spectrum", "period_nm = 0", "period_nm = 0.0: period must be positive"),
+    ("spectrum", "gamma_axis_nm = 0", "gamma_axis_nm = 0.0: width must be positive"),
+    ("spectrum", "peak_transmittance = 0.0001",
+     "peak_transmittance = 0.0001: peak transmittance must exceed the direct intensity"),
+    ("spectrum", "peak_transmittance = -1",
+     "peak_transmittance = -1.0: peak transmittance must exceed the direct intensity"),
+    ("channel", "t_xx = 0\nt_yy = 0",
+     "t_xx = 0.0, t_yy = 0.0: all channel amplitudes vanish: nothing to post-select"),
+    ("channel", "t_yy = 0",
+     "t_yy = 0.0: V_0: coincidence rate vanishes identically: visibility undefined"),
+    ("channel", "t_xy = 1\nt_yy = 0",
+     "t_xy = 1.0, t_yy = 0.0: V_45: coincidence rate vanishes identically: "
+     "visibility undefined"),
+    ("spectrum", "direct_amplitude = 1e200",
+     "direct_amplitude = 1e+200: building the film, telescope or channel overflows"),
+    ("channel", "t_xy = 1e160j",
+     "t_xy = 1e+160j: building the film, telescope or channel overflows"),
+    ("visibility", "f_mm = 1e305", "f_mm = 1e+305: f must be positive and finite"),
+    ("visibility", "delta_mm = 1e305", "delta_mm = 1e+305: delta must be positive and finite"),
+    ("visibility", "delta_mm = 1e-310",
+     "delta_mm = 1e-310: angular magnification n f / ((n - 1) delta) must be finite"),
+    ("polmap", "delta_mm = 1e-310",
+     "delta_mm = 1e-310: angular magnification n f / ((n - 1) delta) must be finite"),
 ], ids=["negative_f", "unit_substrate_index", "zero_period", "zero_axis_width",
         "peak_below_direct", "negative_peak", "zero_channel", "undefined_v0", "undefined_v45",
         "overflowing_direct_amplitude", "overflowing_channel", "overflowing_focal_length",
         "overflowing_thickness", "infinite_magnification_visibility",
         "infinite_magnification_polmap"])
-def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line):
+def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line,
+                                                      message):
     # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
-    # FilmModel, default_film, postselect_channel or (a channel whose V_0 or
+    # FilmModel, ScenarioConfig.film, postselect_channel or (a channel whose V_0 or
     # V_45 is undefined) visibility, or (negative peak) in NaN output; a
     # finite value whose square overflows, in an OverflowError traceback or
     # an overflow warning; a focal length or thickness that overflows to inf
@@ -259,6 +278,7 @@ def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, 
     assert err.startswith(f"config error: {keys[0]} = ")
     assert all(f"{key} = " in err for key in keys)
     assert "quad_points" not in err and "semiaperture_deg" not in err
+    assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -299,19 +319,23 @@ def test_subnormal_semiaperture_sweep_row_is_the_monomode_limit(tmp_path, capsys
 
 
 def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
-    # the table covers |q| <= 1e-4 nm^-1; the 4 deg aperture reaches about 5e-4
+    # the table covers |q| <= 1e-4 nm^-1 at 790-800 nm; the 4 deg aperture
+    # reaches about 5e-4, and a spectrum's 2 deg tilt about 2.8e-4 in its
+    # 790-800 nm range, which the table covers
     qs = np.array([-1e-4, 1e-4])
     grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array([790.0, 800.0]),
                          matrices=np.broadcast_to(0.1 * np.eye(2), (2, 2, 2, 2, 2)))
     table = tmp_path / "film.csv"
     save_tabulated(grid, table)
-    cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
-    code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("config error: qx = ") and err.count("\n") == 1
-    assert "outside tabulated range" in err
-    assert not (tmp_path / "out" / "polmap.csv").exists()
+    for command in ("polmap", "spectrum"):
+        cfg = write_cfg(tmp_path, kind=command, film_table=str(table), semiaperture_deg=4.0,
+                        tilts_deg=(0.0, 2.0))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: film table {table}: qx = ")
+        assert err.count("\n") == 1 and "outside tabulated range" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["polmap", "spectrum"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    default_film,
     default_film_table,
     film_matrix_direct,
     interpolate_tabulated_point,
@@ -21,7 +22,6 @@ from plasmon_biphoton.film import (
     ResonanceFamily,
     TableRangeError,
     TabulatedGrid,
-    default_film,
     film_matrix,
     film_matrix_grid,
     load_tabulated,

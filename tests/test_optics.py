@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from plasmon_biphoton.film import (
     FilmModel,
     ResonanceFamily,
-    default_film,
     film_matrix,
 )
 from plasmon_biphoton import optics
@@ -15,6 +14,7 @@ from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
 
 from oracles import (
+    default_film,
     default_film_table,
     paper_setup,
     symmetric_random_grid,

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import config_refusal, default_film_table, save_tabulated, transmittance
+from oracles import config_refusal, default_film, default_film_table, save_tabulated, transmittance
 from plasmon_biphoton import cli, optics, quantum, scenarios
-from plasmon_biphoton.film import default_film
 from plasmon_biphoton.quantum import (
     linear_pol,
     power_form,
@@ -82,10 +81,12 @@ def _field_value(name: str):
     return _real(f.default)
 
 
+# a kind and up to four number fields, from field strategies built once, not per draw
+_FIELD_VALUES = {name: _field_value(name) for name in _NUMBER_FIELDS}
 _CONFIG_VALUES = st.tuples(
     st.sampled_from(scenarios.KINDS),
     st.lists(st.sampled_from(sorted(_NUMBER_FIELDS)), max_size=4, unique=True).flatmap(
-        lambda names: st.fixed_dictionaries({n: _field_value(n) for n in names})))
+        lambda names: st.fixed_dictionaries({n: _FIELD_VALUES[n] for n in names})))
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,12 +123,6 @@ _SMALL_RUN = dict(quad_points=21, map_points=5, polmap_points=5, lambda_step_nm=
 _GRID_CAPS = {"quad_points": 41, "map_points": 9, "polmap_points": 9}
 _RANGE_CAPS = [("lambda_min_nm", "lambda_max_nm", "lambda_step_nm", 50),
                ("semiaperture_min_deg", "semiaperture_max_deg", "semiaperture_step_deg", 20)]
-# the draws of _CONFIG_VALUES, from field strategies built once, not per draw
-_FIELD_VALUES = {name: _field_value(name) for name in _NUMBER_FIELDS}
-_RUN_VALUES = st.tuples(
-    st.sampled_from(scenarios.KINDS),
-    st.lists(st.sampled_from(sorted(_NUMBER_FIELDS)), max_size=4, unique=True).flatmap(
-        lambda names: st.fixed_dictionaries({n: _FIELD_VALUES[n] for n in names})))
 
 
 def _config_text(kind, values) -> str:
@@ -144,7 +139,7 @@ def _config_text(kind, values) -> str:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_RUN_VALUES)
+@given(_CONFIG_VALUES)
 @example(("polmap", {"lambdas_nm": (5e-324,)}))
 @example(("polmap", {"lambdas_nm": (1e-154,)}))
 @example(("visibility_sweep", {"gamma_diagonal_nm": 1e-300}))
@@ -153,7 +148,7 @@ def test_every_accepted_config_ends_in_one_line(kind_values):
     # each of the examples wrote 5 to 19 lines of NumPy warnings before its
     # one numerical error line; a run that exits 0 writes finite tables only
     kind, values = kind_values
-    command = {"visibility_sweep": "visibility"}.get(kind, kind)
+    command = next(name for name, (runs, _) in cli._COMMANDS.items() if runs == kind)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
         path.write_text(_config_text(kind, values))
