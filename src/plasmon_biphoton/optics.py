@@ -40,6 +40,7 @@ Units: nm, nm^-1, radians.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -90,6 +91,15 @@ class SetupParams:
             raise ValueError(
                 f"semiaperture {self.theta_ap} rad outside paraxial range "
                 f"[0, {PARAXIAL_LIMIT_RAD}]")
+        # a transform squares differences of up to 2 k sin(theta_ap) and maps
+        # the aperture through theta_ap / mag; Python floats overflow quietly
+        if not 2.0 * math.pi / float(self.lam) < math.inf:
+            raise ValueError("wavenumber 2 pi / lam must be finite")
+        if not self.q2_max < 2.0 ** 511:
+            raise ValueError("aperture radius k sin(theta_ap) must be below 2**511 nm^-1")
+        mag = float(self.magnification)
+        if not (mag > 0.0 and float(self.theta_ap) / mag < math.inf):
+            raise ValueError("mapped half-angle theta_ap / magnification must be finite")
 
     @property
     def k(self) -> float:

@@ -187,15 +187,21 @@ class ScenarioConfig:
     def _build(self) -> None:
         """Build what the constructors check; raises the first ValueError.
 
-        A finite value so large that building overflows is one too, and so
-        is a polmap semiaperture whose aperture radius is 0, as 0 deg or a
-        subnormal one is.  Only the channel report reads t, and it needs
-        both V_0 and V_45 defined.
+        The telescope is built at every wavelength of ``lambdas_nm`` and the
+        widest semiaperture: ``semiaperture_max_deg`` for a sweep, whose rows
+        stop there up to rounding, else ``semiaperture_deg``.  A finite value
+        so large that building overflows is refused too, and so is a polmap
+        semiaperture whose aperture radius is 0, as 0 deg or a subnormal one
+        is.  Only the channel report reads t, and it needs both V_0 and V_45
+        defined.
         """
+        widest = (self.semiaperture_max_deg if self.kind == "visibility_sweep"
+                  else self.semiaperture_deg)
         try:
             with np.errstate(over="raise"):
-                setup = self.setup(None if self.film_table else self.film(), self.lambdas_nm[0])
-                if self.kind == "polmap" and setup.q2_max == 0.0:
+                film = None if self.film_table else self.film()
+                setups = [self.setup(film, lam, widest) for lam in self.lambdas_nm]
+                if self.kind == "polmap" and setups[0].q2_max == 0.0:
                     raise ValueError("no aperture to map: k sin(semiaperture) is 0")
                 if self.kind == "channel":
                     rho = postselect_channel(self.channel_matrix(), self.gram_coherence)
@@ -465,6 +471,15 @@ def _project(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return 0.0 + t[..., 0] * e[0] + t[..., 1] * e[1]
 
 
+def _label(value: float) -> str:
+    """``value`` in a column name: as ``:g`` prints it if that reads back as it, else its repr.
+
+    So distinct values always name distinct columns, and a short one keeps its ``:g`` name.
+    """
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _steps(start: float, stop: float, step: float) -> np.ndarray:
     """``np.arange`` from ``start`` in ``step``s, ``stop`` included when it lies on a step."""
     return np.arange(start, stop + 1e-9 * step, step)
@@ -488,8 +503,8 @@ def run_spectrum(cfg: ScenarioConfig) -> dict:
     columns = [lams]
     k = 2.0 * np.pi / lams
     for tilt in cfg.tilts_deg:
-        header.append(f"T_perp_tilt{tilt:g}")
-        header.append(f"T_par_tilt{tilt:g}")
+        header.append(f"T_perp_tilt{_label(tilt)}")
+        header.append(f"T_par_tilt{_label(tilt)}")
         kt = k * np.sin(np.deg2rad(tilt))
         fxx, fxy, fyx, fyy = film_matrix_grid(film, kt * diag[0], kt * diag[1], lams)
         for pol in (pol_perp, pol_par):
@@ -520,7 +535,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     header = ["semiaperture_deg"]
     for lam in cfg.lambdas_nm:
         for b2 in cfg.beta2_deg:
-            header.append(f"V_lam{lam:g}_beta{b2:g}")
+            header.append(f"V_lam{_label(lam)}_beta{_label(b2)}")
 
     film = cfg.film()
     rows = []

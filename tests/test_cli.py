@@ -295,6 +295,43 @@ def test_keys_that_refuse_only_together_are_named_together(tmp_path, capsys):
                                        "the film, telescope or channel overflows\n")
 
 
+@pytest.mark.parametrize("command,line,message", [
+    ("polmap", "lambdas_nm = 5e-324",
+     "lambdas_nm = 5e-324: wavenumber 2 pi / lam must be finite"),
+    ("polmap", "lambdas_nm = 1e-154",
+     "lambdas_nm = 1e-154: aperture radius k sin(theta_ap) must be below 2**511 nm^-1"),
+    ("visibility", "lambdas_nm = 797, 1e-154",
+     "lambdas_nm = 797.0, 1e-154: aperture radius k sin(theta_ap) must be below 2**511 nm^-1"),
+    ("visibility", "f_mm = 5e-324",
+     "f_mm = 5e-324: mapped half-angle theta_ap / magnification must be finite"),
+], ids=["infinite_wavenumber", "overflowing_aperture", "overflowing_second_wavelength",
+        "infinite_mapped_half_angle"])
+def test_wavelength_or_focal_length_that_overflows_a_run_is_config_error(
+        tmp_path, capsys, command, line, message):
+    # each ended in "numerical error: <kind> run: ..." naming no key, exit 2;
+    # a sweep's second wavelength was not built before the run
+    kind = "visibility_sweep" if command == "visibility" else command
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"kind = {kind}\n{line}\n")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_film_width_that_overflows_a_run_is_numerical_error(tmp_path, capsys):
+    # the config builds; at q = 0 and 797 nm the run's Lorentzian divides by
+    # the detuning squared plus the width squared, both 0
+    path = tmp_path / "cfg.txt"
+    path.write_text("gamma_diagonal_nm = 1e-300\n")
+    code = main(["visibility", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("numerical error: visibility_sweep run: ") and err.count("\n") == 1
+    assert err.endswith("; nothing written\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_semiaperture_row_of_a_sweep_still_runs(tmp_path):
     cfg = write_cfg(tmp_path, kind="visibility_sweep", semiaperture_deg=0.0,
                     semiaperture_min_deg=0.0, semiaperture_max_deg=2.0,

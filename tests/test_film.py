@@ -10,6 +10,7 @@ from oracles import (
     film_matrix_direct,
     interpolate_tabulated_point,
     matrix_asymmetry_direct,
+    paper_setup,
     resonance_wavelength,
     rotation,
     save_tabulated,
@@ -27,6 +28,7 @@ from plasmon_biphoton.film import (
     load_tabulated,
 )
 from plasmon_biphoton import film as film_module
+from plasmon_biphoton import optics
 from plasmon_biphoton.quantum import linear_pol
 
 
@@ -175,6 +177,24 @@ def test_extreme_q_and_lambda_match_direct_oracle(film, lam):
     radius = np.concatenate([[0.0, 1e-3], np.logspace(-6, 300, 60)])
     angle = rng.uniform(0.0, 2.0 * np.pi, radius.size)
     assert_matches_direct(film, radius * np.cos(angle), radius * np.sin(angle), lam)
+
+
+def test_analytic_film_call_holds_little_more_than_it_returns(film):
+    # the 4 056-point wedge of the 201-point, 8 deg aperture: a call returns
+    # 48 B/point and peaked at 177 B/point while each order's temporaries
+    # lived on into the next order and q was copied unscaled
+    s = paper_setup(film=film)
+    half = (np.arange(100, 201) - 100.0) * (2.0 * s.q2_max / 201)
+    a, b = optics._wedge(half, s.q2_max)
+    assert a.size == 4056
+    qx, qy = half[a], half[b]
+    tracemalloc.start()
+    try:
+        film_matrix_grid(film, qx, qy, s.lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * a.size, f"{peak / a.size:.1f} B/point"
 
 
 # --- transmittance ---------------------------------------------------------

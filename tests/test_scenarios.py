@@ -146,7 +146,8 @@ def _config_text(kind, values) -> str:
 @example(("visibility_sweep", {"f_mm": 5e-324}))
 def test_every_accepted_config_ends_in_one_line(kind_values):
     # each of the examples wrote 5 to 19 lines of NumPy warnings before its
-    # one numerical error line; a run that exits 0 writes finite tables only
+    # one numerical error line (all but the width's are now config errors);
+    # a run that exits 0 writes finite tables only
     kind, values = kind_values
     command = next(name for name, (runs, _) in cli._COMMANDS.items() if runs == kind)
     with tempfile.TemporaryDirectory() as tmp:
@@ -379,6 +380,22 @@ def test_visibility_sweep_monomode_row_is_unity(tmp_path):
     header = result["header"]
     assert header[1] == "V_lam797_beta0"
     assert (tmp_path / "visibility.csv").exists()
+
+
+@pytest.mark.parametrize("overrides,columns", [
+    (dict(kind="visibility_sweep", lambdas_nm=(797.0001, 797.0002), beta2_deg=(0.0,),
+          semiaperture_step_deg=8.0),
+     ["V_lam797.0001_beta0", "V_lam797.0002_beta0"]),
+    (dict(kind="spectrum", tilts_deg=(0.5000001, 0.5000002), lambda_min_nm=796.0,
+          lambda_max_nm=798.0),
+     ["T_perp_tilt0.5000001", "T_par_tilt0.5000001", "T_perp_tilt0.5000002",
+      "T_par_tilt0.5000002"]),
+], ids=["visibility", "spectrum"])
+def test_distinct_values_name_distinct_columns(overrides, columns):
+    # ":g" keeps 6 digits, so each pair wrote two columns of one name
+    cfg = small_cfg(**overrides)
+    header = scenarios._RUNNERS[cfg.kind](cfg)["header"]
+    assert header[1:] == columns
 
 
 def test_visibility_sweep_deterministic(tmp_path):
