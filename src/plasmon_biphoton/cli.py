@@ -12,12 +12,13 @@ Exit codes: 0 success (``-h``/``--help`` too); 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
 output file that cannot be made or written, grids too large to allocate or
 for the physical memory, a grid of 2**31 points or a range of 2**31 steps
-or more); 2 numerical failure (a floating-point overflow, invalid value or
-division by zero in the run, or a table that holds NaN or +-inf).
-``run_scenario`` turns every failure of a run into one of the two, and a
-run refused before its writes makes no ``--out`` directory.  Each ends in
-one ``config error: ...`` or ``numerical error: ...`` line on stderr; a
-usage error prints the usage and one ``pbsim: error: ...`` line.
+or more, a film that cannot be evaluated where the run needs it); 2
+numerical failure (a floating-point overflow, invalid value or division by
+zero in the run, or a table that holds NaN or +-inf).  ``run_scenario``
+turns every failure of a run into one of the two, and a run refused before
+its writes makes no ``--out`` directory.  Each ends in one
+``config error: ...`` or ``numerical error: ...`` line on stderr; a usage
+error prints the usage and one ``pbsim: error: ...`` line.
 ``--config paper_defaults`` (the default) uses the built-in defaults of the
 command; a config file needs no ``kind`` line, and one it has must match it.
 """

@@ -45,7 +45,6 @@ import numpy as np
 __all__ = [
     "ResonanceFamily",
     "FilmModel",
-    "TableRangeError",
     "TabulatedGrid",
     "film_matrix",
     "film_matrix_grid",
@@ -55,10 +54,6 @@ __all__ = [
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
 
 SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 digits
-
-
-class TableRangeError(ValueError):
-    """A requested (q, lambda) lies outside the range of a tabulated film."""
 
 
 @dataclass(frozen=True)
@@ -224,8 +219,9 @@ def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
     shape, so one call covers a flat aperture sample at one wavelength, a
     spectrum along its wavelength axis, or a single point (0-d arrays).
     For the analytic film, fxy and fyx are one read-only array.
-    Raises ValueError if any wavelength is not positive, and TableRangeError
-    if a tabulated film does not cover a requested point.
+    Raises ValueError if any wavelength is not positive, if a tabulated film
+    does not cover a requested point, or if a lattice order of the analytic
+    film is singular (q + G = 0) at one.
     """
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
@@ -262,7 +258,7 @@ def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
             (grid.lam, lam, "lambda", grid.qx.size * grid.qy.size)):
         bad = ~((value >= axis[0]) & (value <= axis[-1]))
         if np.any(bad):
-            raise TableRangeError(
+            raise ValueError(
                 f"{name} = {value[bad].flat[0]:g} outside tabulated range "
                 f"[{axis[0]:g}, {axis[-1]:g}]")
         if axis.size == 1:

@@ -6,14 +6,14 @@ wave to the output mode q3, in the lab (x, y) basis, is
     T(q3) = Int_{|q2| <= k sin(theta_ap)} dq2
             exp(i a |q2 - mag q3|^2) F_lab(q2, lambda)
 
+with a = (n - 1) Delta / (2 n k) and angular magnification
+mag = n f / ((n - 1) Delta).
+
 In mode-aligned (p, s) bases the same matrix carries an extra rotation by the
 azimuth of q3 (the paraxial p direction of mode q3 is the unit vector along
 q3); that factor is pure bookkeeping between bases and must not act on
 lab-frame fields, polarizers or detectors, so everything here stays in the
-lab basis throughout.
-
-with a = (n - 1) Delta / (2 n k) and angular magnification
-mag = n f / ((n - 1) Delta).  The integral is evaluated by a midpoint rule on
+lab basis throughout.  The integral is evaluated by a midpoint rule on
 a square grid masked to the aperture disc.  On that grid the phase factor
 separates into exp(i a (q2x - mag q3x)^2) exp(i a (q2y - mag q3y)^2), so T on
 the square q3 grid q3 x q3 is two matrix products per Jones component (the

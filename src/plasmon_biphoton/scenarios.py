@@ -33,7 +33,6 @@ from .film import (
     FilmModel,
     ResonanceFamily,
     TabulatedGrid,
-    TableRangeError,
     film_matrix,
     film_matrix_grid,
     load_tabulated,
@@ -189,11 +188,10 @@ class ScenarioConfig:
 
         The telescope is built at every wavelength of ``lambdas_nm`` and the
         widest semiaperture: ``semiaperture_max_deg`` for a sweep, whose rows
-        stop there up to rounding, else ``semiaperture_deg``.  A finite value
-        so large that building overflows is refused too, and so is a polmap
-        semiaperture whose aperture radius is 0, as 0 deg or a subnormal one
-        is.  Only the channel report reads t, and it needs both V_0 and V_45
-        defined.
+        stop there, else ``semiaperture_deg``.  A finite value so large that
+        building overflows is refused too, and so is a polmap semiaperture
+        whose aperture radius is 0, as 0 deg or a subnormal one is.  Only the
+        channel report reads t, and it needs both V_0 and V_45 defined.
         """
         widest = (self.semiaperture_max_deg if self.kind == "visibility_sweep"
                   else self.semiaperture_deg)
@@ -243,18 +241,6 @@ class ScenarioConfig:
                     keys = rest
         return [f.name for f in keys]
 
-    def require_transmission(self, values, where: str) -> None:
-        """ConfigError if ``values``, a coincidence form or a map's peak intensity, are all zero.
-
-        A film table can be zero where it is read; any film gives a zero
-        transform through an aperture so small that its grid step squared
-        underflows; and the power of the fields of a film that transmits
-        almost nothing underflows to 0.
-        """
-        if not np.any(values):
-            table = f"film_table = {self.film_table}: " if self.film_table else ""
-            raise ConfigError(f"{table}film transmits nothing {where}")
-
     # -- derived builders ---------------------------------------------------
 
     def film(self) -> FilmModel | TabulatedGrid:
@@ -263,13 +249,10 @@ class ScenarioConfig:
         The per-order amplitude makes the diagonal family's normal-incidence
         peak transmittance ``peak_transmittance`` (the four diagonal dyads sum
         to twice the identity at q = 0); the axis family's is
-        ``axis_amplitude_scale`` times it.
+        ``axis_amplitude_scale`` times it.  A table raises ``load_tabulated``'s errors.
         """
         if self.film_table:
-            try:
-                return load_tabulated(self.film_table)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"film table {self.film_table}: {exc}") from exc
+            return load_tabulated(self.film_table)
         if not self.peak_transmittance > abs(self.direct_amplitude) ** 2:
             raise ValueError("peak transmittance must exceed the direct intensity")
         amp = 0.5 * (np.sqrt(self.peak_transmittance) - abs(self.direct_amplitude))
@@ -481,8 +464,20 @@ def _label(value: float) -> str:
 
 
 def _steps(start: float, stop: float, step: float) -> np.ndarray:
-    """``np.arange`` from ``start`` in ``step``s, ``stop`` included when it lies on a step."""
-    return np.arange(start, stop + 1e-9 * step, step)
+    """``np.arange`` from ``start`` in ``step``s to ``stop``, included on a step, never passed."""
+    return np.minimum(np.arange(start, stop + 1e-9 * step, step), stop)
+
+
+def _require_transmission(values, where: str) -> None:
+    """ValueError if ``values``, a coincidence form or a map's peak intensity, are all zero.
+
+    A film table can be zero where it is read; any film gives a zero
+    transform through an aperture so small that its grid step squared
+    underflows; and the power of the fields of a film that transmits
+    almost nothing underflows to 0.
+    """
+    if not np.any(values):
+        raise ValueError(f"film transmits nothing {where}")
 
 
 def run_spectrum(cfg: ScenarioConfig) -> dict:
@@ -527,7 +522,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
     ``SetupParams.q2_max`` = 0 (0 deg, or a semiaperture that rounds to 0)
     is the monomode limit, the sum over the one mode q3 = 0, where T is the
     normal-incidence film matrix.  A cell whose coincidence form is all
-    zero, the film transmitting nothing into it, is a ConfigError.
+    zero, the film transmitting nothing into it, is a ValueError.
     """
     apertures = _steps(cfg.semiaperture_min_deg, cfg.semiaperture_max_deg,
                        cfg.semiaperture_step_deg)
@@ -553,7 +548,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
             for b2_deg in cfg.beta2_deg:
                 b2 = np.deg2rad(b2_deg)
                 form = power_form(_project(t, linear_pol(b2 + np.pi / 2.0)))
-                cfg.require_transmission(form, where)
+                _require_transmission(form, where)
                 row.append(visibility(form))
         rows.append(row)
     table = np.array(rows)
@@ -573,7 +568,7 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     fastest.  The intensity image scales [0, max] to the full grey range
     0...65535; the axis-ratio image maps [-1, 1] to 0...65534, so linear
     polarization is the grey level 32767.  A map into which the film
-    transmits nothing is a ConfigError.
+    transmits nothing is a ValueError.
     """
     lam = cfg.lambdas_nm[0]
     setup = cfg.setup(cfg.film(), lam)
@@ -586,7 +581,7 @@ def run_polmap(cfg: ScenarioConfig) -> dict:
     table = np.column_stack([c.ravel() for c in (*q3, *theta3_deg, intensity, psi, axis_ratio)])
     top = intensity.max()
     theta3_max_deg = np.rad2deg(setup.theta3_max)
-    cfg.require_transmission(
+    _require_transmission(
         top, f"at {lam:g} nm from input polarization {cfg.input_pol_deg:g} deg")
 
     files = {
@@ -645,17 +640,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     A run ends in one of two errors, both before the directory is made:
     NonFiniteOutputError for a floating-point overflow, invalid value or
     division by zero in the runner, or a non-finite table; ConfigError for
-    a film table that does not cover the run or grids too large for memory.
-    A failed mkdir or write is a ConfigError naming ``--out``, and a failed
-    write first removes every file the run opened.  Adds ``paths``.
+    grids too large for memory, or for the runner's OSError or ValueError,
+    its ``__cause__``: a film that cannot be loaded or evaluated where the
+    run needs it, or that transmits nothing there.  Only here is a run's
+    refusal worded, a film table named once (``film table X: ``).  A failed
+    mkdir or write is a ConfigError naming ``--out``, and a failed write
+    first removes every file the run opened.  Adds ``paths``.
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             result = _RUNNERS[cfg.kind](cfg)
     except FloatingPointError as exc:
         raise NonFiniteOutputError(f"{cfg.kind} run: {exc}; nothing written") from exc
-    except TableRangeError as exc:
-        raise ConfigError(f"film table {cfg.film_table}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"film table {cfg.film_table}: {exc}" if cfg.film_table
+                          else str(exc)) from exc
     except MemoryError as exc:
         raise ConfigError(f"out of memory ({str(exc) or 'allocation failed'}); "
                           "lower quad_points or the grid sizes") from exc

@@ -425,6 +425,20 @@ def test_film_table_of_ten_columns_is_config_error(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "film.csv"]
 
 
+def test_singular_lattice_order_is_one_config_error_line(tmp_path, capsys):
+    # at this period a node of the 21-point quadrature grid lies on
+    # q + G = 0 of the (-1, 0) order, where the analytic film is singular;
+    # ended in a 24-line ValueError traceback
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("quad_points = 21\npolmap_points = 5\nperiod_nm = 6013.015404752151\n"
+                   "lambda_axis_nm = 9000\nlambda_diagonal_nm = 9000\n")
+    code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "config error: order (-1, 0) singular inside the requested q range\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verbose_prints_the_quadrature_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path, kind="channel", quad_points=204)
     code = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"])
@@ -460,14 +474,14 @@ def test_film_that_transmits_nothing_is_config_error(tmp_path, capsys, command, 
     # named an empty film_table; a film of peak transmittance 1e-310 has a
     # nonzero T whose power underflows to 0 through a 5 deg semiaperture,
     # and ended in a "ValueError: coincidence rate vanishes identically"
-    # traceback
+    # traceback; a table is named as every film-table refusal names it
     table = write_table(tmp_path, np.zeros((2, 2)))
     kind = {"visibility": "visibility_sweep"}.get(command, command)
     settings = {"film_table": str(table), "semiaperture_deg": 4.0, **overrides}
     cfg = write_cfg(tmp_path, kind=kind, **settings)
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
-    named = f"film_table = {table}: " if settings["film_table"] else ""
+    named = f"film table {table}: " if settings["film_table"] else ""
     assert code == 1
     assert captured.err.startswith(f"config error: {named}film transmits nothing")
     assert captured.err.count("\n") == 1 and captured.out == ""

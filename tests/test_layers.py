@@ -1,14 +1,16 @@
 """Layering guards: the package modules import each other along one fixed
-graph, only the functions of ``FILE_IO_OWNERS`` touch files, ``optics``
-cannot tell a film table from an analytic film, only the channel run calls
+graph, only the functions of ``FILE_IO_OWNERS`` touch files, only those of
+``CONFIG_ERROR_RAISERS`` raise ``ConfigError`` and no run reaches them,
+``optics`` cannot tell a film table from an analytic film, only the channel run calls
 ``numpy.linalg``, and no module keeps a stale name: an import it never
 reads, an ``__all__`` entry it does not define, an ``__all__`` entry that
 no module of the program reads (test-only helpers live in ``oracles``), or a
 config key that no module reads.  ``cli.main`` catches the two errors a
 run ends in and nothing else.
 
-A new import between modules has to edit ``LAYERS`` on purpose, and a new
-file read or write has to edit ``FILE_IO_OWNERS``.
+A new import between modules has to edit ``LAYERS`` on purpose, a new
+file read or write has to edit ``FILE_IO_OWNERS``, and a new ConfigError
+has to edit ``CONFIG_ERROR_RAISERS``.
 """
 
 import ast
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import plasmon_biphoton
+from plasmon_biphoton import scenarios
 from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario
 
 # module -> the package modules it imports (``__init__`` left out)
@@ -77,6 +80,59 @@ def file_io_callers(path):
 def test_only_the_owners_touch_files():
     src = Path(plasmon_biphoton.__file__).parent
     assert set().union(*map(file_io_callers, src.glob("*.py"))) == FILE_IO_OWNERS
+
+
+# the only functions that raise ConfigError: the config checks and parsers,
+# run_scenario, which words every refusal of a run, and the CLI.  A runner,
+# and all it calls, raises a plain error that run_scenario words once
+CONFIG_ERROR_RAISERS = {"scenarios.ScenarioConfig.__post_init__", "scenarios._parse_value",
+                        "scenarios.parse_config", "scenarios.parse_config_file",
+                        "scenarios.run_scenario", "cli.main"}
+
+
+def package_functions():
+    """{(module, class or None, name): node} of every top-level function and method."""
+    found = {}
+    for path in sorted(Path(plasmon_biphoton.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in top.body if owner else [top]:
+                if isinstance(node, ast.FunctionDef):
+                    found[path.stem, owner, node.name] = node
+    return found
+
+
+def raises_config_error(node):
+    return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+               and getattr(n.exc.func, "id", None) == "ConfigError" for n in ast.walk(node))
+
+
+def test_only_the_config_checks_and_run_scenario_raise_config_error():
+    found = {".".join(filter(None, key)) for key, node in package_functions().items()
+             if raises_config_error(node)}
+    assert found == CONFIG_ERROR_RAISERS
+
+
+def test_no_run_reaches_a_config_error():
+    # a ConfigError is a ValueError, so one raised under a runner would be
+    # worded twice; every function or method a runner names, by any path,
+    # is reached, and a named class brings all its methods
+    functions = package_functions()
+    reached = set()
+    todo = [key for key in functions if key[0] == "scenarios" and key[1] is None
+            and key[2] in {run.__name__ for run in scenarios._RUNNERS.values()}]
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for stmt in functions[key].body for n in ast.walk(stmt)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        todo += [other for other in functions if other[2] in names or other[1] in names]
+    assert len(reached) > 4  # the runners and more
+    assert sorted(".".join(filter(None, key)) for key in reached
+                  if raises_config_error(functions[key])) == []
 
 
 def test_cli_main_catches_the_two_ways_out():

@@ -144,10 +144,18 @@ def _config_text(kind, values) -> str:
 @example(("polmap", {"lambdas_nm": (1e-154,)}))
 @example(("visibility_sweep", {"gamma_diagonal_nm": 1e-300}))
 @example(("visibility_sweep", {"f_mm": 5e-324}))
+@example(("polmap", {"period_nm": 6013.015404752151, "lambda_axis_nm": 9000.0,
+                     "lambda_diagonal_nm": 9000.0}))
+@example(("visibility_sweep", {"semiaperture_min_deg": 1.0,
+                               "semiaperture_max_deg": 17.188733853924695,
+                               "semiaperture_step_deg": 0.8520386238907734}))
 def test_every_accepted_config_ends_in_one_line(kind_values):
-    # each of the examples wrote 5 to 19 lines of NumPy warnings before its
-    # one numerical error line (all but the width's are now config errors);
-    # a run that exits 0 writes finite tables only
+    # each of the first four examples wrote 5 to 19 lines of NumPy warnings
+    # before its one numerical error line (all but the width's are now
+    # config errors); the last two ended in a ValueError traceback, the
+    # polmap's from a quadrature node singular for a lattice order, the
+    # sweep's from a last row past the paraxial limit; a run that exits 0
+    # writes finite tables only
     kind, values = kind_values
     command = next(name for name, (runs, _) in cli._COMMANDS.items() if runs == kind)
     with tempfile.TemporaryDirectory() as tmp:
@@ -339,9 +347,16 @@ def test_film_table_spectrum_reads_no_analytic_film_key(tmp_path):
         (tmp_path / "table" / "spectrum.csv").read_bytes()
 
 
+# 849 to 850 nm in 0.1 nm steps: np.arange's rows, but for its last,
+# 850.0000000000002, which was past the maximum and so past a table ending there
+ROWS_849_TO_850 = [*np.arange(849.0, 850.05, 0.1)[:-1], 850.0]
+
+
 # a range that is not a whole number of steps ends at its last step below the
 # maximum; the grid used to round to the nearest step and could pass it by
-# half a step, into an aperture past the paraxial range
+# half a step, into an aperture past the paraxial range.  A range that is a
+# whole number of steps ends on its maximum, not a rounding past it: the
+# sweep's last row was 0.3 rad plus one ulp, past the paraxial limit
 @pytest.mark.parametrize("overrides,rows", [
     (dict(kind="spectrum", lambda_min_nm=797.0, lambda_max_nm=798.0, lambda_step_nm=0.25),
      [797.0, 797.25, 797.5, 797.75, 798.0]),
@@ -351,6 +366,11 @@ def test_film_table_spectrum_reads_no_analytic_film_key(tmp_path):
      [0.0, 1.0]),
     (dict(kind="visibility_sweep", semiaperture_min_deg=17.0, semiaperture_max_deg=17.15,
           semiaperture_step_deg=0.2), [17.0]),
+    (dict(kind="visibility_sweep", semiaperture_min_deg=1.0,
+          semiaperture_max_deg=17.188733853924695, semiaperture_step_deg=0.8520386238907734),
+     [*np.arange(1.0, 17.5, 0.8520386238907734)[:-1], 17.188733853924695]),
+    (dict(kind="spectrum", lambda_min_nm=849.0, lambda_max_nm=850.0, lambda_step_nm=0.1),
+     ROWS_849_TO_850),
 ])
 def test_range_rows_stop_at_the_maximum(tmp_path, overrides, rows):
     result = run_scenario(small_cfg(**overrides), tmp_path)
@@ -358,10 +378,15 @@ def test_range_rows_stop_at_the_maximum(tmp_path, overrides, rows):
 
 
 def test_film_table_spectrum_asks_for_no_wavelength_past_its_maximum(tmp_path):
-    table = write_film_table(tmp_path / "film.csv", 8e-4, (789.0, 790.0, 791.0))
-    cfg = small_cfg(kind="spectrum", film_table=table, lambda_min_nm=790.0,
-                    lambda_max_nm=791.9, lambda_step_nm=1.0)
-    assert run_spectrum(cfg)["lambda_nm"].tolist() == [790.0, 791.0]
+    # the second table ends at 850 nm, and its 849 to 850 nm spectrum was
+    # refused with "lambda = 850 outside tabulated range [849, 850]"
+    for name, lams, (low, high, step), rows in (
+            ("a.csv", (789.0, 790.0, 791.0), (790.0, 791.9, 1.0), [790.0, 791.0]),
+            ("b.csv", (849.0, 850.0), (849.0, 850.0, 0.1), ROWS_849_TO_850)):
+        table = write_film_table(tmp_path / name, 8e-4, lams)
+        cfg = small_cfg(kind="spectrum", film_table=table, lambda_min_nm=low,
+                        lambda_max_nm=high, lambda_step_nm=step)
+        assert run_spectrum(cfg)["lambda_nm"].tolist() == rows
 
 
 # --- visibility sweep -------------------------------------------------------
