@@ -339,9 +339,11 @@ def parse_config(text: str, kind: str = ScenarioConfig.kind) -> ScenarioConfig:
 
 def parse_config_file(path, kind: str) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"--config {path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"--config {path}: cannot read ({exc})") from exc
     return parse_config(text, kind)
 
 

@@ -3,6 +3,7 @@ the film tables they compare it on, and the helpers only tests need: the
 film-table writer, the paper's film and telescope, rotations and the singlet."""
 
 import dataclasses
+import re
 
 import numpy as np
 
@@ -349,3 +350,23 @@ def config_refusal(**values):
                      cfg["semiaperture_step_deg"]) >= 2 ** 31:
             return "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more"
     return None
+
+
+# The run-time refusals: each text after "config error: " that a run of an
+# accepted config may end in, "…" standing for any text.  A film table can
+# fail to load in many ways, so its refusals take any text after the prefix.
+RUN_REFUSALS = (
+    "order (…) singular inside the requested q range",
+    "film transmits nothing …",
+    "out of memory (…); lower quad_points or the grid sizes",
+    "--out …: cannot …",
+    "film table …: …",
+)
+
+_RUN_REFUSAL = re.compile("config error: (?:{})\n".format(
+    "|".join(".+".join(map(re.escape, p.split("…"))) for p in RUN_REFUSALS)))
+
+
+def is_run_refusal(stderr: str) -> bool:
+    """Whether ``stderr`` is one ``config error: ...`` line of RUN_REFUSALS."""
+    return _RUN_REFUSAL.fullmatch(stderr) is not None

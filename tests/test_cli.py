@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, TabulatedGrid
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
 
-from oracles import default_film_table, save_tabulated
+from oracles import RUN_REFUSALS, default_film_table, save_tabulated
 
 
 def write_cfg(tmp_path, **overrides):
@@ -103,14 +104,21 @@ def test_missing_config_file_is_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["spectrum", "channel"])
-def test_config_that_is_a_directory_is_config_error(tmp_path, capsys, command):
-    # was reported as an --out fault: "--out out: cannot write ... (Is a directory)"
-    code = main([command, "--config", str(tmp_path), "--out", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == f"config error: --config {tmp_path}: cannot read (Is a directory)\n"
-    assert captured.out == ""
-    assert not (tmp_path / "out").exists()
+def test_config_that_cannot_be_read_is_config_error(tmp_path, capsys, command):
+    # a directory was reported as an --out fault: "--out out: cannot write
+    # ... (Is a directory)"; bytes that are not UTF-8 ended in a
+    # UnicodeDecodeError traceback
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"lambdas_nm = 797\n\xff\n")
+    for config, reason in [
+            (tmp_path, "Is a directory"),
+            (not_utf8, "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte")]:
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"config error: --config {config}: cannot read ({reason})\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 def test_repeated_config_key_is_config_error(tmp_path, capsys):
@@ -657,12 +665,33 @@ def test_validate_film_is_an_invalid_choice(capsys):
     assert "pbsim: error: argument command: invalid choice: 'validate-film'" in err
 
 
+def readme_section(title: str) -> str:
+    """The text of README.md's ``## title`` section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_cli_block_names_every_command():
     # nothing else ties the commands README documents to the ones pbsim runs
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
     named = [line.split()[1] for line in block.splitlines() if line.startswith("pbsim ")]
     assert named == list(cli._COMMANDS)
+
+
+def test_readme_lists_every_config_key_once():
+    # the key table is the README's contract for config files; each row's first cell is a key
+    rows = [line for line in readme_section("Config files").splitlines()
+            if line.startswith("| `")]
+    named = [row.split("`")[1] for row in rows]
+    assert sorted(named) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+
+
+def test_readme_exit_codes_name_every_run_refusal():
+    # the closed list the property tests hold an accepted config's exit 1 to
+    section = " ".join(readme_section("Exit codes").split())
+    for pattern in RUN_REFUSALS:
+        for words in pattern.split("…"):
+            assert " ".join(words.split()) in section, pattern
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before_command", "after_command"])

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import config_refusal, default_film, default_film_table, save_tabulated, transmittance
+from oracles import (
+    config_refusal,
+    default_film,
+    default_film_table,
+    is_run_refusal,
+    paper_setup,
+    save_tabulated,
+    transmittance,
+)
 from plasmon_biphoton import cli, optics, quantum, scenarios
 from plasmon_biphoton.quantum import (
     linear_pol,
@@ -154,24 +162,94 @@ def test_every_accepted_config_ends_in_one_line(kind_values):
     # before its one numerical error line (all but the width's are now
     # config errors); the last two ended in a ValueError traceback, the
     # polmap's from a quadrature node singular for a lattice order, the
-    # sweep's from a last row past the paraxial limit; a run that exits 0
-    # writes finite tables only
+    # sweep's from a last row past the paraxial limit
     kind, values = kind_values
     command = next(name for name, (runs, _) in cli._COMMANDS.items() if runs == kind)
+    text = _config_text(kind, values)
+    try:
+        parse_config(text)
+        accepted = True
+    except ConfigError:
+        accepted = False
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
-        path.write_text(_config_text(kind, values))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([command, "--config", str(path), "--out", str(out)])
-        assert code in (0, 1, 2)
-        if code:
-            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
-            assert not out.exists()
-        else:
-            assert err.getvalue() == ""
-            for table in out.glob("*.csv"):
-                assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)).all()
+        path.write_text(text)
+        _assert_ends_in_one_line([command, "--config", str(path), "--out", str(out)], out,
+                                 accepted)
+
+
+def _assert_ends_in_one_line(argv, out: Path, accepted: bool) -> tuple[int, str]:
+    """Run ``cli.main(argv)``: it exits 0 with finite tables, or writes nothing and one line.
+
+    A config that ``parse_config`` accepted can only be refused by its run,
+    so its exit 1 must be one of the run-time refusals; any other text is a
+    defect worded as a config error.  Returns the exit code and stderr.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not out.exists()
+        assert code != 1 or not accepted or is_run_refusal(err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+        for table in out.glob("*.csv"):
+            assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)).all()
+    return code, err.getvalue()
+
+
+def _corrupt(table: bytes, mutation: str, at: int, token: bytes) -> bytes:
+    """A film table's bytes with one corruption, placed by ``at`` and, where it writes one, ``token``."""
+    lines = table.splitlines(keepends=True)
+    row = 1 + at % (len(lines) - 1)
+    if mutation == "truncate_row":
+        lines[row] = lines[row][:at % len(lines[row])] + b"\n"
+    elif mutation == "duplicate_row":
+        lines.insert(row, lines[row])
+    elif mutation == "drop_row":
+        del lines[row]
+    elif mutation == "swap_rows":
+        other = 1 + row % (len(lines) - 1)
+        lines[row], lines[other] = lines[other], lines[row]
+    elif mutation in ("bad_number", "header_change"):
+        line = 0 if mutation == "header_change" else row
+        entries = lines[line].rstrip(b"\n").split(b",")
+        entries[at % len(entries)] = token
+        lines[line] = b",".join(entries) + b"\n"
+    text = b"".join(lines)
+    if mutation == "stray_byte":
+        text = text[:at % len(text)] + token[:1] + text[at % len(text):]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(q_scale=st.floats(0.5, 1.5), n_q=st.integers(2, 6),
+       lam_offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3, unique=True),
+       mutation=st.sampled_from(["none", "truncate_row", "duplicate_row", "drop_row",
+                                 "swap_rows", "stray_byte", "bad_number", "header_change"]),
+       at=st.integers(0, 2 ** 16),
+       token=st.sampled_from([b"abc", b"nan", b"inf", b"", b"1e999", b"1.5", b"#", b"\xff",
+                              b"\n", b"qx"]))
+def test_every_drawn_film_table_ends_in_one_line(q_scale, n_q, lam_offsets, mutation, at,
+                                                 token):
+    # the default film tabulated over 0.5-1.5 times the aperture, around the
+    # run's wavelength, then corrupted as a table can be; a second run reads
+    # the sidecar the first one left, and must end the same way
+    lam = 797.0
+    grid = default_film_table(q_scale * paper_setup(lam).q2_max,
+                              sorted(lam + d for d in lam_offsets), n_q)
+    with tempfile.TemporaryDirectory() as tmp:
+        table, path = Path(tmp) / "film.csv", Path(tmp) / "cfg.txt"
+        save_tabulated(grid, table)
+        table.write_bytes(_corrupt(table.read_bytes(), mutation, at, token))
+        path.write_text(f"film_table = {table}\nquad_points = 21\npolmap_points = 5\n"
+                        f"lambdas_nm = {lam!r}\n")
+        ends = [_assert_ends_in_one_line(["polmap", "--config", str(path), "--out", str(out)],
+                                         out, True)
+                for out in (Path(tmp) / "cold", Path(tmp) / "warm")]
+        assert ends[0] == ends[1]
 
 
 def test_parse_comments_and_blanks():
