@@ -139,15 +139,11 @@ def _matrix_asymmetry(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FilmModel:
-    """Analytic hole-array film: lattice period, direct amplitude and resonance families."""
+    """Analytic hole-array film: positive lattice period, direct amplitude, resonance families."""
 
     period: float
     direct_amplitude: complex
     families: tuple
-
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("lattice period must be positive")
 
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
@@ -218,16 +214,14 @@ def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
     together; every returned component is a complex array of the broadcast
     shape, so one call covers a flat aperture sample at one wavelength, a
     spectrum along its wavelength axis, or a single point (0-d arrays).
-    For the analytic film, fxy and fyx are one read-only array.
-    Raises ValueError if any wavelength is not positive, if a tabulated film
-    does not cover a requested point, or if a lattice order of the analytic
-    film is singular (q + G = 0) at one.
+    For the analytic film, fxy and fyx are one read-only array.  Wavelengths
+    must be positive.  Raises ValueError if a tabulated film does not cover a
+    requested point, or if a lattice order of the analytic film is singular
+    (q + G = 0) at one.
     """
     qx = np.asarray(qx, dtype=float)
     qy = np.asarray(qy, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0):
-        raise ValueError("wavelength must be positive")
     if isinstance(model, TabulatedGrid):
         return _interpolate_tabulated(model, qx, qy, lam)
     return _analytic_matrix_grid(model, qx, qy, lam)

@@ -68,7 +68,7 @@ class SetupParams:
     f : lens focal length in nm
     n : substrate refractive index
     delta : substrate thickness in nm
-    theta_ap : telescope semiaperture in radians, measured at the film (on q2)
+    theta_ap : telescope semiaperture in radians at the film (on q2), in [0, PARAXIAL_LIMIT_RAD]
     film : the film, analytic or a table
     """
 
@@ -87,10 +87,6 @@ class SetupParams:
             raise ValueError("substrate index must exceed 1")
         if not self.magnification < np.inf:
             raise ValueError("angular magnification n f / ((n - 1) delta) must be finite")
-        if not 0.0 <= self.theta_ap <= PARAXIAL_LIMIT_RAD:
-            raise ValueError(
-                f"semiaperture {self.theta_ap} rad outside paraxial range "
-                f"[0, {PARAXIAL_LIMIT_RAD}]")
         # a transform squares differences of up to 2 k sin(theta_ap) and maps
         # the aperture through theta_ap / mag; Python floats overflow quietly
         if not 2.0 * math.pi / float(self.lam) < math.inf:
@@ -175,23 +171,24 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     single film call would give, so T does not depend on the chunk size,
     bit for bit.
 
-    Before any array is made, the peak memory of the call is predicted
-    (``_peak_bytes``); MemoryError if it exceeds the machine's physical
-    memory.
+    ``setup.q2_max`` is positive (a runner takes the film matrix at 0).
+    Before the quadrature makes any array, its peak memory is predicted
+    (``_peak_bytes``) from the distinct |q3|, counted on a sorted copy of
+    the axis; MemoryError if it exceeds the machine's physical memory.
     """
     r = setup.q2_max
-    if r <= 0.0:
-        raise ValueError("telescope quadrature needs a positive semiaperture")
     h = 2.0 * r / n_grid
     centers = setup.magnification * np.asarray(q3, dtype=float)
+    ordered = np.sort(np.abs(centers))
+    m_folded = np.count_nonzero(ordered[1:] != ordered[:-1]) + min(ordered.size, 1)
+    need, have = _peak_bytes(n_grid, centers.size, m_folded), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"the aperture transform needs about {need / 2 ** 30:.3g} GiB, "
+                          f"more than the {have / 2 ** 30:.3g} GiB of memory")
     # row of each q3 among the distinct |q3|, in order of first appearance
     distinct = {}
     rows = np.array([distinct.setdefault(c, len(distinct)) for c in np.abs(centers).tolist()],
                     dtype=np.intp)
-    need, have = _peak_bytes(n_grid, centers.size, len(distinct)), _physical_memory()
-    if have is not None and need > have:
-        raise MemoryError(f"the aperture transform needs about {need / 2 ** 30:.3g} GiB, "
-                          f"more than the {have / 2 ** 30:.3g} GiB of memory")
 
     # the largest array comes first, so where sysconf cannot tell the memory
     # size, a grid far beyond it still fails at once

@@ -145,11 +145,9 @@ def visibility(form: np.ndarray) -> float:
     c+- = (a + d +- hypot(a - d, 2 b)) / 2, each clipped at 0 from below,
     and V = (c+ - c-) / (c+ + c-).  b is read from the lower triangle, as
     LAPACK's ``eigvalsh`` reads it.  A form with a non-finite entry gives
-    NaN; ValueError if c+ is 0.
+    NaN by IEEE arithmetic (inf - inf, inf / inf); ValueError if c+ is 0.
     """
     a, b, d = float(form[0, 0]), float(form[1, 0]), float(form[1, 1])
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
-        return math.nan
     root = math.hypot(a - d, 2.0 * b)
     c_max, c_min = max((a + d + root) / 2.0, 0.0), max((a + d - root) / 2.0, 0.0)
     if c_max == 0.0:

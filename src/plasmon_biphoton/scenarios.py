@@ -70,9 +70,9 @@ POLMAP_HEADER = ["q3x", "q3y", "theta3x_deg", "theta3y_deg", "intensity", "psi_r
 CHANNEL_BETA2_DEG = (0.0, 45.0)
 
 # quad_points, map_points, polmap_points and the step counts of the
-# wavelength and semiaperture ranges stay below this.  A grid that large is
-# far beyond memory, and far larger ones fail in NumPy's size checks
-# (ValueError, OverflowError) before any allocation is tried.
+# wavelength and semiaperture ranges stay below this, far beyond memory: far
+# larger grids fail in NumPy's size checks (ValueError, OverflowError), and
+# smaller ones in MemoryError, on allocation or from ``transfer``'s pricing.
 MAX_GRID_POINTS = 2 ** 31
 
 
@@ -175,7 +175,7 @@ class ScenarioConfig:
                 >= MAX_GRID_POINTS:
             raise ConfigError(
                 "semiaperture_step_deg splits the semiaperture range into 2**31 steps or more")
-        # the film, telescope and channel constructors state the remaining rules
+        # the constructors of what this kind's run builds state the remaining rules
         try:
             self._build()
         except ValueError as exc:
@@ -184,23 +184,17 @@ class ScenarioConfig:
             raise ConfigError(f"{keys}: {exc}" if keys else str(exc)) from exc
 
     def _build(self) -> None:
-        """Build what the constructors check; raises the first ValueError.
+        """Build what the run of ``kind`` builds; raises the first ValueError.
 
-        The telescope is built at every wavelength of ``lambdas_nm`` and the
-        widest semiaperture: ``semiaperture_max_deg`` for a sweep, whose rows
-        stop there, else ``semiaperture_deg``.  A finite value so large that
-        building overflows is refused too, and so is a polmap semiaperture
-        whose aperture radius is 0, as 0 deg or a subnormal one is.  Only the
-        channel report reads t, and it needs both V_0 and V_45 defined.
+        A spectrum builds the film (a table is loaded by the run alone).  A
+        sweep builds it and the telescope at each of ``lambdas_nm`` at its
+        last row, ``semiaperture_max_deg``; a polmap, at the first wavelength
+        and ``semiaperture_deg``, and refuses an aperture radius of 0 (0 deg
+        or a subnormal one).  A channel report builds only the post-selected
+        state and its V_0 and V_45.  A value that overflows a build is refused.
         """
-        widest = (self.semiaperture_max_deg if self.kind == "visibility_sweep"
-                  else self.semiaperture_deg)
         try:
             with np.errstate(over="raise"):
-                film = None if self.film_table else self.film()
-                setups = [self.setup(film, lam, widest) for lam in self.lambdas_nm]
-                if self.kind == "polmap" and setups[0].q2_max == 0.0:
-                    raise ValueError("no aperture to map: k sin(semiaperture) is 0")
                 if self.kind == "channel":
                     rho = postselect_channel(self.channel_matrix(), self.gram_coherence)
                     for b2 in CHANNEL_BETA2_DEG:
@@ -208,6 +202,13 @@ class ScenarioConfig:
                             visibility(reduced_form(rho, np.deg2rad(b2)))
                         except ValueError as exc:
                             raise ValueError(f"V_{b2:g}: {exc}") from None
+                    return
+                film = None if self.film_table else self.film()
+                if self.kind == "visibility_sweep":
+                    for lam in self.lambdas_nm:
+                        self.setup(film, lam, self.semiaperture_max_deg)
+                elif self.kind == "polmap" and self.setup(film, self.lambdas_nm[0]).q2_max == 0.0:
+                    raise ValueError("no aperture to map: k sin(semiaperture) is 0")
         except ArithmeticError as exc:
             raise ValueError("building the film, telescope or channel overflows") from exc
 

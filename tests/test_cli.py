@@ -327,6 +327,26 @@ def test_wavelength_or_focal_length_that_overflows_a_run_is_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,line,files", [
+    ("channel", "lambdas_nm = 1e-154", ["channel.txt"]),
+    ("channel", "f_mm = -1", ["channel.txt"]),
+    ("spectrum", "f_mm = -1", ["spectrum.csv"]),
+    ("polmap", "lambdas_nm = 797, 1e-154",
+     ["polmap.csv", "polmap_intensity.pgm", "polmap_axis_ratio.pgm", "polmap_meta.txt"]),
+], ids=["channel_wavelength", "channel_focal_length", "spectrum_focal_length",
+        "polmap_second_wavelength"])
+def test_value_that_only_other_commands_build_with_runs(tmp_path, capsys, command, line, files):
+    # each key passes its field checks, and this command builds no telescope
+    # at the value (polmap reads only the first wavelength); each was refused
+    # by a telescope built for the config check alone
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{line}\n")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(files)
+    assert all((tmp_path / "out" / name).stat().st_size > 0 for name in files)
+
+
 def test_film_width_that_overflows_a_run_is_numerical_error(tmp_path, capsys):
     # the config builds; at q = 0 and 797 nm the run's Lorentzian divides by
     # the detuning squared plus the width squared, both 0

@@ -410,15 +410,6 @@ def test_out_of_range_array_names_first_bad_value():
         film_matrix_grid(g, qx_inside, np.array([g.qy[1], np.nan, g.qy[2]]), g.lam[1])
 
 
-@pytest.mark.parametrize("kind", ["analytic", "tabulated"])
-def test_non_positive_wavelength_is_refused(kind):
-    model = default_film() if kind == "analytic" else random_table(np.random.default_rng(5), 3)
-    with pytest.raises(ValueError, match="wavelength must be positive"):
-        film_matrix_grid(model, np.zeros(3), np.zeros(3), np.array([797.0, 0.0, 797.0]))
-    with pytest.raises(ValueError, match="wavelength must be positive"):
-        film_matrix(model, (0.0, 0.0), -5.0)
-
-
 def test_tabulated_rejects_non_rectangular(tmp_path):
     path = sample_tabulated(tmp_path)
     lines = path.read_text().splitlines()
@@ -571,11 +562,6 @@ def test_table_changed_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch)
 
 
 # --- family validation -----------------------------------------------------
-
-def test_film_requires_a_positive_period():
-    with pytest.raises(ValueError, match="period must be positive"):
-        FilmModel(period=0.0, direct_amplitude=0j, families=())
-
 
 def test_family_requires_effective_index_above_one():
     with pytest.raises(ValueError):
