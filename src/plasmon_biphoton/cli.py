@@ -5,8 +5,8 @@ Every command takes the same options, before or after it: ``--config FILE``,
 ``=``.  One small loop reads them; every ``pbsim`` call is a fresh process,
 and building an ``argparse`` parser (which imports ``gettext`` and
 ``locale``) cost a spectrum run about a quarter of its time.  Option names
-are matched in full, not by prefix.  The quadrature grid is the config's
-``quad_points``.
+are matched in full, not by prefix.  ``--verbose`` states the quadrature
+grid, the config's ``quad_points``, for the commands that build one.
 
 Exit codes: 0 success (``-h``/``--help`` too); 1 configuration or usage
 error (a ``--config`` file that cannot be read, an ``--out`` directory or
@@ -120,8 +120,9 @@ def main(argv=None) -> int:
         if cfg.kind != kind:  # a config file's kind line, where it has one
             raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {args.command}")
         if args.verbose:
-            print(f"running {kind} -> {args.out} "
-                  f"(quadrature {cfg.quad_points}x{cfg.quad_points})")
+            grid = f" (quadrature {cfg.quad_points}x{cfg.quad_points})" \
+                if kind in ("visibility_sweep", "polmap") else ""
+            print(f"running {kind} -> {args.out}{grid}")
         result = run_scenario(cfg, args.out)
         for path in result["paths"]:
             if args.verbose:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -60,21 +59,24 @@ SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 
 class ResonanceFamily:
     """One surface-mode resonance: a point-group-closed set of lattice orders.
 
-    lambda0 is the resonance wavelength at normal incidence (nm), width the
-    Lorentzian half-width (nm), amplitude the complex peak transmission
-    amplitude per order.  n_eff is derived from lambda0 and the lattice period.
+    width is the Lorentzian half-width (nm), amplitude the complex peak
+    transmission amplitude per order, n_eff the effective index.
     """
 
     orders: frozenset
-    lambda0: float
     width: float
     amplitude: complex
     n_eff: float
 
     @staticmethod
     def make(seed_order, lambda0, width, amplitude, period):
-        """Build a family from one seed order, closing it under the point group."""
-        for name, value in (("lambda0", lambda0), ("width", width), ("period", period)):
+        """Build a family from one seed order, closing it under the point group.
+
+        lambda0 is the resonance wavelength at normal incidence (nm), and
+        n_eff = lambda0 |seed| / period must exceed 1, which with a positive
+        period refuses lambda0 <= 0.
+        """
+        for name, value in (("width", width), ("period", period)):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
         m1, m2 = seed_order
@@ -84,25 +86,32 @@ class ResonanceFamily:
         n_eff = lambda0 * np.hypot(m1, m2) / period
         if n_eff <= 1.0:
             raise ValueError(f"effective index {n_eff:.4f} must exceed 1")
-        return ResonanceFamily(orders, float(lambda0), float(width), complex(amplitude), n_eff)
+        return ResonanceFamily(orders, float(width), complex(amplitude), n_eff)
 
 
 @dataclass(frozen=True)
 class TabulatedGrid:
     """Rectangular, point-group symmetric grid of film matrices on (qx, qy, lambda).
 
-    On its nodes qx = qy = -qx[::-1], and F(R q) = R F(q) R^T for the x and diagonal
-    mirrors, which generate the group, to SYMMETRY_TOL of max |q| or max |F|; else ValueError.
+    The axes are 1-D, nonempty, finite and strictly increasing, the matrices of shape
+    (n_lambda, n_qx, n_qy, 2, 2).  On its nodes qx = qy = -qx[::-1], and F(R q) = R F(q) R^T
+    for the x and diagonal mirrors, which generate the group, to SYMMETRY_TOL of max |q| or
+    max |F|.  Else ValueError.
     """
 
     qx: np.ndarray
     qy: np.ndarray
     lam: np.ndarray
-    # shape (n_lam, n_qx, n_qy, 2, 2)
     matrices: np.ndarray
 
     def __post_init__(self):
         qx, qy, m = self.qx, self.qy, self.matrices
+        if not all(a.ndim == 1 and a.size and np.isfinite(a).all() and (a[1:] > a[:-1]).all()
+                   for a in (qx, qy, self.lam)):
+            raise ValueError("film table axes must be 1-D, nonempty, finite and strictly increasing")
+        if m.shape != (self.lam.size, qx.size, qy.size, 2, 2):
+            raise ValueError(f"film table matrices of shape {m.shape} are not "
+                             "(n_lambda, n_qx, n_qy, 2, 2)")
         if qx.shape != qy.shape:
             raise ValueError(f"film table is not point-group symmetric: {qx.size} qx, {qy.size} qy")
         axes = max(np.max(np.abs(qx + qx[::-1])), np.max(np.abs(qy - qx)))
@@ -153,44 +162,32 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
     With u = q + G and d = lambda - 2 pi n_eff / |u|, order G adds the
     Lorentzian A i w / (d + i w) times the projector u u^T / |u|^2, in real
     arithmetic A w (w + i d) / ((d^2 + w^2) |u|^2) times the dyad (ux^2,
-    uy^2, ux uy), with |u|^2 = ux^2 + uy^2.  Where max |q| + max |G| reaches
-    2^511, q and G are first scaled by the power of two that brings it
-    below, so |u|^2 cannot overflow; the scaling is exact and the dyad over
-    |u|^2 does not see it.  As q is only scaled down, and only that far, |u|
-    keeps a range of 2^1022: a q = 0 sample beside |q| = 1e300 keeps |G|^2.
+    uy^2, ux uy), with |u|^2 = ux^2 + uy^2.
 
     Memory: a call returns 48 B per point (fxx, fxy, fyy) and peaks at
     about 121 B per point: those, the complex term, the three dyad entries,
     |u|^2, d and two temporaries of the Lorentzian.  Each order's arrays
-    are dropped after their last use, and q is copied only when scaled.
+    are dropped after their last use.
     """
     shape = np.broadcast_shapes(qx.shape, qy.shape, lam.shape)
     fxx = np.full(shape, model.direct_amplitude, dtype=complex)
     fyy = fxx.copy()
     fxy = np.zeros(shape, dtype=complex)
     orders = [(fam, m1, m2) for fam in model.families for (m1, m2) in sorted(fam.orders)]
-    top = 2.0 * np.pi * max([max(abs(m1), abs(m2)) for _, m1, m2 in orders], default=0) \
-        / model.period + max(np.max(np.abs(qx), initial=0.0), np.max(np.abs(qy), initial=0.0))
-    scale = math.ldexp(1.0, min(0, 511 - math.frexp(top)[1]))
-    if scale != 1.0:
-        qx, qy = qx * scale, qy * scale
     term = np.empty(shape, dtype=complex)
     # each temporary goes after its last use, so the next is made in its
     # place and not in fresh pages
     for fam, m1, m2 in orders:
-        ux = qx + 2.0 * np.pi * m1 / model.period * scale
-        uy = qy + 2.0 * np.pi * m2 / model.period * scale
+        ux = qx + 2.0 * np.pi * m1 / model.period
+        uy = qy + 2.0 * np.pi * m2 / model.period
         xx, yy, xy = ux * ux, uy * uy, ux * uy
         del ux, uy
         u2 = xx + yy
         if not u2.all():
             raise ValueError(f"order {(m1, m2)} singular inside the requested q range")
-        d = lam - 2.0 * np.pi * fam.n_eff * scale / np.sqrt(u2)
+        d = lam - 2.0 * np.pi * fam.n_eff / np.sqrt(u2)
         w = fam.width
-        # |u|^2 may be near 2^1022, so it divides on its own; past |d| = 1e154
-        # the term is below 1e-154 A, and d^2 overflows to make it 0
-        with np.errstate(over="ignore"):
-            c = w / (d * d + w * w) / u2
+        c = w / (d * d + w * w) / u2
         del u2
         np.multiply(c, w, out=term.real)
         np.multiply(c, d, out=term.imag)
@@ -350,19 +347,15 @@ def _table_key(path) -> tuple:
 def _read_sidecar(sidecar: str, key: tuple) -> TabulatedGrid | None:
     """The grid in ``sidecar`` if it holds ``key`` and passes a parse's checks, else None.
 
-    Those checks: finite, strictly increasing axes, complex matrices of shape
-    (n_lambda, n_qx, n_qy, 2, 2), and ``TabulatedGrid``'s, which refuse a
-    non-finite entry and an asymmetric grid.
+    Those checks: float axes and complex matrices, as a parse gives, and
+    ``TabulatedGrid``'s.
     """
     try:
         with open(sidecar, "rb") as fh:
             if not np.array_equal(np.load(fh, allow_pickle=False), key):
                 return None
             qx, qy, lam, m = (np.load(fh, allow_pickle=False) for _ in range(4))
-        if not all(a.dtype == float and a.ndim == 1 and a.size and np.isfinite(a).all()
-                   and (a[1:] > a[:-1]).all() for a in (qx, qy, lam)):
-            return None
-        if m.dtype != complex or m.shape != (lam.size, qx.size, qy.size, 2, 2):
+        if not all(a.dtype == float for a in (qx, qy, lam)) or m.dtype != complex:
             return None
         return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=m)
     except Exception:  # a damaged header fails in tokenize, a huge shape in malloc

@@ -20,17 +20,17 @@ the square q3 grid q3 x q3 is two matrix products per Jones component (the
 matrix Fourier transform of Soummer et al., Opt. Express 15, 15935 (2007)).
 Every film is point-group symmetric (``film`` refuses a table that is not),
 so it is sampled once per point-group orbit and T is contracted on one
-quadrant with parity-folded kernels, on the distinct |q3| only: T keeps its
-diagonal mirror exactly, T_yy and T_yx being the transposes of the two
-contractions T_xx and T_xy, and on an exactly antisymmetric q3 axis its axis
-mirrors too, bit for bit.  The grid density is the caller's choice
+quadrant with parity-folded kernels, on the q3 >= 0 half of an exactly
+antisymmetric q3 axis only: T keeps its diagonal mirror exactly, T_yy and
+T_yx being the transposes of the two contractions T_xx and T_xy, and its
+axis mirrors too, bit for bit.  The grid density is the caller's choice
 (``n_grid``); nothing here makes it finer or estimates its error.
 
 The overall scalar normalization of T is arbitrary (one global constant per
 setup); all downstream observables are invariant under it.
 
-``transfer`` is the one entry point: T on the square grid over one q3 axis,
-with ``q3_axis`` for a symmetric window.
+``transfer`` is the one entry point: T on the square grid over one exactly
+antisymmetric q3 axis, such as the window ``q3_axis`` builds.
 Every observable (output fields and their ellipses, the coincidence form of
 the visibility) is a contraction of T that its caller makes.  This module
 opens no files.
@@ -55,7 +55,7 @@ PARAXIAL_LIMIT_RAD = 0.3
 # wedge points per film sample: a chunk's film temporaries stay in cache
 _FILM_CHUNK = 8192
 
-# distinct |q3| per block of a contraction: at 201 grid points its real
+# folded rows per block of a contraction: at 201 grid points its real
 # products, 48 x 202 x 101, stay below OpenBLAS's threading size (about 1e6)
 _CONTRACT_ROWS = 24
 
@@ -64,7 +64,7 @@ _CONTRACT_ROWS = 24
 class SetupParams:
     """Geometry of the telescope, substrate and film.
 
-    lam : wavelength in nm
+    lam : wavelength in nm, positive (``ScenarioConfig`` checks it)
     f : lens focal length in nm
     n : substrate refractive index
     delta : substrate thickness in nm
@@ -80,7 +80,7 @@ class SetupParams:
     film: FilmModel | TabulatedGrid
 
     def __post_init__(self):
-        for name in ("lam", "f", "delta"):
+        for name in ("f", "delta"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.n <= 1.0:
@@ -125,9 +125,9 @@ class SetupParams:
 def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
     """T(q3) on the square grid q3 x q3; returns shape (M, M, 2, 2).
 
-    ``T[i, j]`` is T at (q3[i], q3[j]).  One point (x, y) is
-    ``transfer(setup, [x, y], n_grid)[0, 1]``, and q3 = 0 the 1 x 1 grid.
-    The axis may be unsorted and hold repeats.
+    ``T[i, j]`` is T at (q3[i], q3[j]).  The axis must be exactly
+    antisymmetric, q3 == -q3[::-1] bit for bit, as ``q3_axis`` and the
+    1 x 1 grid q3 = 0 are; else ValueError.
 
     The film is sampled at the midpoints of an n_grid x n_grid square masked
     to the aperture disc, a point set symmetric under the square-lattice
@@ -152,15 +152,16 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
 
     The folded kernel rows are mirror images in q3, bit for bit: the even
     row at -c is the row at c, the odd row its negative.  So the kernels
-    are built and contracted on the distinct |q3| of the axis only, and T
-    is gathered back from them, T_xy with the product of the two signs.
-    T keeps its diagonal mirror and, on an exactly antisymmetric axis such
-    as ``q3_axis``, its axis mirrors bit for bit.  Each contraction is
-    real matrix products on the float views of the complex arrays, in
-    blocks of 24 distinct |q3| (``_contract``).  OpenBLAS threads a complex
-    product from 65 536 M N K on, a real one only from about 1e6, so at 201
-    grid points the contractions stay on the calling thread up to about
-    200 q3 points (100 distinct |q3|).
+    are built and contracted on the (M + 1) // 2 folded rows |q3| of the
+    axis's first half only; q3[i] and its mirror image q3[M - 1 - i] share
+    row min(i, M - 1 - i), and T is gathered back from them, T_xy with the
+    product of the two signs.  T keeps its diagonal mirror and its axis
+    mirrors bit for bit.  Each contraction is real matrix products on the
+    float views of the complex arrays, in blocks of 24 folded rows
+    (``_contract``).  OpenBLAS threads a complex product from 65 536 M N K
+    on, a real one only from about 1e6, so at 201 grid points the
+    contractions stay on the calling thread up to about 200 q3 points (100
+    folded rows).
 
     The film is sampled in chunks of ``_FILM_CHUNK`` wedge points, in the
     wedge's own order, so the film evaluator's temporaries stay in cache
@@ -173,22 +174,22 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
 
     ``setup.q2_max`` is positive (a runner takes the film matrix at 0).
     Before the quadrature makes any array, its peak memory is predicted
-    (``_peak_bytes``) from the distinct |q3|, counted on a sorted copy of
-    the axis; MemoryError if it exceeds the machine's physical memory.
+    (``_peak_bytes``); MemoryError if it exceeds the machine's physical
+    memory.
     """
+    q3 = np.asarray(q3, dtype=float)
+    if not np.array_equal(q3, -q3[::-1]):
+        raise ValueError("the q3 axis must be exactly antisymmetric, q3 == -q3[::-1]")
     r = setup.q2_max
     h = 2.0 * r / n_grid
-    centers = setup.magnification * np.asarray(q3, dtype=float)
-    ordered = np.sort(np.abs(centers))
-    m_folded = np.count_nonzero(ordered[1:] != ordered[:-1]) + min(ordered.size, 1)
-    need, have = _peak_bytes(n_grid, centers.size, m_folded), _physical_memory()
+    centers = setup.magnification * q3
+    m_out = centers.size
+    need, have = _peak_bytes(n_grid, m_out), _physical_memory()
     if have is not None and need > have:
         raise MemoryError(f"the aperture transform needs about {need / 2 ** 30:.3g} GiB, "
                           f"more than the {have / 2 ** 30:.3g} GiB of memory")
-    # row of each q3 among the distinct |q3|, in order of first appearance
-    distinct = {}
-    rows = np.array([distinct.setdefault(c, len(distinct)) for c in np.abs(centers).tolist()],
-                    dtype=np.intp)
+    # q3 and its mirror image share the folded row of the axis's first half
+    rows = np.minimum(np.arange(m_out), np.arange(m_out)[::-1])
 
     # the largest array comes first, so where sysconf cannot tell the memory
     # size, a grid far beyond it still fails at once
@@ -206,14 +207,14 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
         off_diagonal.append((i, j, fxy, fyx))
         del fxx, fyy
 
-    folded = np.array(list(distinct), dtype=float)
+    folded = np.abs(centers[:(m_out + 1) // 2])
     plus, minus = (np.exp(1j * setup.alpha * (q2[None, :] - folded[:, None]) ** 2)
                    for q2 in (half, -half))
     even, odd = plus + minus, plus - minus
     if n_grid % 2:
         even[:, 0] = plus[:, 0]
     sign = np.where(centers < 0.0, -1.0, 1.0)
-    out = np.empty((centers.size, centers.size, 2, 2), dtype=complex)
+    out = np.empty((m_out, m_out, 2, 2), dtype=complex)
     out[..., 0, 0] = _contract(even, g)[rows[:, None], rows]
     for i, j, fxy, fyx in off_diagonal:
         g[j, i] = fyx
@@ -280,26 +281,26 @@ def _combine(q: np.ndarray) -> np.ndarray:
     return top.view(complex)
 
 
-def _peak_bytes(n_grid: int, m_out: int, m_folded: int) -> float:
+def _peak_bytes(n_grid: int, m_out: int) -> float:
     """Bytes ``transfer`` holds at its peak on an n_grid quadrature onto m_out q3 points.
 
-    With m = n_grid - n_grid // 2, m_folded distinct |q3|, at most
-    w = pi m^2 / 8 + m wedge points and c = min(w, _FILM_CHUNK) points in
-    a film chunk, the sum of: the complex quadrant, 16 m^2 B; per wedge
-    point, the two index arrays and the held complex xy and yx components,
-    48 B (the wedge's integer temporaries fit in the same bytes before the
-    film is sampled); per chunk point, its two q arrays, the film
-    evaluator's temporaries and the chunk's xx and yy components, 176 B;
-    per folded kernel entry, the four complex kernels, the real stack, a
-    block's real first product and (k g).T, 128 B; a block's real second
-    product and (k g k.T).T, 48 m_folded^2 B; the output, one gathered
-    component and the buffers of the gather and the sign product,
+    With m = n_grid - n_grid // 2, m_folded = (m_out + 1) // 2 folded rows,
+    at most w = pi m^2 / 8 + m wedge points and c = min(w, _FILM_CHUNK)
+    points in a film chunk, the sum of: the complex quadrant, 16 m^2 B;
+    per wedge point, the two index arrays and the held complex xy and yx
+    components, 48 B (the wedge's integer temporaries fit in the same bytes
+    before the film is sampled); per chunk point, its two q arrays, the
+    film evaluator's temporaries and the chunk's xx and yy components,
+    176 B; per folded kernel entry, the four complex kernels, the real
+    stack, a block's real first product and (k g).T, 128 B; a block's real
+    second product and (k g k.T).T, 48 m_folded^2 B; the output, one
+    gathered component and the buffers of the gather and the sign product,
     96 m_out^2 B; and 16 KiB of small arrays and Python objects.  The
     parts are not all alive at once, so the sum is above the peak, and from
     51 quadrature points on within a factor of 2 of it.  It needs no array,
     so a grid of any size is priced at once.
     """
-    m = n_grid - n_grid // 2
+    m, m_folded = n_grid - n_grid // 2, (m_out + 1) // 2
     wedge = np.pi * m * m / 8 + m
     return (16384.0 + 16.0 * m * m + 48.0 * wedge + 176.0 * min(wedge, _FILM_CHUNK)
             + m_folded * (128.0 * m + 48.0 * m_folded) + 96.0 * m_out ** 2)

@@ -151,6 +151,20 @@ def transfer_direct(setup, q3_points, n_grid):
     return np.array(out).reshape(-1, 2, 2) * (h * h)
 
 
+def antisymmetric_axis(points):
+    """The exactly antisymmetric axis through ``points``, and the index of each point on it.
+
+    ``optics.transfer`` takes only an axis with q3 == -q3[::-1]; this one is
+    the sorted distinct |points|, mirrored, so T at the points p x p is
+    ``transfer(setup, axis, n_grid)[index[:, None], index]``.
+    """
+    points = np.asarray(points, dtype=float)
+    half = np.unique(np.abs(points))
+    index = np.searchsorted(half, np.abs(points))
+    return (np.concatenate([-half[::-1], half]),
+            np.where(points < 0.0, half.size - 1 - index, half.size + index))
+
+
 def wedge_mask(half, r):
     """Indices (a, b) of the wedge b <= a with half[a]**2 + half[b]**2 <= r*r, by the full mask.
 

@@ -207,15 +207,15 @@ def test_grid_too_large_to_index_is_config_error(tmp_path, capsys, command, line
 
 @pytest.mark.filterwarnings("error")
 def test_spectrum_at_a_wavelength_whose_wavevector_squared_overflows(tmp_path, capsys):
-    # k sin(2 deg) is about 2e159 nm^-1 here, and its square overflows
+    # k sin(2 deg) is about 2e159 nm^-1 here, and the film's |q + G|^2
+    # overflows, which is a numerical failure like any other in a run
     cfg = write_cfg(tmp_path, kind="spectrum", lambda_min_nm=1e-160, lambda_max_nm=1e-159,
                     lambda_step_nm=1e-160, tilts_deg=(0.0, 2.0))
     code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert capsys.readouterr().err == ""
-    table = np.loadtxt(tmp_path / "out" / "spectrum.csv", delimiter=",", skiprows=1)
-    assert table.shape == (10, 5)
-    assert np.all(np.isfinite(table)) and np.all(table[:, 1:] > 0)
+    assert code == 2
+    assert capsys.readouterr().err == ("numerical error: spectrum run: overflow encountered "
+                                       "in multiply; nothing written\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["lambda_min_nm = -5", "lambda_min_nm = nan",
@@ -468,10 +468,15 @@ def test_singular_lattice_order_is_one_config_error_line(tmp_path, capsys):
 
 
 def test_verbose_prints_the_quadrature_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, kind="polmap", quad_points=204)
+    code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"])
+    assert code == 0
+    assert "(quadrature 204x204)" in capsys.readouterr().out
+    # channel builds no quadrature, and states none
     cfg = write_cfg(tmp_path, kind="channel", quad_points=204)
     code = main(["channel", "--config", str(cfg), "--out", str(tmp_path / "out"), "--verbose"])
     assert code == 0
-    assert "204x204" in capsys.readouterr().out
+    assert "quadrature" not in capsys.readouterr().out
 
 
 def test_gram_selector_is_an_unknown_config_key(tmp_path, capsys):

@@ -239,7 +239,7 @@ def test_every_drawn_film_table_ends_in_one_line(q_scale, n_q, lam_offsets, muta
     # the sidecar the first one left, and must end the same way
     lam = 797.0
     grid = default_film_table(q_scale * paper_setup(lam).q2_max,
-                              sorted(lam + d for d in lam_offsets), n_q)
+                              sorted({lam + d for d in lam_offsets}), n_q)
     with tempfile.TemporaryDirectory() as tmp:
         table, path = Path(tmp) / "film.csv", Path(tmp) / "cfg.txt"
         save_tabulated(grid, table)
