@@ -286,15 +286,6 @@ def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
             component(m[..., 1, 0]), component(m[..., 1, 1]))
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a finite 1-D array.
-
-    What ``np.unique`` returns, without its first-call import of numpy.ma.
-    """
-    s = np.sort(values)
-    return s[np.append(True, s[1:] != s[:-1])]
-
-
 def load_tabulated(path) -> TabulatedGrid:
     """Load a tabulated film-matrix grid from CSV (see TABULATED_HEADER).
 
@@ -377,7 +368,11 @@ def _write_sidecar(sidecar: str, key: tuple, grid: TabulatedGrid) -> None:
 
 
 def _parse_tabulated(path) -> TabulatedGrid:
-    """The checked grid of the CSV at ``path``, streamed through ``np.loadtxt``."""
+    """The checked grid of the CSV at ``path``, streamed through ``np.loadtxt``.
+
+    Each axis is the leading run of its column in the sorted rows, so a
+    value written both as 0 and -0 takes the sign of its first row.
+    """
     expected = TABULATED_HEADER.split(",")
     with open(path) as fh:
         if fh.readline().strip() != TABULATED_HEADER:
@@ -393,13 +388,17 @@ def _parse_tabulated(path) -> TabulatedGrid:
     if not finite.all():
         raise ValueError(f"non-finite entries in column {expected[np.argmin(finite)]}")
 
-    lam_ax, qx_ax, qy_ax = (_distinct(data[:, k]) for k in (2, 0, 1))
-    shape = (lam_ax.size, qx_ax.size, qy_ax.size)
-    if data.shape[0] != np.prod(shape):
+    # rows per wavelength, and per qx within it: up to the first row unlike row 0
+    per_lam = int(np.argmax(data[:, 2] != data[0, 2])) or len(data)
+    n_qy = int(np.argmax(data[:per_lam, 0] != data[0, 0])) or per_lam
+    shape = (len(data) // per_lam, per_lam // n_qy, n_qy)
+    if len(data) != np.prod(shape):
         raise ValueError("tabulated grid is not rectangular in (qx, qy, lambda)")
+    # copies, so that the grid does not keep the parsed rows alive
+    lam, qx, qy = data[::per_lam, 2].copy(), data[:per_lam:n_qy, 0].copy(), data[:n_qy, 1].copy()
     # row by row, the coordinates must be those of the grid: this also
     # refuses a repeated row standing in for a missing one
-    for axis, column in ((lam_ax[:, None, None], 2), (qx_ax[:, None], 0), (qy_ax, 1)):
+    for axis, column in ((lam[:, None, None], 2), (qx[:, None], 0), (qy, 1)):
         if not np.array_equal(data[:, column].reshape(shape), np.broadcast_to(axis, shape)):
             raise ValueError("rows must list each grid point once, sorted "
                              "lexicographically by (lambda, qx, qy)")
@@ -411,4 +410,4 @@ def _parse_tabulated(path) -> TabulatedGrid:
     mats = np.multiply(data[:, 4::2], 1j)
     mats += data[:, 3::2]
     del data
-    return TabulatedGrid(qx=qx_ax, qy=qy_ax, lam=lam_ax, matrices=mats.reshape(*shape, 2, 2))
+    return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=mats.reshape(*shape, 2, 2))

@@ -229,23 +229,9 @@ def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:
 
 
 def _wedge(half: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (a, b) of the wedge b <= a with half[a]**2 + half[b]**2 <= r*r, row by row.
-
-    ``half`` is ascending and not negative, so the rounded sum grows with b
-    and each row a is a prefix of the columns b <= a.  ``searchsorted``
-    counts it on the rearranged test, and the exact test moves each count
-    across the disc edge where the two round differently.  The order is
-    that of ``np.nonzero`` on the m x m mask, which is never made.
-    """
-    sq, rr, m = half ** 2, r * r, half.size
-    count = np.searchsorted(sq, rr - sq, side="right")
-    while (drop := (count > 0) & ~(sq + sq[np.maximum(count - 1, 0)] <= rr)).any():
-        count -= drop
-    while (grow := (count < m) & (sq + sq[np.minimum(count, m - 1)] <= rr)).any():
-        count += grow
-    count = np.minimum(count, np.arange(1, m + 1))
-    a = np.repeat(np.arange(m), count)
-    return a, np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    """Indices (a, b), row by row, of the wedge b <= a with half[a]**2 + half[b]**2 <= r*r."""
+    sq = half ** 2
+    return np.nonzero(np.tri(half.size, dtype=bool) & (sq[:, None] + sq <= r * r))
 
 
 def _contract(k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -288,17 +274,17 @@ def _peak_bytes(n_grid: int, m_out: int) -> float:
     at most w = pi m^2 / 8 + m wedge points and c = min(w, _FILM_CHUNK)
     points in a film chunk, the sum of: the complex quadrant, 16 m^2 B;
     per wedge point, the two index arrays and the held complex xy and yx
-    components, 48 B (the wedge's integer temporaries fit in the same bytes
-    before the film is sampled); per chunk point, its two q arrays, the
-    film evaluator's temporaries and the chunk's xx and yy components,
-    176 B; per folded kernel entry, the four complex kernels, the real
-    stack, a block's real first product and (k g).T, 128 B; a block's real
-    second product and (k g k.T).T, 48 m_folded^2 B; the output, one
-    gathered component and the buffers of the gather and the sign product,
-    96 m_out^2 B; and 16 KiB of small arrays and Python objects.  The
-    parts are not all alive at once, so the sum is above the peak, and from
-    51 quadrature points on within a factor of 2 of it.  It needs no array,
-    so a grid of any size is priced at once.
+    components, 48 B (the wedge mask's float sum and boolean masks, about
+    10 m^2 B, fit in the same bytes before the film is sampled); per chunk
+    point, its two q arrays, the film evaluator's temporaries and the
+    chunk's xx and yy components, 176 B; per folded kernel entry, the four
+    complex kernels, the real stack, a block's real first product and
+    (k g).T, 128 B; a block's real second product and (k g k.T).T,
+    48 m_folded^2 B; the output, one gathered component and the buffers of
+    the gather and the sign product, 96 m_out^2 B; and 16 KiB of small
+    arrays and Python objects.  The parts are not all alive at once, so the
+    sum is above the peak, and from 51 quadrature points on within a factor
+    of 2 of it.  It needs no array, so a grid of any size is priced at once.
     """
     m, m_folded = n_grid - n_grid // 2, (m_out + 1) // 2
     wedge = np.pi * m * m / 8 + m

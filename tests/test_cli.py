@@ -428,7 +428,9 @@ def test_asymmetric_film_table_is_config_error(tmp_path, capsys, command):
     f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
     f"{TABULATED_HEADER}\n0,0,797,1,0,abc,0,0,0,1,0\n",
     f"{TABULATED_HEADER}\n",
-], ids=["short_header", "ragged_row", "non_numeric_entry", "header_only"])
+    f"{TABULATED_HEADER}\n" + "".join(f"{qx},{qy},797,1,0,0,0,0,0,1,0\n"
+                                      for qx in (1, 0, -1) for qy in (1, 0, -1)),
+], ids=["short_header", "ragged_row", "non_numeric_entry", "header_only", "reversed_rows"])
 @pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
 def test_malformed_film_table_is_config_error(tmp_path, capsys, text):
     table = tmp_path / "film.csv"

@@ -280,6 +280,21 @@ def test_tabulated_matches_grid_nodes(tmp_path):
     assert np.allclose(got, g.matrices[2, 3, 0], atol=1e-14)
 
 
+@pytest.mark.parametrize("lams", [(797.0,), (790.0, 800.0)], ids=["one_lambda", "two_lambdas"])
+def test_one_node_table_gives_its_matrix_at_q_0(tmp_path, lams):
+    # qx = qy = [0]: every axis of the CSV is one run of rows, and the
+    # lookup takes the size-1 branch on both q axes
+    c = complex(0.25, -0.5)
+    path = tmp_path / "film.csv"
+    save_tabulated(TabulatedGrid(qx=np.zeros(1), qy=np.zeros(1), lam=np.array(lams),
+                                 matrices=np.broadcast_to(c * np.eye(2), (len(lams), 1, 1, 2, 2))),
+                   path)
+    g = load_tabulated(path)
+    assert (g.qx.tolist(), g.qy.tolist(), g.lam.tolist()) == ([0.0], [0.0], list(lams))
+    for lam in (*lams, np.mean(lams)):
+        assert np.array_equal(film_matrix(g, (0.0, 0.0), lam), c * np.eye(2)), lam
+
+
 def test_tabulated_refuses_extrapolation(tmp_path):
     model = load_tabulated(sample_tabulated(tmp_path))
     with pytest.raises(ValueError):
@@ -503,6 +518,20 @@ def test_table_load_holds_only_the_parsed_rows_and_the_grid(tmp_path):
             tracemalloc.stop()
         assert peak <= budget * rows + 262144, f"{load}: {peak / rows:.1f} B/row"
         assert sidecar_of(path).is_file()
+
+
+def test_table_parse_sorts_nothing(tmp_path, monkeypatch):
+    # the rows are sorted, so the axes are read from them; a sort would load
+    # NumPy's sort code into every run that parses a table
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.sort called")
+
+    path = tmp_path / "film.csv"
+    save_tabulated(default_film_table(2e-3, [790.0, 797.0, 804.0]), path)
+    expected = load_tabulated(path)
+    sidecar_of(path).unlink()
+    monkeypatch.setattr(np, "sort", refuse)
+    assert grid_bytes(load_tabulated(path)) == grid_bytes(expected)
 
 
 def test_edited_table_is_parsed_again(tmp_path):

@@ -257,7 +257,7 @@ def test_real_contraction_matches_the_complex_products(u, m):
         assert got.tobytes() == one_block_contraction(k, g).tobytes()
 
 
-def test_wedge_from_row_prefixes_equals_the_mask():
+def test_wedge_equals_the_mask():
     # the q >= 0 half of the midpoint axis, as ``transfer`` builds it, at
     # three radii
     for r in (1.0, paper_setup().q2_max, 3.7e5):
@@ -271,8 +271,8 @@ def test_wedge_from_row_prefixes_equals_the_mask():
 @pytest.mark.parametrize("seed", range(40))
 def test_wedge_equals_the_mask_where_the_disc_edge_meets_a_rounded_sum(seed):
     # a radius at, just inside or just outside sqrt(half[a]**2 + half[b]**2)
-    # puts sums within an ulp of r*r, where the searchsorted count on
-    # r*r - half**2 rounds to a different side than the sum in some rows
+    # puts sums within an ulp of r*r, where the wedge must test the same
+    # rounded sum as the mask
     rng = np.random.default_rng(seed)
     half = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 60)))
     edge = np.sqrt(np.sum(half[rng.integers(0, half.size, 2)] ** 2))
