@@ -25,8 +25,7 @@ grid: a parse peaks at about 152 B per table row, a sidecar hit at 88.
 lambda may be scalars or arrays of any shapes that broadcast together, and
 each of the four returned component arrays has the broadcast shape.  An
 aperture sample is a flat q array at one wavelength; a spectrum is q and
-lambda arrays along the wavelength axis.  ``film_matrix`` is its one-point
-case.
+lambda arrays along the wavelength axis.
 
 Units: lengths and wavelengths in nm, transverse wavevectors in nm^-1.
 """
@@ -45,7 +44,6 @@ __all__ = [
     "ResonanceFamily",
     "FilmModel",
     "TabulatedGrid",
-    "film_matrix",
     "film_matrix_grid",
     "load_tabulated",
 ]
@@ -93,31 +91,28 @@ class ResonanceFamily:
 class TabulatedGrid:
     """Rectangular, point-group symmetric grid of film matrices on (qx, qy, lambda).
 
-    The axes are 1-D, nonempty, finite and strictly increasing, the matrices of shape
-    (n_lambda, n_qx, n_qy, 2, 2).  On its nodes qx = qy = -qx[::-1], and F(R q) = R F(q) R^T
+    qx and qy are one axis q, so matrices[l, i, j] is the film at (q[i], q[j], lam[l]).
+    The axes q and lam are 1-D, nonempty, finite and strictly increasing, the matrices of
+    shape (n_lambda, n_q, n_q, 2, 2).  On its nodes q = -q[::-1], and F(R q) = R F(q) R^T
     for the x and diagonal mirrors, which generate the group, to SYMMETRY_TOL of max |q| or
     max |F|.  Else ValueError.
     """
 
-    qx: np.ndarray
-    qy: np.ndarray
+    q: np.ndarray
     lam: np.ndarray
     matrices: np.ndarray
 
     def __post_init__(self):
-        qx, qy, m = self.qx, self.qy, self.matrices
+        q, m = self.q, self.matrices
         if not all(a.ndim == 1 and a.size and np.isfinite(a).all() and (a[1:] > a[:-1]).all()
-                   for a in (qx, qy, self.lam)):
+                   for a in (q, self.lam)):
             raise ValueError("film table axes must be 1-D, nonempty, finite and strictly increasing")
-        if m.shape != (self.lam.size, qx.size, qy.size, 2, 2):
+        if m.shape != (self.lam.size, q.size, q.size, 2, 2):
             raise ValueError(f"film table matrices of shape {m.shape} are not "
-                             "(n_lambda, n_qx, n_qy, 2, 2)")
-        if qx.shape != qy.shape:
-            raise ValueError(f"film table is not point-group symmetric: {qx.size} qx, {qy.size} qy")
-        axes = max(np.max(np.abs(qx + qx[::-1])), np.max(np.abs(qy - qx)))
+                             "(n_lambda, n_q, n_q, 2, 2)")
         # the largest |entry|, one component at a time; a NaN carries through
         largest = np.max([np.max(np.abs(m[..., i, j])) for i in (0, 1) for j in (0, 1)])
-        for what, worst, scale in (("q axes", axes, np.max(np.abs([qx, qy]))),
+        for what, worst, scale in (("q axis", np.max(np.abs(q + q[::-1])), np.max(np.abs(q))),
                                    ("matrices", _matrix_asymmetry(m), largest)):
             # an infinite entry is refused even where its mirror image is finite
             if not worst <= SYMMETRY_TOL * scale < np.inf:
@@ -224,19 +219,13 @@ def film_matrix_grid(model: FilmModel | TabulatedGrid, qx, qy, lam):
     return _analytic_matrix_grid(model, qx, qy, lam)
 
 
-def film_matrix(model: FilmModel | TabulatedGrid, q, lam: float) -> np.ndarray:
-    """Lab-frame film transfer matrix F_lab(q, lambda) as a 2x2 complex array."""
-    fxx, fxy, fyx, fyy = film_matrix_grid(model, q[0], q[1], lam)
-    return np.array([[fxx, fxy], [fyx, fyy]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # tabulated grids
 # ---------------------------------------------------------------------------
 
 def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
                           lam: np.ndarray):
-    """Bilinear in (qx, qy), linear in lambda over broadcast arrays.
+    """Bilinear in (qx, qy), both on the axis grid.q, linear in lambda over broadcast arrays.
 
     Returns the four component arrays (fxx, fxy, fyx, fyy); refuses to
     extrapolate, naming the first value outside the table.
@@ -245,8 +234,8 @@ def _interpolate_tabulated(grid: TabulatedGrid, qx: np.ndarray, qy: np.ndarray,
     # per axis to the upper neighbour (0 on a size-1 axis)
     base, frac, step = 0, [], []
     for axis, value, name, stride in (
-            (grid.qx, qx, "qx", grid.qy.size), (grid.qy, qy, "qy", 1),
-            (grid.lam, lam, "lambda", grid.qx.size * grid.qy.size)):
+            (grid.q, qx, "qx", grid.q.size), (grid.q, qy, "qy", 1),
+            (grid.lam, lam, "lambda", grid.q.size ** 2)):
         bad = ~((value >= axis[0]) & (value <= axis[-1]))
         if np.any(bad):
             raise ValueError(
@@ -290,7 +279,7 @@ def load_tabulated(path) -> TabulatedGrid:
     """Load a tabulated film-matrix grid from CSV (see TABULATED_HEADER).
 
     The rows must list each point of a nonempty rectangular (qx, qy, lambda)
-    grid once, sorted lexicographically by (lambda, qx, qy), with finite
+    grid once, qx and qy on one axis, sorted by (lambda, qx, qy), with finite
     entries.  Every malformed table raises ValueError with a one-line message.
 
     The CSV is parsed once per content.  A parsed table is saved beside it,
@@ -318,7 +307,7 @@ def load_tabulated(path) -> TabulatedGrid:
 
 
 # format version of a table's sidecar: change it with the sidecar's layout
-SIDECAR_VERSION = 1
+SIDECAR_VERSION = 2
 
 
 def _table_key(path) -> tuple:
@@ -345,10 +334,10 @@ def _read_sidecar(sidecar: str, key: tuple) -> TabulatedGrid | None:
         with open(sidecar, "rb") as fh:
             if not np.array_equal(np.load(fh, allow_pickle=False), key):
                 return None
-            qx, qy, lam, m = (np.load(fh, allow_pickle=False) for _ in range(4))
-        if not all(a.dtype == float for a in (qx, qy, lam)) or m.dtype != complex:
+            q, lam, m = (np.load(fh, allow_pickle=False) for _ in range(3))
+        if not (q.dtype == lam.dtype == float and m.dtype == complex):
             return None
-        return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=m)
+        return TabulatedGrid(q=q, lam=lam, matrices=m)
     except Exception:  # a damaged header fails in tokenize, a huge shape in malloc
         return None
 
@@ -358,8 +347,7 @@ def _write_sidecar(sidecar: str, key: tuple, grid: TabulatedGrid) -> None:
     temporary = f"{sidecar}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as fh:
-            for array in (np.array(key, dtype=np.int64), grid.qx, grid.qy, grid.lam,
-                          grid.matrices):
+            for array in (np.array(key, dtype=np.int64), grid.q, grid.lam, grid.matrices):
                 np.save(fh, array, allow_pickle=False)
         os.replace(temporary, sidecar)
     except OSError:
@@ -370,8 +358,8 @@ def _write_sidecar(sidecar: str, key: tuple, grid: TabulatedGrid) -> None:
 def _parse_tabulated(path) -> TabulatedGrid:
     """The checked grid of the CSV at ``path``, streamed through ``np.loadtxt``.
 
-    Each axis is the leading run of its column in the sorted rows, so a
-    value written both as 0 and -0 takes the sign of its first row.
+    The q axis is the leading run of the qy column, which the qx column must
+    repeat; an axis value written as both 0 and -0 takes its first row's sign.
     """
     expected = TABULATED_HEADER.split(",")
     with open(path) as fh:
@@ -394,11 +382,15 @@ def _parse_tabulated(path) -> TabulatedGrid:
     shape = (len(data) // per_lam, per_lam // n_qy, n_qy)
     if len(data) != np.prod(shape):
         raise ValueError("tabulated grid is not rectangular in (qx, qy, lambda)")
+    if shape[1] != n_qy:
+        raise ValueError(f"film table is not point-group symmetric: {shape[1]} qx, {n_qy} qy")
     # copies, so that the grid does not keep the parsed rows alive
-    lam, qx, qy = data[::per_lam, 2].copy(), data[:per_lam:n_qy, 0].copy(), data[:n_qy, 1].copy()
+    lam, q = data[::per_lam, 2].copy(), data[:n_qy, 1].copy()
+    if not np.array_equal(data[:per_lam:n_qy, 0], q):
+        raise ValueError("film table qx and qy axes differ; a symmetric table has one q axis")
     # row by row, the coordinates must be those of the grid: this also
     # refuses a repeated row standing in for a missing one
-    for axis, column in ((lam[:, None, None], 2), (qx[:, None], 0), (qy, 1)):
+    for axis, column in ((lam[:, None, None], 2), (q[:, None], 0), (q, 1)):
         if not np.array_equal(data[:, column].reshape(shape), np.broadcast_to(axis, shape)):
             raise ValueError("rows must list each grid point once, sorted "
                              "lexicographically by (lambda, qx, qy)")
@@ -410,4 +402,4 @@ def _parse_tabulated(path) -> TabulatedGrid:
     mats = np.multiply(data[:, 4::2], 1j)
     mats += data[:, 3::2]
     del data
-    return TabulatedGrid(qx=qx, qy=qy, lam=lam, matrices=mats.reshape(*shape, 2, 2))
+    return TabulatedGrid(q=q, lam=lam, matrices=mats.reshape(*shape, 2, 2))

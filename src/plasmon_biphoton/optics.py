@@ -64,7 +64,7 @@ _CONTRACT_ROWS = 24
 class SetupParams:
     """Geometry of the telescope, substrate and film.
 
-    lam : wavelength in nm, positive (``ScenarioConfig`` checks it)
+    lam : wavelength in nm, positive, with 2 pi / lam finite
     f : lens focal length in nm
     n : substrate refractive index
     delta : substrate thickness in nm
@@ -89,8 +89,8 @@ class SetupParams:
             raise ValueError("angular magnification n f / ((n - 1) delta) must be finite")
         # a transform squares differences of up to 2 k sin(theta_ap) and maps
         # the aperture through theta_ap / mag; Python floats overflow quietly
-        if not 2.0 * math.pi / float(self.lam) < math.inf:
-            raise ValueError("wavenumber 2 pi / lam must be finite")
+        if not (self.lam > 0.0 and 2.0 * math.pi / float(self.lam) < math.inf):
+            raise ValueError("wavenumber 2 pi / lam must be positive and finite")
         if not self.q2_max < 2.0 ** 511:
             raise ValueError("aperture radius k sin(theta_ap) must be below 2**511 nm^-1")
         mag = float(self.magnification)

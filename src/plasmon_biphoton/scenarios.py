@@ -33,7 +33,6 @@ from .film import (
     FilmModel,
     ResonanceFamily,
     TabulatedGrid,
-    film_matrix,
     film_matrix_grid,
     load_tabulated,
 )
@@ -542,7 +541,7 @@ def run_visibility_sweep(cfg: ScenarioConfig) -> dict:
         for lam in cfg.lambdas_nm:
             setup = cfg.setup(film, lam, semiaperture_deg=ap)
             if setup.q2_max == 0.0:
-                t = film_matrix(film, (0.0, 0.0), lam)
+                t = np.reshape(film_matrix_grid(film, 0.0, 0.0, lam), (2, 2))
                 where = f"at normal incidence at {lam:g} nm"
             else:
                 t = transfer(setup, q3_axis(setup, cfg.map_points, setup.theta3_max),

@@ -11,7 +11,6 @@ from plasmon_biphoton.film import (
     TABULATED_HEADER,
     FilmModel,
     TabulatedGrid,
-    film_matrix,
     film_matrix_grid,
 )
 from plasmon_biphoton.optics import PARAXIAL_LIMIT_RAD, SetupParams
@@ -89,6 +88,11 @@ def resonance_wavelength(family, order, q, period: float) -> float:
     return 2.0 * np.pi * family.n_eff / norm
 
 
+def film_matrix(model, q, lam: float) -> np.ndarray:
+    """F_lab(q, lambda) at the one point q = (qx, qy) as a 2x2 complex array."""
+    return np.reshape(film_matrix_grid(model, q[0], q[1], lam), (2, 2))
+
+
 def transmittance(model, q, lam: float, pol: np.ndarray) -> float:
     """Transmitted intensity fraction |F_lab(q, lambda) pol|^2 for unit pol."""
     out = film_matrix(model, q, lam) @ np.asarray(pol, dtype=complex)
@@ -97,7 +101,7 @@ def transmittance(model, q, lam: float, pol: np.ndarray) -> float:
 
 def save_tabulated(grid: TabulatedGrid, path) -> None:
     """Write a film table as the CSV ``film.load_tabulated`` reads, each value "%.8e"."""
-    lam, qx, qy = np.meshgrid(grid.lam, grid.qx, grid.qy, indexing="ij")
+    lam, qx, qy = np.meshgrid(grid.lam, grid.q, grid.q, indexing="ij")
     m = grid.matrices.reshape(-1, 4)
     table = np.column_stack([qx.ravel(), qy.ravel(), lam.ravel(),
                              np.stack([m.real, m.imag], axis=-1).reshape(-1, 8)])
@@ -199,7 +203,7 @@ def interpolate_tabulated_point(grid, q, lam: float) -> np.ndarray:
     array interpolation in ``film.film_matrix_grid``.
     """
     coords = []
-    for axis, value, name in ((grid.qx, q[0], "qx"), (grid.qy, q[1], "qy"),
+    for axis, value, name in ((grid.q, q[0], "qx"), (grid.q, q[1], "qy"),
                               (grid.lam, lam, "lambda")):
         if value < axis[0] or value > axis[-1]:
             raise ValueError(
@@ -228,7 +232,7 @@ def default_film_table(q_max, lams, n_q=9) -> TabulatedGrid:
     qs = np.linspace(-q_max, q_max, n_q)
     lam, qx, qy = np.meshgrid(lams, qs, qs, indexing="ij")
     mats = np.stack(film_matrix_grid(default_film(), qx, qy, lam), axis=-1)
-    return TabulatedGrid(qx=qs, qy=qs, lam=np.asarray(lams, dtype=float),
+    return TabulatedGrid(q=qs, lam=np.asarray(lams, dtype=float),
                          matrices=mats.reshape(qx.shape + (2, 2)))
 
 
@@ -250,7 +254,7 @@ def symmetric_random_grid(rng, q, lam) -> TabulatedGrid:
             ix = np.rint(r[0, 0] * sx + r[0, 1] * sy + 0.5 * (q.size - 1)).astype(int)
             iy = np.rint(r[1, 0] * sx + r[1, 1] * sy + 0.5 * (q.size - 1)).astype(int)
             total += r.T @ raw[:, ix, iy] @ r
-    return TabulatedGrid(qx=q, qy=q.copy(), lam=np.asarray(lam, dtype=float),
+    return TabulatedGrid(q=q, lam=np.asarray(lam, dtype=float),
                          matrices=total / 8)
 
 

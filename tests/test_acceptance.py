@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from plasmon_biphoton.film import film_matrix
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import (
     concurrence,
@@ -22,7 +21,13 @@ from plasmon_biphoton.quantum import (
 )
 from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario, run_spectrum
 
-from oracles import default_film, paper_setup, resonance_wavelength, visibility_brute
+from oracles import (
+    default_film,
+    film_matrix,
+    paper_setup,
+    resonance_wavelength,
+    visibility_brute,
+)
 
 
 def _vis(lam, beta2_deg, n=41, n_grid=201, theta_ap_deg=8.0):

@@ -31,7 +31,7 @@ def write_cfg(tmp_path, **overrides):
 def write_table(tmp_path, matrix, lams=(790.0, 800.0)):
     """Film table of one constant 2x2 matrix on a 5 x 5 q grid over |q| <= 1e-3 nm^-1."""
     qs = np.linspace(-1e-3, 1e-3, 5)
-    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array(lams),
+    grid = TabulatedGrid(q=qs, lam=np.array(lams),
                          matrices=np.broadcast_to(matrix, (len(lams), 5, 5, 2, 2)))
     path = tmp_path / "film.csv"
     save_tabulated(grid, path)
@@ -305,7 +305,7 @@ def test_keys_that_refuse_only_together_are_named_together(tmp_path, capsys):
 
 @pytest.mark.parametrize("command,line,message", [
     ("polmap", "lambdas_nm = 5e-324",
-     "lambdas_nm = 5e-324: wavenumber 2 pi / lam must be finite"),
+     "lambdas_nm = 5e-324: wavenumber 2 pi / lam must be positive and finite"),
     ("polmap", "lambdas_nm = 1e-154",
      "lambdas_nm = 1e-154: aperture radius k sin(theta_ap) must be below 2**511 nm^-1"),
     ("visibility", "lambdas_nm = 797, 1e-154",
@@ -388,7 +388,7 @@ def test_film_table_narrower_than_aperture_is_config_error(tmp_path, capsys):
     # reaches about 5e-4, and a spectrum's 2 deg tilt about 2.8e-4 in its
     # 790-800 nm range, which the table covers
     qs = np.array([-1e-4, 1e-4])
-    grid = TabulatedGrid(qx=qs, qy=qs, lam=np.array([790.0, 800.0]),
+    grid = TabulatedGrid(q=qs, lam=np.array([790.0, 800.0]),
                          matrices=np.broadcast_to(0.1 * np.eye(2), (2, 2, 2, 2, 2)))
     table = tmp_path / "film.csv"
     save_tabulated(grid, table)
@@ -423,6 +423,16 @@ def test_asymmetric_film_table_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def unit_table(qx_axis, qy_axis):
+    """A film table of F = I at 790 and 800 nm on the grid of qx_axis x qy_axis."""
+    return f"{TABULATED_HEADER}\n" + "".join(f"{qx!r},{qy!r},{lam},1,0,0,0,0,0,1,0\n"
+                                              for lam in (790, 800)
+                                              for qx in qx_axis for qy in qy_axis)
+
+
+Q = (-1e-3, 0.0, 1e-3)
+
+
 @pytest.mark.parametrize("text", [
     "qx,qy,lambda_nm,re_xx\n0,0,797,1\n",
     f"{TABULATED_HEADER}\n0,0,797,1,0,0,0,0,0,1,0\n0,0,798,1,0,0,0,0,0\n",
@@ -430,7 +440,12 @@ def test_asymmetric_film_table_is_config_error(tmp_path, capsys, command):
     f"{TABULATED_HEADER}\n",
     f"{TABULATED_HEADER}\n" + "".join(f"{qx},{qy},797,1,0,0,0,0,0,1,0\n"
                                       for qx in (1, 0, -1) for qy in (1, 0, -1)),
-], ids=["short_header", "ragged_row", "non_numeric_entry", "header_only", "reversed_rows"])
+    # qy is not on qx's axis: one node one ulp off, or another node set
+    # (unit_table(Q, Q) itself runs)
+    unit_table(Q, (float(np.nextafter(-1e-3, 0)), 0.0, 1e-3)),
+    unit_table(Q, (-2e-3, 0.0, 2e-3)),
+], ids=["short_header", "ragged_row", "non_numeric_entry", "header_only", "reversed_rows",
+        "qy_one_ulp_off", "qy_other_nodes"])
 @pytest.mark.filterwarnings("error")  # a warning would add stderr lines to the CLI's one
 def test_malformed_film_table_is_config_error(tmp_path, capsys, text):
     table = tmp_path / "film.csv"
@@ -576,17 +591,31 @@ def test_tabulated_polmap_imports_no_heavy_module_cold_or_warm(tmp_path):
     assert sidecar.stat().st_mtime_ns == written
 
 
-def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
+@pytest.mark.parametrize("left", ["nothing", "version_1_sidecar"])
+def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch, left):
+    grid = default_film_table(1e-3, (790.0, 800.0))
     table = tmp_path / "film.csv"
-    save_tabulated(default_film_table(1e-3, (790.0, 800.0)), table)
+    save_tabulated(grid, table)
+    sidecar = tmp_path / ".film.csv.pbsim.npy"
+    if left == "version_1_sidecar":
+        # the layout of SIDECAR_VERSION 1: the key, qx, qy, lambda, matrices
+        with open(sidecar, "wb") as fh:
+            for array in (np.array((1, *film._table_key(table)[1:])), grid.q, grid.q,
+                          grid.lam, grid.matrices):
+                np.save(fh, array)
+    parses = []
+    parse = film._parse_tabulated
+    monkeypatch.setattr(film, "_parse_tabulated", lambda p: parses.append(p) or parse(p))
     cfg = write_cfg(tmp_path, kind="polmap", film_table=str(table), semiaperture_deg=4.0)
-    outputs = []
+    trees = []
     for run in ("cold", "warm"):
-        if run == "warm":
-            monkeypatch.setattr(film, "_parse_tabulated", None)  # a parse would fail
         assert main(["polmap", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
-    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        assert len(parses) == 1  # the cold run parsed the CSV, the warm one read the sidecar
+        with open(sidecar, "rb") as fh:
+            assert np.load(fh).tolist() == [2, *film._table_key(table)[1:]]
+        trees.append({p.relative_to(tmp_path / run): p.read_bytes()
+                      for p in (tmp_path / run).rglob("*")})
+    assert len(trees[0]) == 4 and trees[0] == trees[1]
 
 
 def test_sidecar_path_taken_by_a_directory_is_ignored(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     default_film,
     default_film_table,
+    film_matrix,
     film_matrix_direct,
     interpolate_tabulated_point,
     matrix_asymmetry_direct,
@@ -22,7 +23,6 @@ from plasmon_biphoton.film import (
     FilmModel,
     ResonanceFamily,
     TabulatedGrid,
-    film_matrix,
     film_matrix_grid,
     load_tabulated,
 )
@@ -259,7 +259,7 @@ def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
             ",".join(f"{v:.8e}" for v in row) + "\n" for row in data))
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     g = load_tabulated(path)
-    for axis, column in ((g.qx, 0), (g.qy, 1), (g.lam, 2)):
+    for axis, column in ((g.q, 0), (g.q, 1), (g.lam, 2)):
         expected = np.unique(data[:, column])
         assert axis.dtype == expected.dtype and axis.tobytes() == expected.tobytes()
     expected = (data[:, 3::2] + 1j * data[:, 4::2]).reshape(g.matrices.shape)
@@ -269,28 +269,28 @@ def test_load_tabulated_axes_are_the_sorted_distinct_columns(tmp_path, table):
 def test_tabulated_interpolation_midpoint(tmp_path):
     g = load_tabulated(sample_tabulated(tmp_path))
     lam_mid = 0.5 * (g.lam[0] + g.lam[1])
-    got = film_matrix(g, (g.qx[1], g.qy[2]), lam_mid)
+    got = film_matrix(g, (g.q[1], g.q[2]), lam_mid)
     expected = 0.5 * (g.matrices[0, 1, 2] + g.matrices[1, 1, 2])
     assert np.allclose(got, expected, atol=1e-15)
 
 
 def test_tabulated_matches_grid_nodes(tmp_path):
     g = load_tabulated(sample_tabulated(tmp_path))
-    got = film_matrix(g, (g.qx[3], g.qy[0]), g.lam[2])
+    got = film_matrix(g, (g.q[3], g.q[0]), g.lam[2])
     assert np.allclose(got, g.matrices[2, 3, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("lams", [(797.0,), (790.0, 800.0)], ids=["one_lambda", "two_lambdas"])
 def test_one_node_table_gives_its_matrix_at_q_0(tmp_path, lams):
-    # qx = qy = [0]: every axis of the CSV is one run of rows, and the
-    # lookup takes the size-1 branch on both q axes
+    # q = [0]: every axis of the CSV is one run of rows, and the lookup
+    # takes the size-1 branch for both qx and qy
     c = complex(0.25, -0.5)
     path = tmp_path / "film.csv"
-    save_tabulated(TabulatedGrid(qx=np.zeros(1), qy=np.zeros(1), lam=np.array(lams),
+    save_tabulated(TabulatedGrid(q=np.zeros(1), lam=np.array(lams),
                                  matrices=np.broadcast_to(c * np.eye(2), (len(lams), 1, 1, 2, 2))),
                    path)
     g = load_tabulated(path)
-    assert (g.qx.tolist(), g.qy.tolist(), g.lam.tolist()) == ([0.0], [0.0], list(lams))
+    assert (g.q.tolist(), g.lam.tolist()) == ([0.0], list(lams))
     for lam in (*lams, np.mean(lams)):
         assert np.array_equal(film_matrix(g, (0.0, 0.0), lam), c * np.eye(2)), lam
 
@@ -331,25 +331,25 @@ def test_table_with_a_bad_axis_or_shape_is_refused(bad):
     q = np.array([-2.0, -1.0, 1.0, 2.0])
     m = np.zeros((2, 4, 4, 2, 2), dtype=complex)
     m[..., 0, 0] = m[..., 1, 1] = 1.0 + np.abs(q)[:, None] + np.abs(q)
-    args = dict(qx=q, qy=q, lam=np.array([790.0, 800.0]), matrices=m)
+    args = dict(q=q, lam=np.array([790.0, 800.0]), matrices=m)
     TabulatedGrid(**args)
     if bad == "unsorted_q":
-        args.update(qx=q[[0, 2, 1, 3]], qy=q[[0, 2, 1, 3]])
+        args.update(q=q[[0, 2, 1, 3]])
     elif bad == "repeated_lambda":
         args.update(lam=np.array([790.0, 790.0]))
     elif bad == "nan_q":
-        args.update(qx=np.array([np.nan, -1.0, 1.0, 2.0]))
+        args.update(q=np.array([np.nan, -1.0, 1.0, 2.0]))
     elif bad == "empty_q":
-        args.update(qx=q[:0], qy=q[:0], matrices=m[:, :0, :0])
+        args.update(q=q[:0], matrices=m[:, :0, :0])
     else:
         args.update(matrices=m.reshape(-1, 2, 2))
     with pytest.raises(ValueError, match="film table (axes|matrices)"):
         TabulatedGrid(**args)
 
 
-def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
+def test_asymmetric_table_is_refused_with_its_measured_asymmetry(tmp_path):
     g = random_table(np.random.default_rng(3), 3)
-    args = dict(qx=g.qx, qy=g.qy, lam=g.lam, matrices=g.matrices)
+    args = dict(q=g.q, lam=g.lam, matrices=g.matrices)
     scale = np.max(np.abs(g.matrices))
     # one entry, not the largest, moved by a fraction of the largest
     entry = (1, 4, 2, 0, 1)
@@ -361,13 +361,24 @@ def test_asymmetric_table_is_refused_with_its_measured_asymmetry():
     # within the rounding of a saved table: loads
     bumped[entry] = g.matrices[entry] + 1e-10 * scale
     TabulatedGrid(**dict(args, matrices=bumped))
-    # both axes shifted: still one axis, but no longer antisymmetric
+    # the axis shifted: still one axis, but no longer antisymmetric
     shift = 1e-5
-    q = g.qx + shift
-    assert refused_asymmetry("q axes", dict(args, qx=q, qy=q)) == \
+    q = g.q + shift
+    assert refused_asymmetry("q axis", dict(args, q=q)) == \
         pytest.approx(2 * shift / np.max(np.abs(q)), rel=5e-3)
-    with pytest.raises(ValueError, match="not point-group symmetric: 6 qx, 5 qy"):
-        TabulatedGrid(**dict(args, qy=g.qy[:-1], matrices=g.matrices[:, :, :-1]))
+    # qy on a shorter or a shifted axis: two axes, which a grid cannot hold,
+    # so the parse refuses them
+    path = tmp_path / "film.csv"
+    save_tabulated(g, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    shifted = rows.copy()
+    shifted[:, 1] += shift
+    short = rows[rows[:, 1] != rows[:, 1].max()]
+    for bad, message in ((short, "not point-group symmetric: 6 qx, 5 qy"),
+                         (shifted, "qx and qy axes differ")):
+        np.savetxt(path, bad, fmt="%.8e", delimiter=",", header=TABULATED_HEADER, comments="")
+        with pytest.raises(ValueError, match=message):
+            load_tabulated(path)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -392,7 +403,7 @@ def test_table_with_a_non_finite_entry_is_refused(bad):
     m = g.matrices.copy()
     m[0, 0, 1, 0, 1] = bad
     with pytest.raises(ValueError, match="matrices asymmetry nan exceeds"):
-        TabulatedGrid(qx=g.qx, qy=g.qy, lam=g.lam, matrices=m)
+        TabulatedGrid(q=g.q, lam=g.lam, matrices=m)
 
 
 def test_analytic_film_returns_one_read_only_array_for_xy_and_yx(film):
@@ -416,9 +427,9 @@ def test_array_interpolation_matches_per_point_oracle(n_lam):
     # random in-range points, then every grid node, then the upper edge of
     # each axis with the other two coordinates random
     n = 200
-    pts = [np.column_stack([rng.uniform(a[0], a[-1], n) for a in (g.qx, g.qy, g.lam)])]
-    pts.append(np.stack(np.meshgrid(g.qx, g.qy, g.lam, indexing="ij"), axis=-1).reshape(-1, 3))
-    for k, a in enumerate((g.qx, g.qy, g.lam)):
+    pts = [np.column_stack([rng.uniform(a[0], a[-1], n) for a in (g.q, g.q, g.lam)])]
+    pts.append(np.stack(np.meshgrid(g.q, g.q, g.lam, indexing="ij"), axis=-1).reshape(-1, 3))
+    for k, a in enumerate((g.q, g.q, g.lam)):
         edge = pts[0][:20].copy()
         edge[:, k] = a[-1]
         pts.append(edge)
@@ -437,15 +448,15 @@ def test_array_interpolation_matches_per_point_oracle(n_lam):
 
 def test_out_of_range_array_names_first_bad_value():
     g = random_table(np.random.default_rng(5), 3)
-    qx_inside = np.array([g.qx[1], g.qx[2], g.qx[3]])
-    qx = np.array([g.qx[2], g.qx[-1] + 1e-4, g.qx[0] - 3e-4])
+    qx_inside = np.array([g.q[1], g.q[2], g.q[3]])
+    qx = np.array([g.q[2], g.q[-1] + 1e-4, g.q[0] - 3e-4])
     with pytest.raises(ValueError, match=re.escape(f"qx = {qx[1]:g} outside")):
-        film_matrix_grid(g, qx, np.full(3, g.qy[1]), g.lam[1])
+        film_matrix_grid(g, qx, np.full(3, g.q[1]), g.lam[1])
     lam = np.array([g.lam[0], g.lam[-1], g.lam[-1] + 2.0, g.lam[0] - 5.0])
     with pytest.raises(ValueError, match=re.escape(f"lambda = {lam[2]:g} outside")):
-        film_matrix_grid(g, g.qx[1], g.qy[1], lam)
+        film_matrix_grid(g, g.q[1], g.q[1], lam)
     with pytest.raises(ValueError, match="qy = nan outside"):
-        film_matrix_grid(g, qx_inside, np.array([g.qy[1], np.nan, g.qy[2]]), g.lam[1])
+        film_matrix_grid(g, qx_inside, np.array([g.q[1], np.nan, g.q[2]]), g.lam[1])
 
 
 def test_tabulated_rejects_non_rectangular(tmp_path):
@@ -482,7 +493,7 @@ def test_tabulated_rejects_nan(tmp_path):
 # --- the parsed table's sidecar ---------------------------------------------
 
 def grid_bytes(grid):
-    return [a.tobytes() for a in (grid.qx, grid.qy, grid.lam, grid.matrices)]
+    return [a.tobytes() for a in (grid.q, grid.lam, grid.matrices)]
 
 
 def sidecar_of(path):
@@ -496,8 +507,8 @@ def test_sidecar_hit_gives_the_parsed_grid_bit_for_bit(tmp_path, monkeypatch):
     assert sidecar_of(path).is_file()
     monkeypatch.setattr(film_module, "_parse_tabulated", None)  # a parse would fail
     cached = load_tabulated(path)
-    assert [a.dtype for a in (cached.qx, cached.qy, cached.lam, cached.matrices)] == \
-        [a.dtype for a in (parsed.qx, parsed.qy, parsed.lam, parsed.matrices)]
+    assert [a.dtype for a in (cached.q, cached.lam, cached.matrices)] == \
+        [a.dtype for a in (parsed.q, parsed.lam, parsed.matrices)]
     assert grid_bytes(cached) == grid_bytes(parsed)
 
 
@@ -557,8 +568,7 @@ def test_damaged_sidecar_falls_back_to_the_csv(tmp_path, damage):
         m = parsed.matrices.copy()
         m[:, 0, 1, 0, 1] += 0.1 * np.max(np.abs(m))
         with open(sidecar, "wb") as fh:
-            for array in (np.array(film_module._table_key(path)), parsed.qx, parsed.qy,
-                          parsed.lam, m):
+            for array in (np.array(film_module._table_key(path)), parsed.q, parsed.lam, m):
                 np.save(fh, array)
     assert grid_bytes(load_tabulated(path)) == grid_bytes(parsed)
     # and the sidecar holds the parsed grid again
@@ -572,9 +582,9 @@ def test_damaged_sidecar_falls_back_to_the_csv(tmp_path, damage):
 def test_sidecar_that_fails_a_parse_check_falls_back_to_the_csv(tmp_path, monkeypatch, damage):
     path = sample_tabulated(tmp_path)
     parsed = load_tabulated(path)
-    qx, qy, lam, m = parsed.qx, parsed.qy, parsed.lam.copy(), parsed.matrices.copy()
+    q, lam, m = parsed.q, parsed.lam.copy(), parsed.matrices.copy()
     if damage == "decreasing_axes":
-        qx, qy = qx[::-1], qy[::-1]
+        q = q[::-1]
     elif damage == "nan_wavelength":
         lam[0] = np.nan
     elif damage == "float_matrices":
@@ -584,7 +594,7 @@ def test_sidecar_that_fails_a_parse_check_falls_back_to_the_csv(tmp_path, monkey
     else:  # refused by TabulatedGrid, as any non-finite entry is
         m[0, 0, 0, 0, 0] = np.nan
     with open(sidecar_of(path), "wb") as fh:
-        for array in (np.array(film_module._table_key(path)), qx, qy, lam, m):
+        for array in (np.array(film_module._table_key(path)), q, lam, m):
             np.save(fh, array)
     parses = []
     parse = film_module._parse_tabulated

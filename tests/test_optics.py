@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmon_biphoton.film import (
-    FilmModel,
-    ResonanceFamily,
-    film_matrix,
-)
+from plasmon_biphoton.film import FilmModel, ResonanceFamily
 from plasmon_biphoton import optics
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
@@ -17,6 +13,7 @@ from oracles import (
     antisymmetric_axis,
     default_film,
     default_film_table,
+    film_matrix,
     paper_setup,
     symmetric_random_grid,
     transfer_direct,
@@ -70,6 +67,14 @@ def test_setup_validation():
     with pytest.raises(ValueError):
         SetupParams(lam=797.0, f=15e6, n=0.9, delta=0.5e6,
                     theta_ap=0.1, film=default_film())
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, 5e-324, np.nan],
+                         ids=["zero", "negative", "subnormal", "nan"])
+def test_setup_refuses_a_wavelength_without_a_positive_finite_wavenumber(lam):
+    # 0 ended in a ZeroDivisionError, and -1 was accepted with a negative q2_max
+    with pytest.raises(ValueError, match="wavenumber 2 pi / lam must be positive and finite"):
+        SetupParams(lam=lam, f=15e6, n=1.52, delta=0.5e6, theta_ap=0.1, film=default_film())
 
 
 # --- on-axis symmetry -------------------------------------------------------
