@@ -591,13 +591,12 @@ def test_tabulated_polmap_imports_no_heavy_module_cold_or_warm(tmp_path):
     assert sidecar.stat().st_mtime_ns == written
 
 
-@pytest.mark.parametrize("left", ["nothing", "version_1_sidecar"])
-def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch, left):
+def polmap_cold_and_warm(tmp_path, monkeypatch, write_v1_sidecar):
     grid = default_film_table(1e-3, (790.0, 800.0))
     table = tmp_path / "film.csv"
     save_tabulated(grid, table)
     sidecar = tmp_path / ".film.csv.pbsim.npy"
-    if left == "version_1_sidecar":
+    if write_v1_sidecar:
         # the layout of SIDECAR_VERSION 1: the key, qx, qy, lambda, matrices
         with open(sidecar, "wb") as fh:
             for array in (np.array((1, *film._table_key(table)[1:])), grid.q, grid.q,
@@ -616,6 +615,14 @@ def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypa
         trees.append({p.relative_to(tmp_path / run): p.read_bytes()
                       for p in (tmp_path / run).rglob("*")})
     assert len(trees[0]) == 4 and trees[0] == trees[1]
+
+
+def test_tabulated_polmap_writes_the_same_bytes_cold_and_warm(tmp_path, monkeypatch):
+    polmap_cold_and_warm(tmp_path, monkeypatch, write_v1_sidecar=False)
+
+
+def test_version_1_sidecar_is_a_miss_and_is_rewritten(tmp_path, monkeypatch):
+    polmap_cold_and_warm(tmp_path, monkeypatch, write_v1_sidecar=True)
 
 
 def test_sidecar_path_taken_by_a_directory_is_ignored(tmp_path, capsys):
