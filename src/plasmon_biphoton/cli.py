@@ -21,14 +21,23 @@ its writes makes no ``--out`` directory.  Each ends in one
 error prints the usage and one ``pbsim: error: ...`` line.
 ``--config paper_defaults`` (the default) uses the built-in defaults of the
 command; a config file needs no ``kind`` line, and one it has must match it.
+Imported before NumPy, this module sets ``OPENBLAS_NUM_THREADS=1`` where
+neither it nor ``OMP_NUM_THREADS`` is set, so BLAS runs on one thread.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
-from .scenarios import (
+# OpenBLAS reads its thread count when NumPy is imported, from
+# OMP_NUM_THREADS if OPENBLAS_NUM_THREADS is unset; an idle worker thread
+# spin-waits on a second core
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .scenarios import (  # noqa: E402
     ConfigError,
     NonFiniteOutputError,
     ScenarioConfig,

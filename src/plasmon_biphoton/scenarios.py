@@ -20,7 +20,6 @@ or +-inf in any table, or a floating-point error in the run, refuses the run
 
 from __future__ import annotations
 
-import cmath
 import copy
 import dataclasses
 import math
@@ -145,7 +144,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; expected one of {KINDS}")
         for f in dataclasses.fields(self):
             if f.type in ("float", "complex", "tuple") and \
-                    not all(map(cmath.isfinite, _values(getattr(self, f.name)))):
+                    not all(math.isfinite(v.real) and math.isfinite(v.imag)
+                            for v in _values(getattr(self, f.name))):
                 raise ConfigError(f"{f.name} must be finite")
         for name in ("lambda_min_nm", "lambdas_nm", "lambda_diagonal_nm", "lambda_axis_nm"):
             if not all(v > 0 for v in _values(getattr(self, name))):
@@ -353,27 +353,21 @@ def parse_config_file(path, kind: str) -> ScenarioConfig:
 
 # A value's text is the 16-byte field "-d.dddddddde+dd," held as two
 # little-endian int64 words; each table below holds, for one group of digits,
-# its ASCII bytes in place in a word.  y = |x| * 10**s, |s| <= 44, is scaled
-# in two steps of _MULTIPLY[k + 22] / _DIVIDE[k + 22] = 10**k, |k| <= 22,
-# each exact in float64 (5**22 < 2**53) and one of them 10**0.
-_POWER = np.array([float(10 ** abs(k)) for k in range(-22, 23)])
-_MULTIPLY = np.where(np.arange(-22, 23) > 0, _POWER, 1.0)
-_DIVIDE = np.where(np.arange(-22, 23) < 0, _POWER, 1.0)
-_ASCII = np.arange(1000, dtype=np.int64)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
-
-
-def _in_word(values: np.ndarray, byte_positions: list[int]) -> np.ndarray:
-    """Integer whose little-endian bytes hold the last axis of ``values`` at ``byte_positions``."""
-    return (values << 8 * np.array(byte_positions)).sum(axis=-1)
-
-
+# its ASCII bytes in place in a word, and is written as those bytes, one
+# word's pattern over the digit triples: the import does no NumPy arithmetic,
+# because each kernel's first use maps about 64 kB of code into every run.
+# y = |x| * 10**s, |s| <= 44, is scaled in two steps of
+# _MULTIPLY[k + 22] / _DIVIDE[k + 22] = 10**k, |k| <= 22, each exact in
+# float64 (5**22 < 2**53) and one of them 10**0.
+_MULTIPLY = np.array([float(10 ** max(k, 0)) for k in range(-22, 23)])
+_DIVIDE = np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)])
+_DIGITS = b"%03d" * 1000 % tuple(range(1000))  # b"000001002...999"
 # word 0: "-d.ddddd", from the mantissa's leading and middle three digits
-_LEADING = _in_word(_ASCII, [1, 3, 4]) | ord("-") | ord(".") << 16
-_MIDDLE = _in_word(_ASCII, [5, 6, 7])
+_LEADING = np.frombuffer(b"-%c.%c%c\0\0\0" * 1000 % tuple(_DIGITS), "<i8")
+_MIDDLE = np.frombuffer(b"\0\0\0\0\0%c%c%c" * 1000 % tuple(_DIGITS), "<i8")
 # word 1: "ddde+dd,", from its trailing three digits and the exponent -36...52
-_TRAILING = _in_word(_ASCII, [0, 1, 2]) | ord("e") << 24
-_EXPONENT = (_in_word(_ASCII[np.abs(np.arange(-36, 53)), 1:], [5, 6])
-             | np.where(np.arange(-36, 53) < 0, ord("-"), ord("+")) << 32)
+_TRAILING = np.frombuffer(b"%c%c%ce\0\0\0\0" * 1000 % tuple(_DIGITS), "<i8")
+_EXPONENT = np.frombuffer(b"\0\0\0\0%+03d\0" * 89 % tuple(range(-36, 53)), "<i8")
 _BLOCK_VALUES = 2048
 
 

@@ -1,9 +1,14 @@
 """Slow reference implementations that tests compare the library against,
 the film tables they compare it on, and the helpers only tests need: the
-film-table writer, the paper's film and telescope, rotations and the singlet."""
+film-table writer, the paper's film and telescope, rotations and the singlet,
+and a fresh Python on the package sources."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -107,6 +112,47 @@ def save_tabulated(grid: TabulatedGrid, path) -> None:
                              np.stack([m.real, m.imag], axis=-1).reshape(-1, 8)])
     np.savetxt(path, table, fmt="%.8e", delimiter=",", header=TABULATED_HEADER,
                comments="")
+
+
+def formatter_tables() -> dict:
+    """The CSV formatter's lookup tables, built by integer arithmetic.
+
+    Each int64 word holds one group of ASCII digits in place, as its
+    little-endian bytes: word 0 of a value's text is "-d.ddddd" (_LEADING
+    | _MIDDLE) and word 1 "ddde+dd" (_TRAILING | _EXPONENT).
+    """
+    power = np.array([float(10 ** abs(k)) for k in range(-22, 23)])
+    ascii_digits = (np.arange(1000, dtype=np.int64)[:, None] // np.array([100, 10, 1]) % 10
+                    + ord("0"))
+
+    def in_word(values, byte_positions):
+        return (values << 8 * np.array(byte_positions)).sum(axis=-1)
+
+    exponents = np.arange(-36, 53)
+    return {
+        "_MULTIPLY": np.where(np.arange(-22, 23) > 0, power, 1.0),
+        "_DIVIDE": np.where(np.arange(-22, 23) < 0, power, 1.0),
+        "_LEADING": in_word(ascii_digits, [1, 3, 4]) | ord("-") | ord(".") << 16,
+        "_MIDDLE": in_word(ascii_digits, [5, 6, 7]),
+        "_TRAILING": in_word(ascii_digits, [0, 1, 2]) | ord("e") << 24,
+        "_EXPONENT": (in_word(ascii_digits[np.abs(exponents), 1:], [5, 6])
+                      | np.where(exponents < 0, ord("-"), ord("+")) << 32),
+    }
+
+
+def run_python(code, **variables):
+    """Standard output of ``code`` run by a fresh Python on the package sources.
+
+    ``variables`` are set in its environment, and those given as None unset.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **variables)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={name: value for name, value in env.items() if value is not None},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def film_matrix_direct(model, qx, qy, lam):

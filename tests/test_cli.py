@@ -1,7 +1,4 @@
 import dataclasses
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +9,7 @@ from plasmon_biphoton.cli import main
 from plasmon_biphoton.film import TABULATED_HEADER, TabulatedGrid
 from plasmon_biphoton.scenarios import ScenarioConfig, serialize_config
 
-from oracles import RUN_REFUSALS, default_film_table, save_tabulated
+from oracles import RUN_REFUSALS, default_film_table, run_python, save_tabulated
 
 
 def write_cfg(tmp_path, **overrides):
@@ -218,18 +215,25 @@ def test_spectrum_at_a_wavelength_whose_wavevector_squared_overflows(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("line", ["lambda_min_nm = -5", "lambda_min_nm = nan",
-                                  "tilts_deg = 0, nan", "lambdas_nm = 797, -728",
-                                  "direct_amplitude = nan"],
-                         ids=["negative_lambda_min", "nan_lambda_min", "nan_tilt",
-                              "negative_lambdas", "nan_direct_amplitude"])
-def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line):
+@pytest.mark.parametrize("line,message", [
+    ("lambda_min_nm = -5", "lambda_min_nm must be positive"),
+    ("lambda_min_nm = nan", "lambda_min_nm must be finite"),
+    ("tilts_deg = 0, nan", "tilts_deg must be finite"),
+    ("lambdas_nm = 797, -728", "lambdas_nm must be positive"),
+    ("direct_amplitude = nan", "direct_amplitude must be finite"),
+    # a complex value is finite when both its parts are
+    ("t_xy = 1+nanj", "t_xy must be finite"),
+    ("direct_amplitude = infj", "direct_amplitude must be finite"),
+    ("tilts_deg = 0, inf", "tilts_deg must be finite"),
+], ids=["negative_lambda_min", "nan_lambda_min", "nan_tilt", "negative_lambdas",
+        "nan_direct_amplitude", "nan_imaginary_t_xy", "infinite_imaginary_direct_amplitude",
+        "infinite_tilt"])
+def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line, message):
     path = tmp_path / "cfg.txt"
     path.write_text(f"kind = spectrum\n{line}\n")
     code = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -561,15 +565,18 @@ def test_run_imports_neither_numpy_ma_nor_gzip(tmp_path, command, overrides):
     assert run_python(code) == "[]\n"
 
 
-def run_python(code):
-    """Standard output of ``code`` run by a fresh Python on the package sources."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+@pytest.mark.parametrize("variables,threads", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+], ids=["unset", "openblas_2", "omp_2"])
+def test_cli_sets_one_blas_thread_unless_the_caller_sets_a_count(variables, threads):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS, or else OMP_NUM_THREADS, when NumPy
+    # is imported; cli sets the first only where the caller set neither
+    code = ("import os, plasmon_biphoton.cli\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    unset = {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    assert run_python(code, **dict(unset, **variables)) == f"{threads}\n"
 
 
 def test_tabulated_polmap_imports_no_heavy_module_cold_or_warm(tmp_path):

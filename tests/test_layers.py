@@ -6,7 +6,8 @@ graph, only the functions of ``FILE_IO_OWNERS`` touch files, only those of
 reads, an ``__all__`` entry it does not define, an ``__all__`` entry that
 no module of the program reads (test-only helpers live in ``oracles``), or a
 config key that no module reads.  ``cli.main`` catches the two errors a
-run ends in and nothing else.
+run ends in and nothing else, and importing ``cli`` after NumPy loads only
+the package and three standard modules.
 
 A new import between modules has to edit ``LAYERS`` on purpose, a new
 file read or write has to edit ``FILE_IO_OWNERS``, and a new ConfigError
@@ -24,6 +25,8 @@ import pytest
 import plasmon_biphoton
 from plasmon_biphoton import scenarios
 from plasmon_biphoton.scenarios import ScenarioConfig, run_scenario
+
+from oracles import formatter_tables, run_python
 
 # module -> the package modules it imports (``__init__`` left out)
 LAYERS = {
@@ -245,6 +248,29 @@ def test_only_the_channel_run_calls_linalg(kind, tmp_path, monkeypatch):
             run()
     else:
         assert run()["paths"]
+
+
+def test_the_import_loads_only_the_package_past_numpy():
+    # every pbsim call is a fresh process, so each module its import loads
+    # beyond NumPy's is paid by every run
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import plasmon_biphoton.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    package = {"plasmon_biphoton"} | {
+        f"plasmon_biphoton.{path.stem}"
+        for path in Path(plasmon_biphoton.__file__).parent.glob("*.py")
+        if path.stem != "__init__"}
+    assert set(run_python(code).split()) == package | {"__future__", "copy", "dataclasses"}
+
+
+@pytest.mark.parametrize("name", sorted(formatter_tables()))
+def test_formatter_tables_match_their_arithmetic(name):
+    # the tables are written as their bytes, so that the import runs no
+    # NumPy kernel; every entry must be the word the arithmetic builds
+    table, expected = getattr(scenarios, name), formatter_tables()[name]
+    assert table.dtype == expected.dtype
+    np.testing.assert_array_equal(table, expected)
 
 
 def test_package_version_is_the_project_version():
