@@ -36,7 +36,6 @@ import contextlib
 import itertools
 import os
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im
 SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 digits
 
 
-@dataclass(frozen=True)
 class ResonanceFamily:
     """One surface-mode resonance: a point-group-closed set of lattice orders.
 
@@ -61,10 +59,10 @@ class ResonanceFamily:
     transmission amplitude per order, n_eff the effective index.
     """
 
-    orders: frozenset
-    width: float
-    amplitude: complex
-    n_eff: float
+    __slots__ = ("orders", "width", "amplitude", "n_eff")
+
+    def __init__(self, orders: frozenset, width: float, amplitude: complex, n_eff: float):
+        self.orders, self.width, self.amplitude, self.n_eff = orders, width, amplitude, n_eff
 
     @staticmethod
     def make(seed_order, lambda0, width, amplitude, period):
@@ -87,7 +85,6 @@ class ResonanceFamily:
         return ResonanceFamily(orders, float(width), complex(amplitude), n_eff)
 
 
-@dataclass(frozen=True)
 class TabulatedGrid:
     """Rectangular, point-group symmetric grid of film matrices on (qx, qy, lambda).
 
@@ -95,19 +92,18 @@ class TabulatedGrid:
     The axes q and lam are 1-D, nonempty, finite and strictly increasing, the matrices of
     shape (n_lambda, n_q, n_q, 2, 2).  On its nodes q = -q[::-1], and F(R q) = R F(q) R^T
     for the x and diagonal mirrors, which generate the group, to SYMMETRY_TOL of max |q| or
-    max |F|.  Else ValueError.
+    max |F|.  Else ValueError.  A plain record, checked once when it is built.
     """
 
-    q: np.ndarray
-    lam: np.ndarray
-    matrices: np.ndarray
+    __slots__ = ("q", "lam", "matrices")
 
-    def __post_init__(self):
-        q, m = self.q, self.matrices
+    def __init__(self, q: np.ndarray, lam: np.ndarray, matrices: np.ndarray):
+        self.q, self.lam, self.matrices = q, lam, matrices
+        m = matrices
         if not all(a.ndim == 1 and a.size and np.isfinite(a).all() and (a[1:] > a[:-1]).all()
-                   for a in (q, self.lam)):
+                   for a in (q, lam)):
             raise ValueError("film table axes must be 1-D, nonempty, finite and strictly increasing")
-        if m.shape != (self.lam.size, q.size, q.size, 2, 2):
+        if m.shape != (lam.size, q.size, q.size, 2, 2):
             raise ValueError(f"film table matrices of shape {m.shape} are not "
                              "(n_lambda, n_q, n_q, 2, 2)")
         # the largest |entry|, one component at a time; a NaN carries through
@@ -141,13 +137,13 @@ def _matrix_asymmetry(m: np.ndarray) -> float:
     return np.max(worst)
 
 
-@dataclass(frozen=True)
 class FilmModel:
     """Analytic hole-array film: positive lattice period, direct amplitude, resonance families."""
 
-    period: float
-    direct_amplitude: complex
-    families: tuple
+    __slots__ = ("period", "direct_amplitude", "families")
+
+    def __init__(self, period: float, direct_amplitude: complex, families: tuple):
+        self.period, self.direct_amplitude, self.families = period, direct_amplitude, families
 
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,

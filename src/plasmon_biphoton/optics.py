@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .film import FilmModel, TabulatedGrid, film_matrix_grid
+from .film import film_matrix_grid
 
 __all__ = ["SetupParams", "transfer", "q3_axis"]
 
@@ -60,9 +59,8 @@ _FILM_CHUNK = 8192
 _CONTRACT_ROWS = 24
 
 
-@dataclass(frozen=True)
 class SetupParams:
-    """Geometry of the telescope, substrate and film.
+    """Geometry of the telescope, substrate and film: a plain record, checked once when built.
 
     lam : wavelength in nm, positive, with 2 pi / lam finite
     f : lens focal length in nm
@@ -72,14 +70,11 @@ class SetupParams:
     film : the film, analytic or a table
     """
 
-    lam: float
-    f: float
-    n: float
-    delta: float
-    theta_ap: float
-    film: FilmModel | TabulatedGrid
+    __slots__ = ("lam", "f", "n", "delta", "theta_ap", "film")
 
-    def __post_init__(self):
+    def __init__(self, lam: float, f: float, n: float, delta: float, theta_ap: float, film):
+        self.lam, self.f, self.n, self.delta, self.theta_ap = lam, f, n, delta, theta_ap
+        self.film = film
         for name in ("f", "delta"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")

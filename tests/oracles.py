@@ -201,6 +201,35 @@ def transfer_direct(setup, q3_points, n_grid):
     return np.array(out).reshape(-1, 2, 2) * (h * h)
 
 
+def window_form_exact(setup, e, n_grid):
+    """The coincidence form of the input ``e``, integrated exactly over the sweep's window.
+
+    Re of the integral of (T e)(T e)^H over the square |q3x|, |q3y| <= Q,
+    Q = k sin(theta3_max), with T on the masked midpoint grid of
+    ``transfer_direct``.  The phase separates by axis, so the integral over
+    c in [-Q, Q] of exp(i a (q_u - mag c)^2) conj(exp(i a (q_u' - mag c)^2))
+    is D_u conj(D_u') S[u, u'], with D_u = exp(i a q_u^2) and
+    S[u, u'] = 2Q sinc(2 a mag Q (q_u - q_u')).  With G^_c = D (G e)_c D on
+    the q2 grid, A_cd = h^4 sum G^_c * (S conj(G^_d) S): no q3 is sampled.
+    The sweep's equal-weight sum over ``q3_axis`` tends to it up to a scale,
+    which no visibility sees.
+    """
+    r = setup.q2_max
+    h = 2.0 * r / n_grid
+    axis = -r + (np.arange(n_grid) + 0.5) * h
+    qx, qy = np.meshgrid(axis, axis, indexing="ij")
+    mask = qx ** 2 + qy ** 2 <= r * r
+    film = np.stack(film_matrix_grid(setup.film, qx[mask], qy[mask], setup.lam), axis=-1)
+    g = np.zeros((2, n_grid, n_grid), dtype=complex)
+    g[:, mask] = (film.reshape(-1, 2, 2) @ e).T
+    d = np.exp(1j * setup.alpha * axis ** 2)
+    g *= d[:, None] * d
+    q = setup.k * np.sin(setup.theta3_max)
+    s = 2.0 * q * np.sinc(2.0 * setup.alpha * setup.magnification * q
+                          * (axis[:, None] - axis) / np.pi)  # np.sinc(x) is sin(pi x) / (pi x)
+    return np.array([[np.sum(gc * (s @ gd.conj() @ s)) for gd in g] for gc in g]).real * h ** 4
+
+
 def antisymmetric_axis(points):
     """The exactly antisymmetric axis through ``points``, and the index of each point on it.
 

@@ -1,13 +1,14 @@
 """Layering guards: the package modules import each other along one fixed
 graph, only the functions of ``FILE_IO_OWNERS`` touch files, only those of
 ``CONFIG_ERROR_RAISERS`` raise ``ConfigError`` and no run reaches them,
-``optics`` cannot tell a film table from an analytic film, only the channel run calls
-``numpy.linalg``, and no module keeps a stale name: an import it never
-reads, an ``__all__`` entry it does not define, an ``__all__`` entry that
-no module of the program reads (test-only helpers live in ``oracles``), or a
-config key that no module reads.  ``cli.main`` catches the two errors a
-run ends in and nothing else, and importing ``cli`` after NumPy loads only
-the package and three standard modules.
+``optics`` cannot tell a film table from an analytic film, only ``scenarios``
+imports ``dataclasses``, only the channel run calls ``numpy.linalg``, and no
+module keeps a stale name: an import it never reads, an ``__all__`` entry it
+does not define, an ``__all__`` entry that no module of the program reads
+(test-only helpers live in ``oracles``), or a config key that no module
+reads.  ``cli.main`` catches the two errors a run ends in and nothing else,
+and importing ``cli`` after NumPy loads only the package and three standard
+modules.
 
 A new import between modules has to edit ``LAYERS`` on purpose, a new
 file read or write has to edit ``FILE_IO_OWNERS``, and a new ConfigError
@@ -151,12 +152,26 @@ def test_cli_main_catches_the_two_ways_out():
 
 def test_optics_does_not_know_the_film_kind():
     # every film is point-group symmetric, so the aperture transform has one
-    # path; a ``tabulated`` attribute or an ``isinstance`` test on the film
-    # would let it fork on the kind again
+    # path; a ``tabulated`` attribute, an ``isinstance`` test on the film or
+    # a film class named anywhere, an import or annotation included, would
+    # let it fork on the kind again
     path = Path(plasmon_biphoton.__file__).parent / "optics.py"
+    forks = {"tabulated", "isinstance", "FilmModel", "TabulatedGrid"}
     assert not [node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.Attribute) and node.attr == "tabulated"
-                or isinstance(node, ast.Name) and node.id == "isinstance"]
+                if getattr(node, "attr", None) in forks or getattr(node, "id", None) in forks
+                or isinstance(node, ast.alias) and node.name in forks]
+
+
+def test_only_the_config_is_a_dataclass():
+    # generating a dataclass's methods costs every pbsim process start-up
+    # time; only ScenarioConfig's fields, replace and == are read, so the
+    # film and optics records are plain slotted classes
+    src = Path(plasmon_biphoton.__file__).parent
+    importers = {path.stem for path in src.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                 or isinstance(node, ast.alias) and node.name == "dataclasses"}
+    assert importers == {"scenarios"}
 
 
 def package_modules():

@@ -18,6 +18,7 @@ from oracles import (
     paper_setup,
     save_tabulated,
     transmittance,
+    window_form_exact,
 )
 from plasmon_biphoton import cli, optics, quantum, scenarios
 from plasmon_biphoton.quantum import (
@@ -576,6 +577,26 @@ def test_visibility_sweep_equals_visibility_of_field_map(tmp_path, kind):
             for b2 in np.deg2rad(cfg.beta2_deg):
                 fields = t @ linear_pol(b2 + np.pi / 2.0)
                 assert next(cells) == visibility(power_form(fields))
+
+
+@pytest.mark.parametrize("lam, ap, exact", [(797.0, 4.0, 0.782737), (797.0, 8.0, 0.725529),
+                                            (728.0, 8.0, 0.957819)])
+def test_visibility_sweep_tends_to_the_exact_window(lam, ap, exact):
+    # the exact integral over the detector window, on the sweep's 201-point
+    # q2 grid at beta2 = 0, is the limit of the sweep's sum over q3; today's
+    # sum converges at first order (errors 5.7e-3, 1.5e-3 and 1.0e-3 at the
+    # default 41 points, and about 1.7-2 times that at 21)
+    v_exact = visibility(window_form_exact(paper_setup(lam, ap), linear_pol(np.pi / 2.0), 201))
+    assert abs(v_exact - exact) <= 5e-6
+    error = {}
+    for points in (21, 41):
+        cfg = ScenarioConfig(kind="visibility_sweep", lambdas_nm=(lam,), beta2_deg=(0.0,),
+                             semiaperture_min_deg=ap, semiaperture_max_deg=ap,
+                             map_points=points)
+        (v_sweep,) = run_visibility_sweep(cfg)["table"][:, 1]
+        error[points] = abs(v_sweep - v_exact)
+    assert error[41] <= 6e-3
+    assert error[21] >= 1.5 * error[41]
 
 
 class EllipseExtracted(Exception):
