@@ -1,15 +1,16 @@
 """Transfer matrix of a square-lattice hole array in a thin metal film.
 
 The film is modeled as a direct (non-resonant) transmission term plus dyadic
-surface-mode resonances.  Each resonance family is a set of reciprocal-lattice
-orders closed under the square-lattice point group; order G contributes a
-projector onto the unit vector (q + G)/|q + G| weighted by a unit-peak complex
-Lorentzian in wavelength centered at the momentum-matching wavelength
-lambda_G(q) = 2 pi n_eff / |q + G|.
+surface-mode resonances.  Each resonance family is the orbit of one seed
+order under the square-lattice point group; order G = (2 pi / period)(m1, m2)
+contributes a projector onto the unit vector (q + G)/|q + G| weighted by a
+unit-peak complex Lorentzian in wavelength centered at the momentum-matching
+wavelength lambda_G(q) = 2 pi n_eff / |q + G|.
 
 Everything is expressed in the lab (x, y) frame, so the returned matrix obeys
 F_lab(q) = R(phi_q)^-1 F_rot(q) R(phi_q) with respect to any rotated-frame
-formulation.  ``FilmModel`` is that analytic film.  A film table (from an
+formulation.  ``FilmModel`` is that analytic film, one record that states
+the lattice period once, for G and for every n_eff.  A film table (from an
 external rigorous solver) is its own kind of film: ``load_tabulated`` reads
 it into a ``TabulatedGrid``, which holds the whole film matrix, direct term
 included, and is interpolated bilinearly and never extrapolated; it must be
@@ -40,7 +41,6 @@ import zlib
 import numpy as np
 
 __all__ = [
-    "ResonanceFamily",
     "FilmModel",
     "TabulatedGrid",
     "film_matrix_grid",
@@ -50,39 +50,6 @@ __all__ = [
 TABULATED_HEADER = "qx,qy,lambda_nm,re_xx,im_xx,re_xy,im_xy,re_yx,im_yx,re_yy,im_yy"
 
 SYMMETRY_TOL = 1e-8  # relative asymmetry of a table: the rounding of "%.8e", 9 digits
-
-
-class ResonanceFamily:
-    """One surface-mode resonance: a point-group-closed set of lattice orders.
-
-    width is the Lorentzian half-width (nm), amplitude the complex peak
-    transmission amplitude per order, n_eff the effective index.
-    """
-
-    __slots__ = ("orders", "width", "amplitude", "n_eff")
-
-    def __init__(self, orders: frozenset, width: float, amplitude: complex, n_eff: float):
-        self.orders, self.width, self.amplitude, self.n_eff = orders, width, amplitude, n_eff
-
-    @staticmethod
-    def make(seed_order, lambda0, width, amplitude, period):
-        """Build a family from one seed order, closing it under the point group.
-
-        lambda0 is the resonance wavelength at normal incidence (nm), and
-        n_eff = lambda0 |seed| / period must exceed 1, which with a positive
-        period refuses lambda0 <= 0.
-        """
-        for name, value in (("width", width), ("period", period)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-        m1, m2 = seed_order
-        # the square lattice's point group: every sign change of (m1, m2) and of (m2, m1)
-        orders = frozenset((s1 * a, s2 * b) for a, b in ((m1, m2), (m2, m1))
-                           for s1 in (1, -1) for s2 in (1, -1))
-        n_eff = lambda0 * np.hypot(m1, m2) / period
-        if n_eff <= 1.0:
-            raise ValueError(f"effective index {n_eff:.4f} must exceed 1")
-        return ResonanceFamily(orders, float(width), complex(amplitude), n_eff)
 
 
 class TabulatedGrid:
@@ -138,12 +105,33 @@ def _matrix_asymmetry(m: np.ndarray) -> float:
 
 
 class FilmModel:
-    """Analytic hole-array film: positive lattice period, direct amplitude, resonance families."""
+    """Analytic hole-array film: lattice period (nm), direct amplitude, resonance families.
 
-    __slots__ = ("period", "direct_amplitude", "families")
+    Each family is (seed_order, lambda0, width, amplitude): resonant at
+    lambda0 (nm) at normal incidence, with Lorentzian half-width width (nm)
+    and complex peak transmission amplitude per order.  Its effective index
+    n_eff = lambda0 |seed| / period must exceed 1, which with a positive
+    period refuses lambda0 <= 0; each family's width, then the period, then
+    n_eff is checked, else ValueError.  ``orders`` holds one (m1, m2, n_eff,
+    width, amplitude) per order: the families in order, each orbit sorted.
+    """
+
+    __slots__ = ("period", "direct_amplitude", "orders")
 
     def __init__(self, period: float, direct_amplitude: complex, families: tuple):
-        self.period, self.direct_amplitude, self.families = period, direct_amplitude, families
+        self.period, self.direct_amplitude, self.orders = period, direct_amplitude, []
+        for (m1, m2), lambda0, width, amplitude in families:
+            for name, value in (("width", width), ("period", period)):
+                if value <= 0:
+                    raise ValueError(f"{name} must be positive")
+            n_eff = lambda0 * np.hypot(m1, m2) / period
+            if n_eff <= 1.0:
+                raise ValueError(f"effective index {n_eff:.4f} must exceed 1")
+            # the square lattice's point group: every sign change of (m1, m2) and of (m2, m1)
+            orbit = {(s1 * a, s2 * b) for a, b in ((m1, m2), (m2, m1))
+                     for s1 in (1, -1) for s2 in (1, -1)}
+            self.orders += [(g1, g2, n_eff, float(width), complex(amplitude))
+                            for g1, g2 in sorted(orbit)]
 
 
 def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
@@ -164,11 +152,10 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
     fxx = np.full(shape, model.direct_amplitude, dtype=complex)
     fyy = fxx.copy()
     fxy = np.zeros(shape, dtype=complex)
-    orders = [(fam, m1, m2) for fam in model.families for (m1, m2) in sorted(fam.orders)]
     term = np.empty(shape, dtype=complex)
     # each temporary goes after its last use, so the next is made in its
     # place and not in fresh pages
-    for fam, m1, m2 in orders:
+    for m1, m2, n_eff, w, amplitude in model.orders:
         ux = qx + 2.0 * np.pi * m1 / model.period
         uy = qy + 2.0 * np.pi * m2 / model.period
         xx, yy, xy = ux * ux, uy * uy, ux * uy
@@ -176,14 +163,13 @@ def _analytic_matrix_grid(model: FilmModel, qx: np.ndarray, qy: np.ndarray,
         u2 = xx + yy
         if not u2.all():
             raise ValueError(f"order {(m1, m2)} singular inside the requested q range")
-        d = lam - 2.0 * np.pi * fam.n_eff / np.sqrt(u2)
-        w = fam.width
+        d = lam - 2.0 * np.pi * n_eff / np.sqrt(u2)
         c = w / (d * d + w * w) / u2
         del u2
         np.multiply(c, w, out=term.real)
         np.multiply(c, d, out=term.imag)
         del c, d
-        term *= fam.amplitude
+        term *= amplitude
         fxx += term * xx
         del xx
         fyy += term * yy

@@ -30,7 +30,6 @@ import numpy as np
 
 from .film import (
     FilmModel,
-    ResonanceFamily,
     TabulatedGrid,
     film_matrix_grid,
     load_tabulated,
@@ -256,11 +255,9 @@ class ScenarioConfig:
         if not self.peak_transmittance > abs(self.direct_amplitude) ** 2:
             raise ValueError("peak transmittance must exceed the direct intensity")
         amp = 0.5 * (np.sqrt(self.peak_transmittance) - abs(self.direct_amplitude))
-        return FilmModel(period=self.period_nm, direct_amplitude=self.direct_amplitude, families=(
-            ResonanceFamily.make((1, 1), self.lambda_diagonal_nm, self.gamma_diagonal_nm, amp,
-                                 self.period_nm),
-            ResonanceFamily.make((1, 0), self.lambda_axis_nm, self.gamma_axis_nm,
-                                 amp * self.axis_amplitude_scale, self.period_nm)))
+        return FilmModel(self.period_nm, self.direct_amplitude, (
+            ((1, 1), self.lambda_diagonal_nm, self.gamma_diagonal_nm, amp),
+            ((1, 0), self.lambda_axis_nm, self.gamma_axis_nm, amp * self.axis_amplitude_scale)))
 
     def setup(self, film: FilmModel | TabulatedGrid, lam_nm: float,
               semiaperture_deg: float | None = None) -> SetupParams:

@@ -79,7 +79,7 @@ def postselect_channel_labels(t, coherence: float) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def resonance_wavelength(family, order, q, period: float) -> float:
+def resonance_wavelength(n_eff: float, order, q, period: float) -> float:
     """Momentum-matching wavelength of one order at transverse wavevector q.
 
     Solves |q + G| = 2 pi n_eff / lambda with G = (2 pi / period)(m1, m2).
@@ -90,7 +90,7 @@ def resonance_wavelength(family, order, q, period: float) -> float:
     norm = np.hypot(q[0] + gx, q[1] + gy)
     if norm == 0.0:
         raise ValueError(f"order {order} is singular at q = {tuple(q)}")
-    return 2.0 * np.pi * family.n_eff / norm
+    return 2.0 * np.pi * n_eff / norm
 
 
 def film_matrix(model, q, lam: float) -> np.ndarray:
@@ -168,14 +168,12 @@ def film_matrix_direct(model, qx, qy, lam):
     for idx in np.ndindex(qx.shape):
         q = (float(qx[idx]), float(qy[idx]))
         f = model.direct_amplitude * np.eye(2, dtype=complex)
-        for fam in model.families:
-            for m1, m2 in sorted(fam.orders):
-                u = np.array([q[0] + 2.0 * np.pi * m1 / model.period,
-                              q[1] + 2.0 * np.pi * m2 / model.period])
-                u /= np.hypot(u[0], u[1])
-                lam_res = resonance_wavelength(fam, (m1, m2), q, model.period)
-                f += (fam.amplitude * 1j * fam.width / (lam[idx] - lam_res + 1j * fam.width)
-                      * np.outer(u, u))
+        for m1, m2, n_eff, width, amplitude in model.orders:
+            u = np.array([q[0] + 2.0 * np.pi * m1 / model.period,
+                          q[1] + 2.0 * np.pi * m2 / model.period])
+            u /= np.hypot(u[0], u[1])
+            lam_res = resonance_wavelength(n_eff, (m1, m2), q, model.period)
+            f += amplitude * 1j * width / (lam[idx] - lam_res + 1j * width) * np.outer(u, u)
         out[idx] = f
     return out
 

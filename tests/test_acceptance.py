@@ -4,6 +4,7 @@ tolerances and default grids.  Shared field maps are computed once per
 session; details print under ``pytest -s``.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -169,14 +170,29 @@ def test_criterion_08_spectrum_reproduction():
     table = result["table"]
     film = cfg.film()
 
-    # tilt 0: polarizations identical, calibrated peaks
+    # tilt 0: polarizations identical, calibrated peaks, each read as the
+    # vertex of the parabola through the grid maximum and its two
+    # neighbours; its error is estimated against the same read at half the step
     perp0, par0 = table[:, 1], table[:, 2]
     assert np.allclose(perp0, par0, rtol=1e-12, atol=0.0)
-    hi, lo = lams > 770.0, lams < 750.0
-    peak_hi = lams[hi][np.argmax(par0[hi])]
-    peak_lo = lams[lo][np.argmax(par0[lo])]
-    assert abs(peak_hi - 797.0) <= 0.5
-    assert abs(peak_lo - 728.0) <= 0.5
+
+    def vertices(step):
+        run = run_spectrum(dataclasses.replace(cfg, lambda_step_nm=step, tilts_deg=(0.0,)))
+        x, y = run["lambda_nm"], run["table"][:, 2]
+        out = []
+        for window in (x < 750.0, x > 770.0):
+            i = np.flatnonzero(window)[np.argmax(y[window])]
+            y0, y1, y2 = y[i - 1:i + 2]
+            out.append(x[i] + 0.5 * step * (y0 - y2) / (y0 - 2.0 * y1 + y2))
+        return np.array(out)
+
+    peak_lo, peak_hi = peaks = vertices(cfg.lambda_step_nm)
+    margin = 0.5 - np.abs(peaks - (728.0, 797.0))
+    estimate = np.abs(peaks - vertices(0.5 * cfg.lambda_step_nm))
+    print(f"\ncriterion 8: tilt-0 peak margins {margin[0]:.4f}/{margin[1]:.4f} nm, "
+          f"vertex error estimates {estimate[0]:.1e}/{estimate[1]:.1e} nm")
+    assert np.all(margin >= 0.0)
+    assert np.all(margin >= 3.0 * estimate)
 
     def local_peaks(x, y, floor):
         idx = [i for i in range(1, len(y) - 1)
@@ -202,22 +218,23 @@ def test_criterion_08_spectrum_reproduction():
         q = k * np.sin(np.deg2rad(tilt)) * diag
         predicted = {"par": [], "perp": []}
         diag_pair = []
-        for fam in film.families:
-            for order in fam.orders:
-                try:
-                    lam_r = resonance_wavelength(fam, order, q, film.period)
-                except ValueError:
-                    continue
-                if not window[0] <= lam_r <= window[1]:
-                    continue
-                g_vec = 2.0 * np.pi * np.array(order) / film.period
-                e_g = (q + g_vec) / np.linalg.norm(q + g_vec)
-                for pol, vec in (("par", linear_pol(np.deg2rad(45.0))),
-                                 ("perp", linear_pol(np.deg2rad(-45.0)))):
-                    if abs(np.dot(e_g, vec.real)) ** 2 > 0.15:
-                        predicted[pol].append(lam_r)
-                if fam is film.families[0] and order in ((1, 1), (-1, -1)):
-                    diag_pair.append(lam_r)
+        for m1, m2, n_eff, _, _ in film.orders:
+            order = (m1, m2)
+            try:
+                lam_r = resonance_wavelength(n_eff, order, q, film.period)
+            except ValueError:
+                continue
+            if not window[0] <= lam_r <= window[1]:
+                continue
+            g_vec = 2.0 * np.pi * np.array(order) / film.period
+            e_g = (q + g_vec) / np.linalg.norm(q + g_vec)
+            for pol, vec in (("par", linear_pol(np.deg2rad(45.0))),
+                             ("perp", linear_pol(np.deg2rad(-45.0)))):
+                if abs(np.dot(e_g, vec.real)) ** 2 > 0.15:
+                    predicted[pol].append(lam_r)
+            # the diagonal family's counter-moving pair
+            if order in ((1, 1), (-1, -1)):
+                diag_pair.append(lam_r)
         sel = (lams >= window[0]) & (lams <= window[1])
         lamw = lams[sel]
 
@@ -247,7 +264,7 @@ def test_criterion_08_spectrum_reproduction():
                 if min(abs(lam_f - p) for p in predicted["par"]) > 4.0:
                     splits_ok = False
 
-    print(f"\ncriterion 8: tilt-0 peaks {peak_lo:.2f}/{peak_hi:.2f} nm "
+    print(f"criterion 8: tilt-0 peaks {peak_lo:.4f}/{peak_hi:.4f} nm "
           f"(728/797 +- 0.5), tilt splits match dyadic prediction: {splits_ok}")
     assert splits_ok
 

@@ -270,8 +270,8 @@ def test_non_positive_or_non_finite_value_is_config_error(tmp_path, capsys, line
         "infinite_magnification_polmap"])
 def test_value_a_constructor_refuses_is_config_error(tmp_path, capsys, command, line,
                                                       message):
-    # each ended in a ValueError traceback from SetupParams, ResonanceFamily,
-    # FilmModel, ScenarioConfig.film, postselect_channel or (a channel whose V_0 or
+    # each ended in a ValueError traceback from SetupParams, FilmModel,
+    # ScenarioConfig.film, postselect_channel or (a channel whose V_0 or
     # V_45 is undefined) visibility, or (negative peak) in NaN output; a
     # finite value whose square overflows, in an OverflowError traceback or
     # an overflow warning; a focal length or thickness that overflows to inf

@@ -21,7 +21,6 @@ from oracles import (
 from plasmon_biphoton.film import (
     TABULATED_HEADER,
     FilmModel,
-    ResonanceFamily,
     TabulatedGrid,
     film_matrix_grid,
     load_tabulated,
@@ -36,39 +35,46 @@ def film():
     return default_film()
 
 
-def diagonal_family(film):
-    return film.families[0]
-
-
-def axis_family(film):
-    return film.families[1]
+def n_eff(film, order):
+    """The effective index of the family that holds ``order``."""
+    return next(n for m1, m2, n, _, _ in film.orders if (m1, m2) == order)
 
 
 # --- resonance wavelengths -------------------------------------------------
 
 def test_diagonal_resonance_calibrated_to_797(film):
-    lam = resonance_wavelength(diagonal_family(film), (1, 1), (0.0, 0.0), film.period)
+    lam = resonance_wavelength(n_eff(film, (1, 1)), (1, 1), (0.0, 0.0), film.period)
     assert lam == pytest.approx(797.0, abs=1e-9)
 
 
 def test_axis_resonance_calibrated_to_728(film):
-    lam = resonance_wavelength(axis_family(film), (1, 0), (0.0, 0.0), film.period)
+    lam = resonance_wavelength(n_eff(film, (1, 0)), (1, 0), (0.0, 0.0), film.period)
     assert lam == pytest.approx(728.0, abs=1e-9)
 
 
+def test_resonances_calibrated_at_a_non_default_period():
+    # one period feeds both n_eff and G, so each family still resonates at
+    # its lambda0 at normal incidence, with n_eff = lambda0 |seed| / 650
+    film = default_film(period_nm=650.0)
+    assert film.period == 650.0
+    for order, lambda0, index in (((1, 1), 797.0, 1.734), ((1, 0), 728.0, 1.12)):
+        assert n_eff(film, order) == pytest.approx(index, abs=5e-4)
+        lam = resonance_wavelength(n_eff(film, order), order, (0.0, 0.0), film.period)
+        assert lam == pytest.approx(lambda0, abs=1e-9)
+
+
 def test_resonance_formula_at_normal_incidence(film):
-    for fam, order in [(diagonal_family(film), (1, -1)), (axis_family(film), (0, 1))]:
+    for order in ((1, -1), (0, 1)):
         m1, m2 = order
-        expected = fam.n_eff * film.period / np.hypot(m1, m2)
-        got = resonance_wavelength(fam, order, (0.0, 0.0), film.period)
+        expected = n_eff(film, order) * film.period / np.hypot(m1, m2)
+        got = resonance_wavelength(n_eff(film, order), order, (0.0, 0.0), film.period)
         assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_singular_order_raises(film):
-    fam = axis_family(film)
     g = 2.0 * np.pi / film.period
     with pytest.raises(ValueError):
-        resonance_wavelength(fam, (1, 0), (-g, 0.0), film.period)
+        resonance_wavelength(n_eff(film, (1, 0)), (1, 0), (-g, 0.0), film.period)
     with pytest.raises(ValueError, match=r"^order \(1, 0\) singular inside the requested q range$"):
         film_matrix_grid(film, [0.0, -g], [0.0, 0.0], 797.0)
 
@@ -76,12 +82,11 @@ def test_singular_order_raises(film):
 def test_resonance_split_slope_matches_finite_differences(film):
     # along the diagonal the (1,1) and (-1,-1) resonances move oppositely,
     # linearly in |q|; oracle: central finite differences of the exact formula
-    fam = diagonal_family(film)
     direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
     h = 1e-7
 
     def lam_along(order, t):
-        return resonance_wavelength(fam, order, t * direction, film.period)
+        return resonance_wavelength(n_eff(film, order), order, t * direction, film.period)
 
     slope_pp = (lam_along((1, 1), h) - lam_along((1, 1), -h)) / (2 * h)
     slope_mm = (lam_along((-1, -1), h) - lam_along((-1, -1), -h)) / (2 * h)
@@ -104,8 +109,7 @@ def test_normal_incidence_matrix_proportional_to_identity(film):
 
 def test_diagonal_dyads_sum_to_identity_times_two():
     amp = 0.1
-    fam = ResonanceFamily.make((1, 1), 797.0, 5.0, amp, 700.0)
-    lone = FilmModel(period=700.0, direct_amplitude=0.0, families=(fam,))
+    lone = FilmModel(period=700.0, direct_amplitude=0.0, families=(((1, 1), 797.0, 5.0, amp),))
     for lam in (770.0, 797.0, 820.0):
         m = film_matrix(lone, (0.0, 0.0), lam)
         lorentz = 1j * 5.0 / (lam - 797.0 + 1j * 5.0)
@@ -626,15 +630,19 @@ def test_table_changed_during_the_parse_leaves_no_sidecar(tmp_path, monkeypatch)
 # --- family validation -----------------------------------------------------
 
 def test_family_requires_effective_index_above_one():
-    with pytest.raises(ValueError):
-        ResonanceFamily.make((1, 0), 650.0, 5.0, 0.1, 700.0)
+    with pytest.raises(ValueError, match=r"^effective index 0\.9286 must exceed 1$"):
+        FilmModel(period=700.0, direct_amplitude=0.0, families=(((1, 0), 650.0, 5.0, 0.1),))
 
 
 def test_family_orders_are_point_group_closed(film):
-    fam = diagonal_family(film)
-    assert fam.orders == frozenset({(1, 1), (1, -1), (-1, 1), (-1, -1)})
-    fam = axis_family(film)
-    assert fam.orders == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+    # the diagonal family, then the axis family, each orbit sorted, each
+    # order with its family's n_eff, width and amplitude
+    assert [order[:2] for order in film.orders] == [
+        (-1, -1), (-1, 1), (1, -1), (1, 1), (-1, 0), (0, -1), (0, 1), (1, 0)]
+    diagonal, axis = film.orders[0][2:], film.orders[4][2:]
+    assert all(order[2:] == diagonal for order in film.orders[:4])
+    assert all(order[2:] == axis for order in film.orders[4:])
+    assert (diagonal[1], axis[1]) == (4.0, 5.0) and axis[2] == 0.38 * diagonal[2]
 
 
 @pytest.mark.parametrize("seed", [(1, 1), (1, 0), (2, 1), (3, 0), (-2, 5)])
@@ -645,6 +653,7 @@ def test_family_orders_are_the_orbit_under_the_eight_lattice_symmetries(seed):
                  for a in np.arange(4) * np.pi / 2]
     group = rotations + [np.diag([1.0, -1.0]) @ r for r in rotations]
     orbit = {tuple(int(round(c)) for c in g @ np.array(seed, dtype=float)) for g in group}
-    fam = ResonanceFamily.make(seed, 2000.0, 5.0, 0.1, 700.0)
-    assert fam.orders == frozenset(orbit)
-    assert all(type(m) is int for order in fam.orders for m in order)
+    lone = FilmModel(period=700.0, direct_amplitude=0.0, families=((seed, 2000.0, 5.0, 0.1),))
+    orders = [order[:2] for order in lone.orders]
+    assert orders == sorted(orbit)
+    assert all(type(m) is int for order in orders for m in order)

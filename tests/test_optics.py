@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmon_biphoton.film import FilmModel, ResonanceFamily
+from plasmon_biphoton.film import FilmModel
 from plasmon_biphoton import optics
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
 from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
@@ -40,10 +40,8 @@ def flat_film(t=0.01):
 def smooth_film(gamma=60.0):
     """Resonances broadened until the integrand is quadrature-friendly."""
     amp = 0.5 * (np.sqrt(0.03) - 0.01)
-    return FilmModel(
-        period=700.0, direct_amplitude=0.01 + 0j,
-        families=(ResonanceFamily.make((1, 1), 797.0, gamma, amp, 700.0),
-                  ResonanceFamily.make((1, 0), 728.0, gamma, amp, 700.0)))
+    return FilmModel(period=700.0, direct_amplitude=0.01 + 0j,
+                     families=(((1, 1), 797.0, gamma, amp), ((1, 0), 728.0, gamma, amp)))
 
 
 # --- setup parameters -------------------------------------------------------
