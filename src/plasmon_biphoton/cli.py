@@ -126,8 +126,6 @@ def main(argv=None) -> int:
     try:
         cfg = ScenarioConfig(kind=kind) if args.config == "paper_defaults" \
             else parse_config_file(args.config, kind)
-        if cfg.kind != kind:  # a config file's kind line, where it has one
-            raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {args.command}")
         if args.verbose:
             grid = f" (quadrature {cfg.quad_points}x{cfg.quad_points})" \
                 if kind in ("visibility_sweep", "polmap") else ""

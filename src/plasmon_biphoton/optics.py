@@ -60,61 +60,49 @@ _CONTRACT_ROWS = 24
 
 
 class SetupParams:
-    """Geometry of the telescope, substrate and film: a plain record, checked once when built.
+    """Geometry of the telescope, substrate and film: a plain record, checked and computed once.
 
-    lam : wavelength in nm, positive, with 2 pi / lam finite
-    f : lens focal length in nm
-    n : substrate refractive index
-    delta : substrate thickness in nm
+    lam : wavelength in nm, positive, with 2 pi / lam positive and finite
+    f, n, delta : lens focal length in nm, substrate refractive index, and
+        substrate thickness in nm, not kept
     theta_ap : telescope semiaperture in radians at the film (on q2), in [0, PARAXIAL_LIMIT_RAD]
     film : the film, analytic or a table
+
+    Besides lam, theta_ap and film it keeps what a transform reads: the
+    wavenumber k = 2 pi / lam (nm^-1), the angular magnification
+    theta2 / theta3 = n f / ((n - 1) delta), the quadratic phase coefficient
+    alpha = (n - 1) delta / (2 n k) (nm^2), the aperture disc radius
+    q2_max = k sin(theta_ap) (nm^-1), and the half-angle
+    theta3_max = theta_ap / magnification of the aperture mapped to the
+    output (radians).
     """
 
-    __slots__ = ("lam", "f", "n", "delta", "theta_ap", "film")
+    __slots__ = ("lam", "theta_ap", "film", "magnification", "k", "alpha", "q2_max",
+                 "theta3_max")
 
     def __init__(self, lam: float, f: float, n: float, delta: float, theta_ap: float, film):
-        self.lam, self.f, self.n, self.delta, self.theta_ap = lam, f, n, delta, theta_ap
-        self.film = film
-        for name in ("f", "delta"):
-            if not 0 < getattr(self, name) < np.inf:
+        self.lam, self.theta_ap, self.film = lam, theta_ap, film
+        for name, value in (("f", f), ("delta", delta)):
+            if not 0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.n <= 1.0:
+        if n <= 1.0:
             raise ValueError("substrate index must exceed 1")
+        self.magnification = n * f / ((n - 1.0) * delta)
         if not self.magnification < np.inf:
             raise ValueError("angular magnification n f / ((n - 1) delta) must be finite")
         # a transform squares differences of up to 2 k sin(theta_ap) and maps
         # the aperture through theta_ap / mag; Python floats overflow quietly
-        if not (self.lam > 0.0 and 2.0 * math.pi / float(self.lam) < math.inf):
+        if not (lam > 0.0 and 0.0 < 2.0 * math.pi / float(lam) < math.inf):
             raise ValueError("wavenumber 2 pi / lam must be positive and finite")
+        self.k = 2.0 * np.pi / lam
+        self.q2_max = self.k * np.sin(theta_ap)
         if not self.q2_max < 2.0 ** 511:
             raise ValueError("aperture radius k sin(theta_ap) must be below 2**511 nm^-1")
+        self.alpha = (n - 1.0) * delta / (2.0 * n * self.k)
         mag = float(self.magnification)
-        if not (mag > 0.0 and float(self.theta_ap) / mag < math.inf):
+        if not (mag > 0.0 and float(theta_ap) / mag < math.inf):
             raise ValueError("mapped half-angle theta_ap / magnification must be finite")
-
-    @property
-    def k(self) -> float:
-        return 2.0 * np.pi / self.lam
-
-    @property
-    def magnification(self) -> float:
-        """Angular magnification theta2 / theta3 = n f / ((n - 1) Delta)."""
-        return self.n * self.f / ((self.n - 1.0) * self.delta)
-
-    @property
-    def alpha(self) -> float:
-        """Quadratic phase coefficient (n - 1) Delta / (2 n k), in nm^2."""
-        return (self.n - 1.0) * self.delta / (2.0 * self.n * self.k)
-
-    @property
-    def q2_max(self) -> float:
-        """Aperture disc radius k sin(theta_ap) in nm^-1."""
-        return self.k * np.sin(self.theta_ap)
-
-    @property
-    def theta3_max(self) -> float:
-        """Half-angle theta_ap / mag of the aperture mapped to the output, in radians."""
-        return self.theta_ap / self.magnification
+        self.theta3_max = theta_ap / self.magnification
 
 
 def transfer(setup: SetupParams, q3, n_grid: int) -> np.ndarray:

@@ -312,10 +312,14 @@ def _parse_value(name: str, text: str, field_obj):
         raise ConfigError(f"bad value for {name}: {text!r}") from exc
 
 
-def parse_config(text: str, kind: str = ScenarioConfig.kind) -> ScenarioConfig:
-    """Parse flat ``key = value`` text into a ScenarioConfig of ``kind`` unless a line sets it."""
+def parse_config(text: str, kind: str | None = None) -> ScenarioConfig:
+    """Parse flat ``key = value`` text into a ScenarioConfig of ``kind``.
+
+    A kind line that names another kind is refused before the config is
+    checked; with ``kind`` None, the kind line or the default kind holds.
+    """
     fields = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
-    values, first_line = {"kind": kind}, {}
+    values, first_line = ({} if kind is None else {"kind": kind}), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -331,6 +335,9 @@ def parse_config(text: str, kind: str = ScenarioConfig.kind) -> ScenarioConfig:
                               f"(first set on line {first_line[name]})")
         first_line[name] = lineno
         values[name] = _parse_value(name, value.strip(), fields[name])
+        if name == "kind" and kind not in (None, values[name]):
+            raise ConfigError(f"line {lineno}: config kind {values[name]!r} "
+                              f"does not match the command's kind {kind!r}")
     return ScenarioConfig(**values)
 
 

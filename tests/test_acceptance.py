@@ -28,6 +28,7 @@ from oracles import (
     paper_setup,
     resonance_wavelength,
     visibility_brute,
+    window_form_exact,
 )
 
 
@@ -47,11 +48,20 @@ def _ellipses(setup, input_pol, axis, n_grid):
 
 @pytest.fixture(scope="module")
 def focused_visibilities():
-    """V_45 and V_0 at both resonances, default grids (criteria 3, 4)."""
+    """V_45 and V_0 at both resonances, default grids, with each V's window error (criteria 3, 4).
+
+    The window error is |V - V_exact|, V_exact from the exact detector-window
+    integral (``oracles.window_form_exact``) on the same 201-point q2 grid.
+    """
     t0 = time.perf_counter()
     values = {(lam, b2): _vis(lam, b2)
               for lam in (797.0, 728.0) for b2 in (45.0, 0.0)}
-    return values, time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    errors = {}
+    for (lam, b2), v in values.items():
+        e = linear_pol(np.deg2rad(b2) + np.pi / 2.0)
+        errors[lam, b2] = abs(v - visibility(window_form_exact(paper_setup(lam=lam), e, 201)))
+    return values, errors, elapsed
 
 
 def test_criterion_01_identity_symmetry():
@@ -87,20 +97,28 @@ def test_criterion_02_monomode_preservation():
 
 
 def test_criterion_03_focused_asymmetry_797(focused_visibilities):
-    values, elapsed = focused_visibilities
+    # each margin must clear 3x the window error of the Vs it is made of
+    values, errors, elapsed = focused_visibilities
     v45, v0 = values[(797.0, 45.0)], values[(797.0, 0.0)]
-    print(f"\ncriterion 3: 797 nm V_45 = {v45:.3f} (>= 0.8), "
-          f"V_45 - V_0 = {v45 - v0:.3f} (>= 0.2), {elapsed:.0f} s")
+    error = errors[(797.0, 45.0)] + errors[(797.0, 0.0)]
+    print(f"\ncriterion 3: 797 nm V_45 = {v45:.3f} (>= 0.8, window error "
+          f"{errors[(797.0, 45.0)]:.2e}), V_45 - V_0 = {v45 - v0:.3f} (>= 0.2, margin "
+          f"{v45 - v0 - 0.2:.4f} against a window error of {error:.2e}), {elapsed:.0f} s")
     assert v45 >= 0.8
+    assert v45 - 0.8 >= 3.0 * errors[(797.0, 45.0)]
     assert v45 - v0 >= 0.2
+    assert v45 - v0 - 0.2 >= 3.0 * error
     assert elapsed < 300.0
 
 
 def test_criterion_04_role_exchange_728(focused_visibilities):
-    values, _ = focused_visibilities
+    values, errors, _ = focused_visibilities
     v45, v0 = values[(728.0, 45.0)], values[(728.0, 0.0)]
-    print(f"\ncriterion 4: 728 nm V_0 = {v0:.3f} > V_45 = {v45:.3f}")
+    error = errors[(728.0, 45.0)] + errors[(728.0, 0.0)]
+    print(f"\ncriterion 4: 728 nm V_0 = {v0:.3f} > V_45 = {v45:.3f}, margin "
+          f"{v0 - v45:.4f} against a window error of {error:.2e}")
     assert v0 > v45
+    assert v0 - v45 >= 3.0 * error
 
 
 def test_criterion_05_stationary_phase_mapping():

@@ -72,12 +72,21 @@ def test_kind_mismatch_is_config_error(tmp_path, capsys):
     code = main(["polmap", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
-    # the message names the command as typed, not its config kind
+    # the message names the line and both kinds
     cfg = write_cfg(tmp_path, kind="polmap")
     assert main(["visibility", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == ("config error: config kind 'polmap' does not match "
-                                       "subcommand visibility\n")
+    assert capsys.readouterr().err == ("config error: line 1: config kind 'polmap' does not "
+                                       "match the command's kind 'visibility_sweep'\n")
     assert not (tmp_path / "out").exists()
+    # the kind line is read before the config is checked as its kind: each
+    # value was refused by the other kind's checks, not by the mismatch
+    for text, line, other in (("kind = polmap\nsemiaperture_deg = 0\n", 1, "polmap"),
+                              ("f_mm = -1\nkind = visibility_sweep\n", 2, "visibility_sweep")):
+        cfg.write_text(text)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"config error: line {line}: config kind {other!r} "
+                                           f"does not match the command's kind 'spectrum'\n")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

@@ -2,13 +2,13 @@
 graph, only the functions of ``FILE_IO_OWNERS`` touch files, only those of
 ``CONFIG_ERROR_RAISERS`` raise ``ConfigError`` and no run reaches them,
 ``optics`` cannot tell a film table from an analytic film, only ``scenarios``
-imports ``dataclasses``, only the channel run calls ``numpy.linalg``, and no
-module keeps a stale name: an import it never reads, an ``__all__`` entry it
-does not define, an ``__all__`` entry that no module of the program reads
-(test-only helpers live in ``oracles``), or a config key that no module
-reads.  ``cli.main`` catches the two errors a run ends in and nothing else,
-and importing ``cli`` after NumPy loads only the package and three standard
-modules.
+imports ``dataclasses``, no module defines a ``property``, only the channel
+run calls ``numpy.linalg``, and no module keeps a stale name: an import it
+never reads, an ``__all__`` entry it does not define, an ``__all__`` entry
+that no module of the program reads (test-only helpers live in
+``oracles``), or a config key that no module reads.  ``cli.main`` catches
+the two errors a run ends in and nothing else, and importing ``cli`` after
+NumPy loads only the package and three standard modules.
 
 A new import between modules has to edit ``LAYERS`` on purpose, a new
 file read or write has to edit ``FILE_IO_OWNERS``, and a new ConfigError
@@ -91,7 +91,7 @@ def test_only_the_owners_touch_files():
 # and all it calls, raises a plain error that run_scenario words once
 CONFIG_ERROR_RAISERS = {"scenarios.ScenarioConfig.__post_init__", "scenarios._parse_value",
                         "scenarios.parse_config", "scenarios.parse_config_file",
-                        "scenarios.run_scenario", "cli.main"}
+                        "scenarios.run_scenario"}
 
 
 def package_functions():
@@ -172,6 +172,16 @@ def test_only_the_config_is_a_dataclass():
                  if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
                  or isinstance(node, ast.alias) and node.name == "dataclasses"}
     assert importers == {"scenarios"}
+
+
+def test_no_module_defines_a_property():
+    # a record computes what it keeps once, when built: a property would
+    # compute it again on every read
+    src = Path(plasmon_biphoton.__file__).parent
+    users = {path.stem for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "property"}
+    assert users == set()
 
 
 def package_modules():

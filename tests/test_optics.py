@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plasmon_biphoton.film import FilmModel
+from plasmon_biphoton.film import FilmModel, film_matrix_grid
 from plasmon_biphoton import optics
 from plasmon_biphoton.optics import SetupParams, q3_axis, transfer
-from plasmon_biphoton.quantum import ellipse_arrays, linear_pol
+from plasmon_biphoton.quantum import ellipse_arrays, linear_pol, power_form
 
 from oracles import (
     antisymmetric_axis,
@@ -75,6 +75,12 @@ def test_setup_refuses_a_wavelength_without_a_positive_finite_wavenumber(lam):
         SetupParams(lam=lam, f=15e6, n=1.52, delta=0.5e6, theta_ap=0.1, film=default_film())
 
 
+def test_setup_refuses_an_infinite_wavelength():
+    # its wavenumber is 0, by which the phase coefficient alpha would divide
+    with pytest.raises(ValueError, match="wavenumber 2 pi / lam must be positive and finite"):
+        SetupParams(lam=np.inf, f=15e6, n=1.52, delta=0.5e6, theta_ap=0.1, film=default_film())
+
+
 # --- on-axis symmetry -------------------------------------------------------
 
 @pytest.mark.parametrize("lam", [728.0, 797.0, 813.0])
@@ -120,6 +126,33 @@ def test_flat_film_matches_truncated_fresnel_integral():
     assert t[0, 1] == 0.0 and t[1, 0] == 0.0
     assert abs(t[0, 0] - analytic) / abs(analytic) < 5e-3
     assert t[0, 0] == t[1, 1]
+
+
+@pytest.mark.parametrize("lam,theta_ap_deg,n_grid,m_out",
+                         [(797.0, 8.0, 51, 51), (728.0, 4.0, 41, 60), (797.0, 2.0, 60, 61)])
+def test_transfer_keeps_the_film_power_on_the_discrete_fourier_axis(lam, theta_ap_deg, n_grid,
+                                                                     m_out):
+    # Parseval, exact on the grid: with h = 2 q2_max / n_grid and the q3 axis
+    # c_j = (j - (M - 1) / 2) d, d = pi / (alpha mag h M), M >= n_grid, the sum
+    # over j of the kernel exp(i alpha (q_u - mag c_j)^2) times its conjugate
+    # at q_u' is M when u = u' and 0 otherwise; so the coincidence form of
+    # T e over the M x M axis is M^2 h^4 times that of F e over the masked
+    # midpoint nodes (to 1.3e-15 in these cases; d 1% off moves it by 1.6e-2
+    # to 2e-2), which checks transfer's h^2, mag, alpha and phase against the
+    # film alone
+    s = paper_setup(lam=lam, theta_ap_deg=theta_ap_deg)
+    h = 2.0 * s.q2_max / n_grid
+    delta = np.pi / (s.alpha * s.magnification * h * m_out)
+    axis = (np.arange(m_out) - 0.5 * (m_out - 1)) * delta
+    e = np.array([0.6, 0.8j])
+    lhs = power_form(transfer(s, axis, n_grid) @ e)
+    nodes = (np.arange(n_grid) - 0.5 * (n_grid - 1)) * h
+    qx, qy = np.meshgrid(nodes, nodes, indexing="ij")
+    mask = qx ** 2 + qy ** 2 <= s.q2_max ** 2
+    fxx, fxy, fyx, fyy = film_matrix_grid(s.film, qx[mask], qy[mask], s.lam)
+    rhs = m_out ** 2 * h ** 4 * power_form(np.stack([fxx * e[0] + fxy * e[1],
+                                                     fyx * e[0] + fyy * e[1]], axis=-1))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 # --- stationary phase -------------------------------------------------------
